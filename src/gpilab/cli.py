@@ -317,11 +317,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for numerical kernels")
     args = parser.parse_args(argv)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(args.threads)
     try:
         cfg = load_config(args.config, seed_override=args.seed,
                           out_override=args.out)

@@ -1,19 +1,9 @@
 """Randomized verification of the pointwise multiplier bounds.
 
-Each entry of the catalog pairs one closed-form multiplier M (built from
-the smoothing symbol m), one dyadic case region, and the bound claimed
-for M on that region.  Bounds are checked by dense sampling: magnitudes
-log-uniform over [N/64, 64N] in d = 3, zero-sum enforced by solving for
-one frequency where the underlying integral demands it.
-
-Conventions: ">>" in a case header means a factor >= 8, "~" means within
-a factor of 2.  Orderings such as N1 >= N2 >= N3 are realized by sorting
-magnitudes inside each symmetric argument group, never by rejection.
-Unnamed constants are tested twice: an absolute cap (default 64) and a
-gate on the growth of the worst ratio with N (fitted slope <= 0.1).
+Each catalog row pairs a closed-form multiplier M (built from the smoothing
+symbol m), a dyadic case region and the bound claimed for M there, checked by
+dense sampling against a cap (default 64) and a slope gate (default 0.1).
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
@@ -22,15 +12,12 @@ import numpy as np
 from .ioperator import MultiplierSpec, multiplier_value
 from .fitting import loglog_fit
 
-__all__ = [
-    "MultiplierExpr", "CaseRegion", "ClaimedBound", "VerifyCase",
-    "SingularInputError", "InfeasibleRegionError",
-    "eval_multiplier", "sample_region", "verify_bound", "CATALOG",
-    "catalog_by_label",
-]
+__all__ = ["MultiplierExpr", "VerifyCase", "SingularInputError",
+           "InfeasibleRegionError", "eval_multiplier", "sample_region",
+           "verify_bound", "CATALOG", "catalog_by_label"]
 
 SINGULAR_EPS = 1e-9
-SPAN = 64.0          # magnitudes drawn from [N/SPAN, SPAN*N]
+WINDOWS = {"H": (1, 64), "L": (1 / 64, 1), "T": (1 / 64, 1 / 8), "A": (1 / 64, 64)}
 
 
 class SingularInputError(ValueError):
@@ -38,537 +25,247 @@ class SingularInputError(ValueError):
 
 
 class InfeasibleRegionError(RuntimeError):
-    """Rejection sampling produced no admissible point."""
-
-
-def _m(mags, N, s):
-    return multiplier_value(MultiplierSpec(N=N, s=s), mags)
-
-
-def _mags(X):
-    return np.linalg.norm(X, axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# multiplier expressions
-#
-# X has shape (count, arity, 3); every evaluator returns shape (count,).
-
-def _ev_lwp_cubic(X, N, s):
-    a = _mags(X)
-    ssum = np.linalg.norm(X.sum(axis=1), axis=-1)
-    return (_m(ssum, N, s) / _m(a, N, s).prod(axis=1)
-            * ssum / a.prod(axis=1))
-
-
-def _ev_lwp_quadratic(X, N, s):
-    a = _mags(X)
-    ssum = np.linalg.norm(X.sum(axis=1), axis=-1)
-    return (_m(ssum, N, s) / _m(a, N, s).prod(axis=1)
-            * ssum / a.prod(axis=1))
-
-
-def _ev_comm_cubic(X, N, s):
-    a = _mags(X)
-    ssum = np.linalg.norm(X.sum(axis=1), axis=-1)
-    mm = _m(a, N, s).prod(axis=1)
-    return np.abs(_m(ssum, N, s) - mm) / mm * ssum / a.prod(axis=1)
-
-
-def _ev_comm_quadratic(X, N, s):
-    a = _mags(X)
-    ssum = np.linalg.norm(X.sum(axis=1), axis=-1)
-    mm = _m(a, N, s).prod(axis=1)
-    return np.abs(_m(ssum, N, s) - mm) / mm * ssum / a.prod(axis=1)
-
-
-def _comm_part(X, N, s):
-    # |m(sum) - prod m| / prod m over the given frequency block
-    a = _mags(X)
-    ssum = np.linalg.norm(X.sum(axis=1), axis=-1)
-    mm = _m(a, N, s).prod(axis=1)
-    return np.abs(_m(ssum, N, s) - mm) / mm
-
-
-def _smooth_part(X, N, s):
-    # m(sum) / prod m over the given frequency block
-    a = _mags(X)
-    ssum = np.linalg.norm(X.sum(axis=1), axis=-1)
-    return _m(ssum, N, s) / _m(a, N, s).prod(axis=1)
-
-
-def _ev_sextic(X, N, s):
-    return (_comm_part(X[:, :3], N, s) * _smooth_part(X[:, 3:], N, s)
-            / _mags(X).prod(axis=1))
-
-
-def _ev_quintic_cubic_pair(X, N, s):
-    # item 4: commutator on the first triple, smooth pair behind
-    return (_comm_part(X[:, :3], N, s) * _smooth_part(X[:, 3:], N, s)
-            / _mags(X).prod(axis=1))
-
-
-def _ev_quintic_pair_cubic(X, N, s):
-    # item 5: commutator on the leading pair, smooth triple behind
-    return (_comm_part(X[:, :2], N, s) * _smooth_part(X[:, 2:], N, s)
-            / _mags(X).prod(axis=1))
-
-
-def _ev_quartic_cubic(X, N, s):
-    # item 6: cubic commutator divided by all four magnitudes
-    return _comm_part(X[:, :3], N, s) / _mags(X).prod(axis=1)
-
-
-def _ev_quartic_pairs(X, N, s):
-    # item 7: pair commutator times smooth pair, over four magnitudes
-    return (_comm_part(X[:, :2], N, s) * _smooth_part(X[:, 2:], N, s)
-            / _mags(X).prod(axis=1))
-
-
-def _ev_cubic_pair(X, N, s):
-    # item 8: pair commutator over three magnitudes
-    return _comm_part(X[:, :2], N, s) / _mags(X).prod(axis=1)
+    """Rejection sampling delivered fewer admissible points than asked."""
 
 
 @dataclass(frozen=True)
 class MultiplierExpr:
     label: str
-    arity: int
-    evaluator: object
-    groups: tuple           # symmetric argument blocks, e.g. ((0,1,2),(3,4,5))
+    groups: tuple               # contiguous symmetric blocks, e.g. ((0,1,2),(3,4,5))
+    commutator: bool = True
+    solve: int = 0              # frequency closing the zero-sum constraint, -1: none
+    arity = property(lambda self: sum(len(g) for g in self.groups))
 
 
-LWP_CUBIC = MultiplierExpr("lwp-cubic", 3, _ev_lwp_cubic, ((0, 1, 2),))
-LWP_QUADRATIC = MultiplierExpr("lwp-quadratic", 2, _ev_lwp_quadratic, ((0, 1),))
-COMM_CUBIC = MultiplierExpr("commutator-cubic", 3, _ev_comm_cubic, ((0, 1, 2),))
-COMM_QUADRATIC = MultiplierExpr("commutator-quadratic", 2, _ev_comm_quadratic,
-                                ((0, 1),))
-SEXTIC = MultiplierExpr("sextic", 6, _ev_sextic, ((0, 1, 2), (3, 4, 5)))
-QUINTIC_A = MultiplierExpr("quintic-cubic-pair", 5, _ev_quintic_cubic_pair,
-                           ((0, 1, 2), (3, 4)))
-QUINTIC_B = MultiplierExpr("quintic-pair-cubic", 5, _ev_quintic_pair_cubic,
-                           ((0, 1), (2, 3, 4)))
-QUARTIC_CUBIC = MultiplierExpr("quartic-cubic", 4, _ev_quartic_cubic,
-                               ((0, 1, 2), (3,)))
-QUARTIC_PAIRS = MultiplierExpr("quartic-pairs", 4, _ev_quartic_pairs,
-                               ((0, 1), (2, 3)))
-CUBIC_PAIR = MultiplierExpr("cubic-pair", 3, _ev_cubic_pair, ((0, 1), (2,)))
+LWP_CUBIC = MultiplierExpr("lwp-cubic", ((0, 1, 2),), False, -1)
+LWP_QUADRATIC = MultiplierExpr("lwp-quadratic", ((0, 1),), False, -1)
+COMM_CUBIC = MultiplierExpr("commutator-cubic", ((0, 1, 2),), solve=-1)
+COMM_QUADRATIC = MultiplierExpr("commutator-quadratic", ((0, 1),), solve=-1)
+SEXTIC = MultiplierExpr("sextic", ((0, 1, 2), (3, 4, 5)))
+QUINTIC_A = MultiplierExpr("quintic-cubic-pair", ((0, 1, 2), (3, 4)))
+QUINTIC_B = MultiplierExpr("quintic-pair-cubic", ((0, 1), (2, 3, 4)))
+QUARTIC_CUBIC = MultiplierExpr("quartic-cubic", ((0, 1, 2), (3,)))
+QUARTIC_PAIRS = MultiplierExpr("quartic-pairs", ((0, 1), (2, 3)))
+CUBIC_PAIR = MultiplierExpr("cubic-pair", ((0, 1), (2,)))
 
 
 def eval_multiplier(expr: MultiplierExpr, xis, N: float, s: float):
-    """Evaluate one encoded multiplier; guards against |xi_i| -> 0."""
-    X = np.asarray(xis, dtype=float)
-    single = X.ndim == 2
-    if single:
-        X = X[None]
+    """M at xis of shape ([count,] arity, 3): the leading block's m(|sum|)/prod m
+    or |m(|sum|) - prod m|/prod m (commutator), times m(|sum|)/prod m of each later
+    block, over the product of all magnitudes; a lone block carries |sum|."""
+    xis = np.asarray(xis, dtype=float)
+    X = xis[None] if xis.ndim == 2 else xis
     if X.shape[1:] != (expr.arity, 3):
         raise ValueError(f"expected shape (count, {expr.arity}, 3), got {X.shape}")
-    if (_mags(X) < SINGULAR_EPS).any():
+    mags = np.linalg.norm(X, axis=-1)
+    if (mags < SINGULAR_EPS).any():
         raise SingularInputError("frequency magnitude below 1e-9")
-    out = expr.evaluator(X, N, s)
-    return float(out[0]) if single else out
-
-
-# ---------------------------------------------------------------------------
-# case regions and claimed bounds
-
-@dataclass(frozen=True)
-class CaseRegion:
-    """One dyadic case: sampling ranges plus the membership predicate.
-
-    free_ranges gives, per free frequency index, the magnitude window as
-    multiples of N.  predicate receives the within-group-sorted magnitude
-    blocks (each shape (count, group_size), descending) and N.
-    """
-
-    label: str
-    groups: tuple
-    free_ranges: tuple
-    predicate: object
-    solve_index: int = -1      # -1: plain sampling, else solved from zero-sum
-
-    @property
-    def arity(self) -> int:
-        n = sum(len(g) for g in self.groups)
-        return n
-
-    def sorted_blocks(self, mags: np.ndarray):
-        return [np.sort(mags[:, list(g)], axis=1)[:, ::-1] for g in self.groups]
-
-    def membership(self, xis, N: float) -> np.ndarray:
-        X = np.asarray(xis, dtype=float)
-        single = X.ndim == 2
-        if single:
-            X = X[None]
-        ok = self.predicate(self.sorted_blocks(_mags(X)), N)
-        return bool(ok[0]) if single else ok
-
-
-@dataclass(frozen=True)
-class ClaimedBound:
-    source: str
-    evaluator: object           # (sorted blocks, N, s) -> positive array
+    spec = MultiplierSpec(N=N, s=s)
+    for k, g in enumerate(expr.groups):
+        block = slice(g[0], g[-1] + 1)
+        ssum = np.linalg.norm(X[:, block].sum(axis=1), axis=-1)
+        msum = multiplier_value(spec, ssum)
+        mm = multiplier_value(spec, mags[:, block]).prod(axis=1)
+        part = np.abs(msum - mm) / mm if k == 0 and expr.commutator else msum / mm
+        out = part if k == 0 else out * part
+    if len(expr.groups) == 1:
+        out = out * ssum
+    out = out / mags.prod(axis=1)
+    return float(out[0]) if xis.ndim == 2 else out
 
 
 @dataclass(frozen=True)
 class VerifyCase:
+    """One catalog row over N1, N2, ..., the magnitudes sorted descending inside
+    each block, never ordered by rejection.  The predicate chains "Ni" or "N",
+    maybe scaled ("1.02N2"), under >=, <=, >> (a factor >= 8) and ~ (within a
+    factor of 2).  The bound multiplies four motifs over 1-based indices: quarter
+    powers (Ni/N)^{1/4} (an index listed twice gives a half power), local-existence
+    factors (Ni/N)^{1-s}, the mean-value factor N2/N1, and 1/prod Ni (`denom`)."""
+
     expr: MultiplierExpr
-    region: CaseRegion
-    bound: ClaimedBound
+    case: str
+    free_ranges: str            # per free frequency a WINDOWS letter, in units of N
+    predicate: str
+    quarter: tuple = ()
+    lwp: tuple = ()
+    mean_value: bool = False
+    denom: tuple | None = None  # None: all indices
+    source: str = ""
     flagged: str = ""           # nonempty marks a transcription issue upstream
 
     @property
     def label(self) -> str:
-        return f"{self.expr.label}/{self.region.label}"
+        return f"{self.expr.label}/{self.case}"
+
+    def sorted_mags(self, mags: np.ndarray) -> np.ndarray:
+        Q = np.empty_like(mags)
+        for g in self.expr.groups:
+            Q[:, g[0]:g[-1] + 1] = np.sort(mags[:, g[0]:g[-1] + 1], axis=1)[:, ::-1]
+        return Q
+
+    def holds(self, Q: np.ndarray, N: float) -> np.ndarray:
+        """The case predicate at sorted magnitudes Q of shape (count, arity)."""
+        def term(text):         # [coefficient]N[index]
+            coef, _, i = text.partition("N")
+            x = Q[:, int(i) - 1] if i else N
+            return x * float(coef) if coef else x
+        ok = np.ones(Q.shape[0], dtype=bool)
+        for t in (chain.split() for chain in self.predicate.split(",")):
+            for lhs, op, rhs in zip(t[0::2], t[1::2], t[2::2]):
+                a, b = term(lhs), {">=": 1, "<=": 1, ">>": 8, "~": 2}[op] * term(rhs)
+                ok &= (a >= b) if op in (">=", ">>") else (a <= b)
+        return ok
+
+    def bound(self, Q: np.ndarray, N: float, s: float) -> np.ndarray:
+        """The claimed bound at sorted magnitudes Q, the product of the motifs."""
+        def col(idx):
+            return Q[:, [i - 1 for i in idx]]
+        b = (np.prod((col(self.quarter) / N) ** 0.25, axis=1)
+             * np.prod((col(self.lwp) / N) ** (1 - s), axis=1))
+        if self.mean_value:
+            b = b * (Q[:, 1] / Q[:, 0])
+        return b / np.prod(Q if self.denom is None else col(self.denom), axis=1)
 
 
-# magnitude windows in units of N
-HI = (1.0, SPAN)
-LO = (1.0 / SPAN, 1.0)
-TINY = (1.0 / SPAN, 1.0 / 8.0)
-ANY = (1.0 / SPAN, SPAN)
-
-
-def _case(expr, label, free_ranges, predicate, bound_src, bound, solve=-1,
-          flagged=""):
-    region = CaseRegion(label=label, groups=expr.groups,
-                        free_ranges=tuple(free_ranges), predicate=predicate,
-                        solve_index=solve)
-    return VerifyCase(expr=expr, region=region,
-                      bound=ClaimedBound(source=bound_src, evaluator=bound),
-                      flagged=flagged)
-
-
-def _q(g, i, j):
-    # j-th largest magnitude of block i (0-based)
-    return g[i][:, j]
-
-
+_C = VerifyCase                 # each entry below is one catalog row
 CATALOG = [
-    # -- local-existence cubic multiplier ----------------------------------
-    _case(LWP_CUBIC, "case1", [HI, HI, HI],
-          lambda g, N: _q(g, 0, 2) >= N,
-          "cubic case 1: 1/(|xi2|^s |xi3|^s N^{2(1-s)})",
-          lambda g, N, s: 1 / (_q(g, 0, 1) ** s * _q(g, 0, 2) ** s
-                               * N ** (2 * (1 - s)))),
-    _case(LWP_CUBIC, "case2", [HI, HI, LO],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 0, 2) <= N),
-          "cubic case 2: 1/(|xi2|^s |xi3| N^{1-s})",
-          lambda g, N, s: 1 / (_q(g, 0, 1) ** s * _q(g, 0, 2) * N ** (1 - s))),
-    _case(LWP_CUBIC, "case3-separated", [HI, LO, LO],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 0, 0) >= 8 * _q(g, 0, 1)),
-          "cubic case 3 (|xi1| >> |xi2|): 1/(|xi2||xi3|)",
-          lambda g, N, s: 1 / (_q(g, 0, 1) * _q(g, 0, 2))),
-    _case(LWP_CUBIC, "case3-low", [LO, LO, LO],
-          lambda g, N: _q(g, 0, 0) <= N,
-          "cubic case 3 (all below N): 1/(|xi2||xi3|)",
-          lambda g, N, s: 1 / (_q(g, 0, 1) * _q(g, 0, 2))),
-
-    # -- local-existence quadratic multiplier ------------------------------
-    _case(LWP_QUADRATIC, "case1", [HI, HI],
-          lambda g, N: _q(g, 0, 1) >= N,
-          "quadratic case 1: 1/(|xi2|^s N^{1-s})",
-          lambda g, N, s: 1 / (_q(g, 0, 1) ** s * N ** (1 - s))),
-    _case(LWP_QUADRATIC, "case2-separated", [ANY, LO],
-          lambda g, N: (_q(g, 0, 1) <= N) & (_q(g, 0, 0) >= 8 * _q(g, 0, 1)),
-          "quadratic case 2 (|xi1| >> |xi2|): 1/|xi2|",
-          lambda g, N, s: 1 / _q(g, 0, 1)),
-    _case(LWP_QUADRATIC, "case2-comparable", [LO, LO],
-          lambda g, N: (_q(g, 0, 1) <= N) & (_q(g, 0, 0) <= 2 * _q(g, 0, 1)),
-          "quadratic case 2 (|xi1| ~ |xi2|): 1/|xi2|",
-          lambda g, N, s: 1 / _q(g, 0, 1)),
-
-    # -- quartic energy increment, cubic commutator with gradient ----------
-    _case(COMM_CUBIC, "case1", [HI, HI, HI],
-          lambda g, N: _q(g, 0, 2) >= N,
-          "increment 1 case 1: prod (Ni/N)^{1/4} * N1/(N1 N2 N3)",
-          lambda g, N, s: ((_q(g, 0, 0) * _q(g, 0, 1) * _q(g, 0, 2))
-                           / N ** 3) ** 0.25
-          / (_q(g, 0, 1) * _q(g, 0, 2))),
-    _case(COMM_CUBIC, "case2", [HI, HI, LO],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 0, 2) <= N),
-          "increment 1 case 2: (N1 N2/N^2)^{1/4} * N1/(N1 N2 N3)",
-          lambda g, N, s: ((_q(g, 0, 0) * _q(g, 0, 1)) / N ** 2) ** 0.25
-          / (_q(g, 0, 1) * _q(g, 0, 2))),
-    _case(COMM_CUBIC, "case3-meanvalue", [HI, LO, LO],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 0, 0) >= 8 * _q(g, 0, 1)),
-          "increment 1 case 3: N2/N1 * N1/(N1 N2 N3)",
-          lambda g, N, s: (_q(g, 0, 1) / _q(g, 0, 0))
-          / (_q(g, 0, 1) * _q(g, 0, 2))),
-
-    # -- cubic energy increment, quadratic commutator ----------------------
-    _case(COMM_QUADRATIC, "case1-comparable", [HI, HI],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 0, 0) <= 2 * _q(g, 0, 1)),
-          "increment 2 case 1: (N2/N)^{1/2} / N2",
-          lambda g, N, s: (_q(g, 0, 0) / N) ** 0.5 / _q(g, 0, 0)),
-    _case(COMM_QUADRATIC, "case3a", [HI, HI],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 0, 0) >= 8 * _q(g, 0, 1)),
-          "increment 2 case 3a: (N3/N)^{1/4} / N3",
-          lambda g, N, s: (_q(g, 0, 1) / N) ** 0.25 / _q(g, 0, 1)),
-    _case(COMM_QUADRATIC, "case3b-meanvalue", [HI, LO],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 0, 0) >= 8 * _q(g, 0, 1)),
-          "increment 2 case 3b: 1/|xi2|",
-          lambda g, N, s: 1 / _q(g, 0, 0)),
-
-    # -- sextic increment --------------------------------------------------
-    _case(SEXTIC, "case1a", [HI, HI, HI, HI, HI],
-          lambda g, N: (_q(g, 0, 2) >= N) & (_q(g, 1, 2) >= N),
-          "increment 3 case 1a: prod_{i=1..6} (Ni/N)^{1/4} Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          * np.prod((g[1] / N) ** 0.25 / g[1], axis=1), solve=0),
-    _case(SEXTIC, "case1b", [HI, LO, HI, HI, HI],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 0, 2) <= N)
-          & (_q(g, 1, 2) >= N),
-          "increment 3 case 1b: same without (N3/N)^{1/4}",
-          lambda g, N, s: ((_q(g, 0, 0) * _q(g, 0, 1)) / N ** 2) ** 0.25
-          / np.prod(g[0], axis=1)
-          * np.prod((g[1] / N) ** 0.25 / g[1], axis=1), solve=0),
-    _case(SEXTIC, "case1c", [LO, LO, HI, HI, HI],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 1, 2) >= N),
-          "increment 3 case 1c: same without (N2/N)^{1/4}(N3/N)^{1/4}",
-          lambda g, N, s: (_q(g, 0, 0) / N) ** 0.25 / np.prod(g[0], axis=1)
-          * np.prod((g[1] / N) ** 0.25 / g[1], axis=1), solve=0),
-    _case(SEXTIC, "case2a", [HI, HI, HI, HI, LO],
-          lambda g, N: (_q(g, 0, 2) >= N) & (_q(g, 1, 1) >= N)
-          & (_q(g, 1, 2) <= N),
-          "increment 3 case 2a: case 1a without (N6/N)^{1/4}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          * ((_q(g, 1, 0) * _q(g, 1, 1)) / N ** 2) ** 0.25
-          / np.prod(g[1], axis=1), solve=0),
-    _case(SEXTIC, "case3c-meanvalue", [LO, LO, HI, LO, LO],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 1, 0) >= N) & (_q(g, 1, 1) <= N),
-          "increment 3 case 3c: N2/N1 * prod Ni^{-1}",
-          lambda g, N, s: (_q(g, 0, 1) / _q(g, 0, 0))
-          / (np.prod(g[0], axis=1) * np.prod(g[1], axis=1)), solve=0),
-    _case(SEXTIC, "case4a", [HI, HI, TINY, TINY, TINY],
-          lambda g, N: (_q(g, 0, 2) >= N) & (_q(g, 1, 0) <= N / 8),
-          "increment 3 case 4a: prod_{i=1..3} (Ni/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          / np.prod(g[1], axis=1), solve=0),
-
-    # -- quintic increment, cubic commutator x smooth pair -----------------
-    _case(QUINTIC_A, "case1a", [HI, HI, HI, HI],
-          lambda g, N: (_q(g, 0, 2) >= N) & (_q(g, 1, 1) >= N),
-          "increment 4 case 1a: prod_{i=1..5} (Ni/N)^{1/4} Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          * np.prod((g[1] / N) ** 0.25 / g[1], axis=1), solve=0),
-    _case(QUINTIC_A, "case1b", [HI, LO, HI, HI],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 0, 2) <= N)
-          & (_q(g, 1, 1) >= N),
-          "increment 4 case 1b: without (N3/N)^{1/4}",
-          lambda g, N, s: ((_q(g, 0, 0) * _q(g, 0, 1)) / N ** 2) ** 0.25
-          / np.prod(g[0], axis=1)
-          * np.prod((g[1] / N) ** 0.25 / g[1], axis=1), solve=0),
-    _case(QUINTIC_A, "case1c-meanvalue", [LO, LO, HI, HI],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 0, 0) >= 8 * _q(g, 0, 1)) & (_q(g, 1, 1) >= N),
-          "increment 4 case 1c: N2/N1 (N4/N)^{1/4}(N5/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: (_q(g, 0, 1) / _q(g, 0, 0)) / np.prod(g[0], axis=1)
-          * np.prod((g[1] / N) ** 0.25 / g[1], axis=1), solve=0),
-    _case(QUINTIC_A, "case2a", [HI, HI, HI, LO],
-          lambda g, N: (_q(g, 0, 2) >= N) & (_q(g, 1, 0) >= N)
-          & (_q(g, 1, 1) <= N),
-          "increment 4 case 2a: case 1a without (N5/N)^{1/4}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          * (_q(g, 1, 0) / N) ** 0.25 / np.prod(g[1], axis=1), solve=0),
-    _case(QUINTIC_A, "case3a", [HI, HI, TINY, TINY],
-          lambda g, N: (_q(g, 0, 2) >= N) & (_q(g, 1, 0) <= N / 8)
-          & (_q(g, 0, 0) <= 2 * _q(g, 0, 1)),
-          "increment 4 case 3a: prod_{i=1..3} (Ni/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          / np.prod(g[1], axis=1), solve=0),
-    _case(QUINTIC_A, "case3b", [HI, LO, TINY, TINY],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 0, 2) <= N)
-          & (_q(g, 1, 0) <= N / 8) & (_q(g, 0, 0) <= 2 * _q(g, 0, 1)),
-          "increment 4 case 3b: without (N3/N)^{1/4}",
-          lambda g, N, s: ((_q(g, 0, 0) * _q(g, 0, 1)) / N ** 2) ** 0.25
-          / np.prod(g[0], axis=1) / np.prod(g[1], axis=1), solve=0),
-
-    # -- quintic increment, pair commutator x smooth cubic -----------------
-    _case(QUINTIC_B, "case1a", [HI, HI, HI, HI],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 1, 2) >= N),
-          "increment 5 case 1a: prod_{i=1..5} (Ni/N)^{1/4} Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          * np.prod((g[1] / N) ** 0.25 / g[1], axis=1), solve=0),
-    _case(QUINTIC_B, "case1b-meanvalue", [LO, HI, HI, HI],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 0, 0) >= 8 * _q(g, 0, 1)) & (_q(g, 1, 2) >= N),
-          "increment 5 case 1b: N2/N1 prod_{i=3..5} (Ni/N)^{1/4} Ni^{-1}",
-          lambda g, N, s: (_q(g, 0, 1) / _q(g, 0, 0)) / np.prod(g[0], axis=1)
-          * np.prod((g[1] / N) ** 0.25 / g[1], axis=1), solve=0),
-    _case(QUINTIC_B, "case2a", [HI, HI, HI, LO],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 1, 1) >= N)
-          & (_q(g, 1, 2) <= N),
-          "increment 5 case 2a: prod_{i=1..4} (Ni/N)^{1/4} Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          * ((_q(g, 1, 0) * _q(g, 1, 1)) / N ** 2) ** 0.25
-          / np.prod(g[1], axis=1), solve=0),
-    _case(QUINTIC_B, "case2b-meanvalue", [LO, HI, HI, LO],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 0, 0) >= 8 * _q(g, 0, 1)) & (_q(g, 1, 1) >= N)
-          & (_q(g, 1, 2) <= N),
-          "increment 5 case 2b: N2/N1 (N3/N)^{1/4}(N4/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: (_q(g, 0, 1) / _q(g, 0, 0)) / np.prod(g[0], axis=1)
-          * ((_q(g, 1, 0) * _q(g, 1, 1)) / N ** 2) ** 0.25
-          / np.prod(g[1], axis=1), solve=0,
-          flagged="source case header reads 'N1 >= N2 >> N2'; "
-                  "encoded as N1 >> N2"),
-    _case(QUINTIC_B, "case3a", [HI, HI, LO, LO],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 1, 0) >= N)
-          & (_q(g, 1, 1) <= N),
-          "increment 5 case 3a: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          / np.prod(g[1], axis=1), solve=0),
-    _case(QUINTIC_B, "case3b-meanvalue", [LO, HI, LO, LO],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 1, 0) >= N) & (_q(g, 1, 1) <= N),
-          "increment 5 case 3b: N2/N1 prod Ni^{-1}",
-          lambda g, N, s: (_q(g, 0, 1) / _q(g, 0, 0))
-          / (np.prod(g[0], axis=1) * np.prod(g[1], axis=1)), solve=0),
-    _case(QUINTIC_B, "case4", [HI, TINY, TINY, TINY],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 1, 0) <= N / 8),
-          "increment 5 case 4: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          / np.prod(g[1], axis=1), solve=0),
-
-    # -- quartic increments ------------------------------------------------
-    _case(QUARTIC_CUBIC, "case1a", [HI, HI, TINY],
-          lambda g, N: (_q(g, 0, 2) >= N) & (_q(g, 1, 0) <= N / 8),
-          "increment 6 case 1a: prod_{i=1..3} (Ni/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          / _q(g, 1, 0), solve=0),
-    _case(QUARTIC_CUBIC, "case1b", [HI, LO, TINY],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 0, 2) <= N)
-          & (_q(g, 1, 0) <= N / 8),
-          "increment 6 case 1b: without (N3/N)^{1/4}",
-          lambda g, N, s: ((_q(g, 0, 0) * _q(g, 0, 1)) / N ** 2) ** 0.25
-          / np.prod(g[0], axis=1) / _q(g, 1, 0), solve=0),
-    _case(QUARTIC_CUBIC, "case2a", [HI, HI, HI],
-          lambda g, N: (_q(g, 0, 2) >= N) & (_q(g, 1, 0) >= N),
-          "increment 6 case 2a: prod_{i=1..3} (Ni/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          / _q(g, 1, 0), solve=0),
-    _case(QUARTIC_CUBIC, "case2c-meanvalue", [LO, LO, HI],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 0, 0) >= 8 * _q(g, 0, 1)) & (_q(g, 1, 0) >= N),
-          "increment 6 case 2c: N2/N1 prod Ni^{-1}",
-          lambda g, N, s: (_q(g, 0, 1) / _q(g, 0, 0))
-          / (np.prod(g[0], axis=1) * _q(g, 1, 0)), solve=0),
-
-    _case(QUARTIC_PAIRS, "case1a", [HI, HI, HI],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 1, 1) >= N),
-          "increment 7 case 1a: prod_{i=1..4} (Ni/N)^{1/4} Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          * np.prod((g[1] / N) ** 0.25 / g[1], axis=1), solve=0),
-    _case(QUARTIC_PAIRS, "case1b-meanvalue", [LO, HI, HI],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 1, 1) >= N),
-          "increment 7 case 1b: N2/N1 (N3/N)^{1/4}(N4/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: (_q(g, 0, 1) / _q(g, 0, 0)) / np.prod(g[0], axis=1)
-          * np.prod((g[1] / N) ** 0.25 / g[1], axis=1), solve=0),
-    _case(QUARTIC_PAIRS, "case2a", [HI, HI, LO],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 1, 0) >= N)
-          & (_q(g, 1, 1) <= N) & (_q(g, 1, 0) >= 8 * _q(g, 1, 1)),
-          "increment 7 case 2a: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          / np.prod(g[1], axis=1), solve=0),
-    _case(QUARTIC_PAIRS, "case2b-meanvalue", [LO, HI, LO],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 1, 0) >= N) & (_q(g, 1, 1) <= N)
-          & (_q(g, 1, 0) >= 8 * _q(g, 1, 1)),
-          "increment 7 case 2b: N2/N1 prod Ni^{-1}",
-          lambda g, N, s: (_q(g, 0, 1) / _q(g, 0, 0))
-          / (np.prod(g[0], axis=1) * np.prod(g[1], axis=1)), solve=0),
-    _case(QUARTIC_PAIRS, "case3", [HI, TINY, TINY],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 1, 0) <= N / 8),
-          "increment 7 case 3: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          / np.prod(g[1], axis=1), solve=0),
-
-    # -- cubic increment, pair commutator ----------------------------------
-    _case(CUBIC_PAIR, "case1a", [HI, HI],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 1, 0) >= N),
-          "increment 8 case 1a: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          / _q(g, 1, 0), solve=0),
-    _case(CUBIC_PAIR, "case1b-meanvalue", [LO, HI],
-          lambda g, N: (_q(g, 0, 0) >= N) & (_q(g, 0, 1) <= N)
-          & (_q(g, 0, 0) >= 8 * _q(g, 0, 1)) & (_q(g, 1, 0) >= N),
-          "increment 8 case 1b: N2/N1 prod Ni^{-1}",
-          lambda g, N, s: (_q(g, 0, 1) / _q(g, 0, 0))
-          / (np.prod(g[0], axis=1) * _q(g, 1, 0)), solve=0),
-    _case(CUBIC_PAIR, "case2", [HI, TINY],
-          lambda g, N: (_q(g, 0, 1) >= N) & (_q(g, 1, 0) <= N / 8),
-          "increment 8 case 2: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}",
-          lambda g, N, s: np.prod((g[0] / N) ** 0.25 / g[0], axis=1)
-          / _q(g, 1, 0), solve=0),
+    _C(LWP_CUBIC, "case1", "HHH", "N3 >= N", lwp=(2, 3), denom=(2, 3),
+       source="cubic case 1: 1/(|xi2|^s |xi3|^s N^{2(1-s)})"),
+    _C(LWP_CUBIC, "case2", "HHL", "N2 >= N >= N3", lwp=(2,), denom=(2, 3),
+       source="cubic case 2: 1/(|xi2|^s |xi3| N^{1-s})"),
+    _C(LWP_CUBIC, "case3-separated", "HLL", "N1 >= N >= N2, N1 >> N2", denom=(2, 3),
+       source="cubic case 3 (|xi1| >> |xi2|): 1/(|xi2||xi3|)"),
+    _C(LWP_CUBIC, "case3-low", "LLL", "N1 <= N", denom=(2, 3),
+       source="cubic case 3 (all below N): 1/(|xi2||xi3|)"),
+    _C(LWP_QUADRATIC, "case1", "HH", "N2 >= N", lwp=(2,), denom=(2,),
+       source="quadratic case 1: 1/(|xi2|^s N^{1-s})"),
+    _C(LWP_QUADRATIC, "case2-separated", "AL", "N2 <= N, N1 >> N2", denom=(2,),
+       source="quadratic case 2 (|xi1| >> |xi2|): 1/|xi2|"),
+    _C(LWP_QUADRATIC, "case2-comparable", "LL", "N2 <= N, N1 ~ N2", denom=(2,),
+       source="quadratic case 2 (|xi1| ~ |xi2|): 1/|xi2|"),
+    _C(COMM_CUBIC, "case1", "HHH", "N3 >= N", quarter=(1, 2, 3), denom=(2, 3),
+       source="increment 1 case 1: prod (Ni/N)^{1/4} * N1/(N1 N2 N3)"),
+    _C(COMM_CUBIC, "case2", "HHL", "N2 >= N >= N3", quarter=(1, 2), denom=(2, 3),
+       source="increment 1 case 2: (N1 N2/N^2)^{1/4} * N1/(N1 N2 N3)"),
+    _C(COMM_CUBIC, "case3-meanvalue", "HLL", "N1 >= N >= N2, N1 >> N2", mean_value=True,
+       denom=(2, 3), source="increment 1 case 3: N2/N1 * N1/(N1 N2 N3)"),
+    _C(COMM_QUADRATIC, "case1-comparable", "HH", "N2 >= N, N1 ~ N2", quarter=(1, 1),
+       denom=(1,), source="increment 2 case 1: (N2/N)^{1/2} / N2"),
+    _C(COMM_QUADRATIC, "case3a", "HH", "N2 >= N, N1 >> N2", quarter=(2,), denom=(2,),
+       source="increment 2 case 3a: (N3/N)^{1/4} / N3"),
+    _C(COMM_QUADRATIC, "case3b-meanvalue", "HL", "N1 >= N >= N2, N1 >> N2", denom=(1,),
+       source="increment 2 case 3b: 1/|xi2|"),
+    _C(SEXTIC, "case1a", "HHHHH", "N3 >= N, N6 >= N", quarter=(1, 2, 3, 4, 5, 6),
+       source="increment 3 case 1a: prod_{i=1..6} (Ni/N)^{1/4} Ni^{-1}"),
+    _C(SEXTIC, "case1b", "HLHHH", "N2 >= N >= N3, N6 >= N", quarter=(1, 2, 4, 5, 6),
+       source="increment 3 case 1b: same without (N3/N)^{1/4}"),
+    _C(SEXTIC, "case1c", "LLHHH", "N1 >= N >= N2, N6 >= N", quarter=(1, 4, 5, 6),
+       source="increment 3 case 1c: same without (N2/N)^{1/4}(N3/N)^{1/4}"),
+    _C(SEXTIC, "case2a", "HHHHL", "N3 >= N, N5 >= N >= N6", quarter=(1, 2, 3, 4, 5),
+       source="increment 3 case 2a: case 1a without (N6/N)^{1/4}"),
+    _C(SEXTIC, "case3c-meanvalue", "LLHLL", "N1 >= N >= N2, N4 >= N >= N5",
+       mean_value=True, source="increment 3 case 3c: N2/N1 * prod Ni^{-1}"),
+    _C(SEXTIC, "case4a", "HHTTT", "N3 >= N, N >> N4", quarter=(1, 2, 3),
+       source="increment 3 case 4a: prod_{i=1..3} (Ni/N)^{1/4} prod Ni^{-1}"),
+    _C(QUINTIC_A, "case1a", "HHHH", "N3 >= N, N5 >= N", quarter=(1, 2, 3, 4, 5),
+       source="increment 4 case 1a: prod_{i=1..5} (Ni/N)^{1/4} Ni^{-1}"),
+    _C(QUINTIC_A, "case1b", "HLHH", "N2 >= N >= N3, N5 >= N", quarter=(1, 2, 4, 5),
+       source="increment 4 case 1b: without (N3/N)^{1/4}"),
+    _C(QUINTIC_A, "case1c-meanvalue", "LLHH", "N1 >= N >= N2, N1 >> N2, N5 >= N",
+       quarter=(4, 5), mean_value=True,
+       source="increment 4 case 1c: N2/N1 (N4/N)^{1/4}(N5/N)^{1/4} prod Ni^{-1}"),
+    _C(QUINTIC_A, "case2a", "HHHL", "N3 >= N, N4 >= N >= N5", quarter=(1, 2, 3, 4),
+       source="increment 4 case 2a: case 1a without (N5/N)^{1/4}"),
+    _C(QUINTIC_A, "case3a", "HHTT", "N3 >= N, N >> N4, N1 ~ N2", quarter=(1, 2, 3),
+       source="increment 4 case 3a: prod_{i=1..3} (Ni/N)^{1/4} prod Ni^{-1}"),
+    _C(QUINTIC_A, "case3b", "HLTT", "N2 >= N >= N3, N >> N4, N1 ~ N2", quarter=(1, 2),
+       source="increment 4 case 3b: without (N3/N)^{1/4}"),
+    _C(QUINTIC_B, "case1a", "HHHH", "N2 >= N, N5 >= N", quarter=(1, 2, 3, 4, 5),
+       source="increment 5 case 1a: prod_{i=1..5} (Ni/N)^{1/4} Ni^{-1}"),
+    _C(QUINTIC_B, "case1b-meanvalue", "LHHH", "N1 >= N >= N2, N1 >> N2, N5 >= N",
+       quarter=(3, 4, 5), mean_value=True,
+       source="increment 5 case 1b: N2/N1 prod_{i=3..5} (Ni/N)^{1/4} Ni^{-1}"),
+    _C(QUINTIC_B, "case2a", "HHHL", "N2 >= N, N4 >= N >= N5", quarter=(1, 2, 3, 4),
+       source="increment 5 case 2a: prod_{i=1..4} (Ni/N)^{1/4} Ni^{-1}"),
+    _C(QUINTIC_B, "case2b-meanvalue", "LHHL", "N1 >= N >= N2, N1 >> N2, N4 >= N >= N5",
+       quarter=(3, 4), mean_value=True,
+       source="increment 5 case 2b: N2/N1 (N3/N)^{1/4}(N4/N)^{1/4} prod Ni^{-1}",
+       flagged="source case header reads 'N1 >= N2 >> N2'; encoded as N1 >> N2"),
+    _C(QUINTIC_B, "case3a", "HHLL", "N2 >= N, N3 >= N >= N4", quarter=(1, 2),
+       source="increment 5 case 3a: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}"),
+    _C(QUINTIC_B, "case3b-meanvalue", "LHLL", "N1 >= N >= N2, N3 >= N >= N4",
+       mean_value=True, source="increment 5 case 3b: N2/N1 prod Ni^{-1}"),
+    _C(QUINTIC_B, "case4", "HTTT", "N2 >= N, N >> N3", quarter=(1, 2),
+       source="increment 5 case 4: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}"),
+    _C(QUARTIC_CUBIC, "case1a", "HHT", "N3 >= N, N >> N4", quarter=(1, 2, 3),
+       source="increment 6 case 1a: prod_{i=1..3} (Ni/N)^{1/4} prod Ni^{-1}"),
+    _C(QUARTIC_CUBIC, "case1b", "HLT", "N2 >= N >= N3, N >> N4", quarter=(1, 2),
+       source="increment 6 case 1b: without (N3/N)^{1/4}"),
+    _C(QUARTIC_CUBIC, "case2a", "HHH", "N3 >= N, N4 >= N", quarter=(1, 2, 3),
+       source="increment 6 case 2a: prod_{i=1..3} (Ni/N)^{1/4} prod Ni^{-1}"),
+    _C(QUARTIC_CUBIC, "case2c-meanvalue", "LLH", "N1 >= N >= N2, N1 >> N2, N4 >= N",
+       mean_value=True, source="increment 6 case 2c: N2/N1 prod Ni^{-1}"),
+    _C(QUARTIC_PAIRS, "case1a", "HHH", "N2 >= N, N4 >= N", quarter=(1, 2, 3, 4),
+       source="increment 7 case 1a: prod_{i=1..4} (Ni/N)^{1/4} Ni^{-1}"),
+    _C(QUARTIC_PAIRS, "case1b-meanvalue", "LHH", "N1 >= N >= N2, N4 >= N",
+       quarter=(3, 4), mean_value=True,
+       source="increment 7 case 1b: N2/N1 (N3/N)^{1/4}(N4/N)^{1/4} prod Ni^{-1}"),
+    _C(QUARTIC_PAIRS, "case2a", "HHL", "N2 >= N, N3 >= N >= N4, N3 >> N4",
+       quarter=(1, 2),
+       source="increment 7 case 2a: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}"),
+    _C(QUARTIC_PAIRS, "case2b-meanvalue", "LHL",
+       "N1 >= N >= N2, N3 >= N >= N4, N3 >> N4", mean_value=True,
+       source="increment 7 case 2b: N2/N1 prod Ni^{-1}"),
+    _C(QUARTIC_PAIRS, "case3", "HTT", "N2 >= N, N >> N3", quarter=(1, 2),
+       source="increment 7 case 3: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}"),
+    _C(CUBIC_PAIR, "case1a", "HH", "N2 >= N, N3 >= N", quarter=(1, 2),
+       source="increment 8 case 1a: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}"),
+    _C(CUBIC_PAIR, "case1b-meanvalue", "LH", "N1 >= N >= N2, N1 >> N2, N3 >= N",
+       mean_value=True, source="increment 8 case 1b: N2/N1 prod Ni^{-1}"),
+    _C(CUBIC_PAIR, "case2", "HT", "N2 >= N, N >> N3", quarter=(1, 2),
+       source="increment 8 case 2: (N1/N)^{1/4}(N2/N)^{1/4} prod Ni^{-1}"),
 ]
 
 
 def catalog_by_label(label: str) -> VerifyCase:
-    for case in CATALOG:
-        if case.label == label:
-            return case
-    raise KeyError(label)
+    return {case.label: case for case in CATALOG}[label]
 
 
-# ---------------------------------------------------------------------------
-# sampling
-
-def sample_region(region: CaseRegion, N: float, count: int, seed: int,
-                  return_stats: bool = False):
-    """Draw frequency tuples lying in the region; zero-sum where required.
-
-    Free magnitudes are log-uniform in the per-index window intersected
-    with [N/64, 64N]; directions uniform on the sphere.  A solved
-    frequency (index region.solve_index) closes the zero-sum constraint,
-    and candidates violating the case predicate or the singular guard are
-    rejected (counted).
-    """
+def sample_region(case: VerifyCase, N: float, count: int, seed: int):
+    """Draw `count` tuples in the case region, log-uniform magnitudes and uniform
+    directions, with the counts of rejected and singular candidates; raise
+    InfeasibleRegionError if 200 rounds yield fewer than `count`."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    arity = region.arity
-    free = [i for i in range(arity) if i != region.solve_index]
-    if len(region.free_ranges) != len(free):
-        raise ValueError("free_ranges must cover every free index")
-    out = np.empty((0, arity, 3))
-    rejected = 0
-    singular = 0
+    arity, solve = case.expr.arity, case.expr.solve
+    free = [i for i in range(arity) if i != solve]
+    out, rejected, singular = np.empty((0, arity, 3)), 0, 0
     for _ in range(200):
         if out.shape[0] >= count:
             break
         c = max(4 * (count - out.shape[0]), 2000)
         X = np.empty((c, arity, 3))
-        for k, i in enumerate(free):
-            lo, hi = region.free_ranges[k]
-            lo = max(lo, 1.0 / SPAN) * N
-            hi = min(hi, SPAN) * N
-            mag = np.exp(rng.uniform(np.log(lo), np.log(hi), size=c))
+        for code, i in zip(case.free_ranges, free, strict=True):
+            lo, hi = WINDOWS[code]
+            mag = np.exp(rng.uniform(np.log(lo * N), np.log(hi * N), size=c))
             d = rng.standard_normal((c, 3))
             d /= np.linalg.norm(d, axis=1, keepdims=True)
             X[:, i] = mag[:, None] * d
-        if region.solve_index >= 0:
-            X[:, region.solve_index] = -X[:, free].sum(axis=1)
-        mags = _mags(X)
+        if solve >= 0:
+            X[:, solve] = -X[:, free].sum(axis=1)
+        mags = np.linalg.norm(X, axis=-1)
         sing = (mags < SINGULAR_EPS).any(axis=1)
-        ok = region.predicate(region.sorted_blocks(mags), N) & ~sing
+        ok = case.holds(case.sorted_mags(mags), N) & ~sing
         singular += int(sing.sum())
         rejected += int((~ok).sum() - sing.sum())
         out = np.concatenate([out, X[ok]], axis=0)
-    if out.shape[0] < count:
-        if out.shape[0] == 0:
-            raise InfeasibleRegionError(
-                f"region {region.label} produced no admissible sample at N={N}")
-    out = out[:count]
-    if return_stats:
-        return out, {"rejected": rejected, "singular": singular}
-    return out
+    if len(out) < count:
+        raise InfeasibleRegionError(
+            f"region {case.label} gave {len(out)} of {count} samples at N={N}, "
+            f"acceptance rate {len(out) / (len(out) + rejected + singular):.3g}")
+    return out[:count], {"rejected": rejected, "singular": singular}
 
 
 @dataclass(frozen=True)
@@ -587,29 +284,17 @@ class BoundReport:
 def verify_bound(case: VerifyCase, N_list=(4, 8, 16, 32),
                  samples_per_N: int = 10 ** 5, seed: int = 0, s: float = 0.75,
                  cap: float = 64.0, slope_gate: float = 0.1) -> BoundReport:
-    """Sample the region at every N and compare M against the claimed bound.
-
-    Defaults to s = 3/4, the regularity at which the quarter-power case
-    bounds are stated; they remain valid for any s >= 3/4.
-    """
-    per_N = {}
-    rejections = {}
-    best = (-np.inf, None)
+    """Sample the region at every N and compare M against the claimed bound; the
+    quarter-power bounds are stated at s = 3/4 and hold for any s >= 3/4."""
+    per_N, rejections, best = {}, {}, (-np.inf, None)
     for k, N in enumerate(N_list):
-        X, stats = sample_region(case.region, N, samples_per_N,
-                                 seed=seed + 7919 * k, return_stats=True)
-        mags = _mags(X)
-        vals = case.expr.evaluator(X, N, s)
-        bound = case.bound.evaluator(case.region.sorted_blocks(mags), N, s)
-        ratio = vals / bound
+        X, stats = sample_region(case, N, samples_per_N, seed=seed + 7919 * k)
+        bound = case.bound(case.sorted_mags(np.linalg.norm(X, axis=-1)), N, s)
+        ratio = eval_multiplier(case.expr, X, N, s) / bound
         i = int(np.argmax(ratio))
-        per_N[N] = float(ratio[i])
-        rejections[N] = stats["rejected"]
+        per_N[N], rejections[N] = float(ratio[i]), stats["rejected"]
         if ratio[i] > best[0]:
             best = (float(ratio[i]), tuple(map(tuple, X[i])))
     slope = loglog_fit(list(N_list), [max(per_N[N], 1e-300) for N in N_list]).slope
-    passed = best[0] <= cap and slope <= slope_gate
-    return BoundReport(label=case.label, source=case.bound.source,
-                       max_ratio=best[0], witness=best[1], per_N=per_N,
-                       rejections=rejections, slope=slope, passed=passed,
-                       flagged=case.flagged)
+    return BoundReport(case.label, case.source, best[0], best[1], per_N, rejections,
+                       slope, best[0] <= cap and slope <= slope_gate, case.flagged)

@@ -1,12 +1,14 @@
 """Tests of the multiplier expressions, region sampler, and bound checks."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpilab.ioperator import MultiplierSpec, multiplier_value
-from gpilab.multverify import (CATALOG, CaseRegion, InfeasibleRegionError,
+from gpilab.multverify import (CATALOG, InfeasibleRegionError, VerifyCase,
                                LWP_CUBIC, LWP_QUADRATIC, COMM_CUBIC,
                                SingularInputError, catalog_by_label,
                                eval_multiplier, sample_region, verify_bound)
@@ -88,16 +90,17 @@ def test_large_N_collapse_to_unsmoothed_form():
 # regions and sampling
 
 def test_membership_regions_are_disjoint():
-    hi_case = catalog_by_label("lwp-cubic/case1").region
-    lo_case = catalog_by_label("lwp-cubic/case3-low").region
-    X, _ = sample_region(hi_case, N=8.0, count=500, seed=0, return_stats=True)
-    assert hi_case.membership(X, 8.0).all()
-    assert not lo_case.membership(X, 8.0).any()
+    hi_case = catalog_by_label("lwp-cubic/case1")
+    lo_case = catalog_by_label("lwp-cubic/case3-low")
+    X, _ = sample_region(hi_case, N=8.0, count=500, seed=0)
+    mags = np.linalg.norm(X, axis=2)
+    assert hi_case.holds(hi_case.sorted_mags(mags), 8.0).all()
+    assert not lo_case.holds(lo_case.sorted_mags(mags), 8.0).any()
 
 
 def test_sample_region_respects_constraints():
-    case = catalog_by_label("lwp-cubic/case3-separated").region
-    X = sample_region(case, N=16.0, count=300, seed=1)
+    case = catalog_by_label("lwp-cubic/case3-separated")
+    X, _ = sample_region(case, N=16.0, count=300, seed=1)
     mags = np.sort(np.linalg.norm(X, axis=2), axis=1)[:, ::-1]
     assert (mags[:, 0] >= 16.0).all()
     assert (mags[:, 1] <= 16.0).all()
@@ -105,28 +108,35 @@ def test_sample_region_respects_constraints():
 
 
 def test_sample_region_zero_sum_solved():
-    case = catalog_by_label("sextic/case1a").region
-    X = sample_region(case, N=4.0, count=100, seed=2)
+    case = catalog_by_label("sextic/case1a")
+    X, _ = sample_region(case, N=4.0, count=100, seed=2)
     assert np.max(np.abs(X.sum(axis=1))) < 1e-9
 
 
 def test_sample_region_reports_rejections():
-    case = catalog_by_label("lwp-quadratic/case2-comparable").region
-    _, stats = sample_region(case, N=8.0, count=200, seed=3, return_stats=True)
+    case = catalog_by_label("lwp-quadratic/case2-comparable")
+    _, stats = sample_region(case, N=8.0, count=200, seed=3)
     assert stats["rejected"] > 0
     assert stats["singular"] >= 0
 
 
 def test_infeasible_region_raises():
-    bad = CaseRegion(label="impossible", groups=((0, 1),),
-                     free_ranges=((1.0, 64.0), (1.0, 64.0)),
-                     predicate=lambda g, N: g[0][:, 0] < 0)
-    with pytest.raises(InfeasibleRegionError):
+    # sorted descending, N2 can never exceed 8 N1
+    bad = VerifyCase(LWP_QUADRATIC, "impossible", "HH", "N2 >> N1")
+    with pytest.raises(InfeasibleRegionError, match="gave 0 of 10 samples"):
         sample_region(bad, N=4.0, count=10, seed=0)
 
 
+def test_sample_region_raises_on_under_delivery():
+    # a rare region: 200 rounds of candidates yield only 28 of the 1000 asked
+    rare = VerifyCase(LWP_QUADRATIC, "rare", "AA", "N1 <= 1.02N2, N2 >= 60N")
+    message = r"gave 28 of 1000 samples at N=4\.0, acceptance rate 3\.55e-05"
+    with pytest.raises(InfeasibleRegionError, match=message):
+        sample_region(rare, N=4.0, count=1000, seed=0)
+
+
 def test_sample_region_count_validation():
-    case = CATALOG[0].region
+    case = CATALOG[0]
     with pytest.raises(ValueError):
         sample_region(case, N=4.0, count=0, seed=0)
 
@@ -156,6 +166,82 @@ def test_separated_quadratic_case_obeys_tight_cap():
     rep = verify_bound(catalog_by_label("lwp-quadratic/case2-separated"),
                        N_list=(4, 8, 16, 32), samples_per_N=5000, seed=1)
     assert rep.max_ratio <= 8.0
+
+
+def test_slope_gate_rejects_mistranscribed_bound():
+    # negative control: lwp-quadratic/case1 with |xi2|^s read as |xi2|, so the
+    # bound 1/(|xi2| N^{1-s}) falls short by |xi2|^{1-s}, which grows with N.
+    # It is no product of the four motifs, so the control overrides `bound`.
+    true = catalog_by_label("lwp-quadratic/case1")
+
+    class Mistranscribed(VerifyCase):
+        def bound(self, Q, N, s):
+            return 1 / (Q[:, 1] * N ** (1 - s))
+
+    bad = Mistranscribed(**{f.name: getattr(true, f.name) for f in fields(true)})
+    for seed in (0, 1, 2, 99, 2024):
+        rep = verify_bound(bad, N_list=(4, 8, 16, 32), samples_per_N=2000, seed=seed)
+        assert rep.max_ratio <= 64.0 and rep.slope > 0.2 and not rep.passed
+        ref = verify_bound(true, N_list=(4, 8, 16, 32), samples_per_N=2000, seed=seed)
+        assert ref.passed and abs(ref.slope) < 0.05
+
+
+# max_ratio of every row at N in {4, 8}, 500 samples, seed 0, recorded before
+# the catalog became declarative rows: guards each row's transcription
+PINNED_MAX_RATIO = {
+    "lwp-cubic/case1": 1.9299520107639487,
+    "lwp-cubic/case2": 1.6158650003552175,
+    "lwp-cubic/case3-separated": 1.1147493772669474,
+    "lwp-cubic/case3-low": 2.424471272478663,
+    "lwp-quadratic/case1": 1.6165756210446187,
+    "lwp-quadratic/case2-separated": 1.110958160730176,
+    "lwp-quadratic/case2-comparable": 1.9357980173450868,
+    "commutator-cubic/case1": 0.5312191282582485,
+    "commutator-cubic/case2": 0.33741410825840595,
+    "commutator-cubic/case3-meanvalue": 0.6084625723886397,
+    "commutator-quadratic/case1-comparable": 0.42613623050549715,
+    "commutator-quadratic/case3a": 0.4107978318944562,
+    "commutator-quadratic/case3b-meanvalue": 0.3866161924583961,
+    "sextic/case1a": 0.832855911855926,
+    "sextic/case1b": 0.7690578266460439,
+    "sextic/case1c": 0.13300983685078682,
+    "sextic/case2a": 0.8813221763748754,
+    "sextic/case3c-meanvalue": 0.5746143898031207,
+    "sextic/case4a": 0.95987996045798,
+    "quintic-cubic-pair/case1a": 0.8813234969561068,
+    "quintic-cubic-pair/case1b": 0.7868751701591448,
+    "quintic-cubic-pair/case1c-meanvalue": 0.34760222941685237,
+    "quintic-cubic-pair/case2a": 0.9432893854079331,
+    "quintic-cubic-pair/case3a": 0.9598875568930703,
+    "quintic-cubic-pair/case3b": 0.8747331326594343,
+    "quintic-pair-cubic/case1a": 0.52596241206155,
+    "quintic-pair-cubic/case1b-meanvalue": 0.2011266504030831,
+    "quintic-pair-cubic/case2a": 0.7650354035468181,
+    "quintic-pair-cubic/case2b-meanvalue": 0.31888135819061436,
+    "quintic-pair-cubic/case3a": 0.9008673669383177,
+    "quintic-pair-cubic/case3b-meanvalue": 0.3916272068377442,
+    "quintic-pair-cubic/case4": 0.8747775753769762,
+    "quartic-cubic/case1a": 0.9598870360967309,
+    "quartic-cubic/case1b": 0.8747180496934462,
+    "quartic-cubic/case2a": 0.9529178508184876,
+    "quartic-cubic/case2c-meanvalue": 0.5430056953704211,
+    "quartic-pairs/case1a": 0.7724587111275686,
+    "quartic-pairs/case1b-meanvalue": 0.41364695963397036,
+    "quartic-pairs/case2a": 0.8636740651963011,
+    "quartic-pairs/case2b-meanvalue": 0.39239997513219,
+    "quartic-pairs/case3": 0.8747625198224309,
+    "cubic-pair/case1a": 0.8644595428946469,
+    "cubic-pair/case1b-meanvalue": 0.4080918898850142,
+    "cubic-pair/case2": 0.8747212804051151,
+}
+
+
+def test_catalog_rows_match_pinned_ratios():
+    assert [c.label for c in CATALOG] == list(PINNED_MAX_RATIO)
+    for case in CATALOG:
+        rep = verify_bound(case, N_list=(4, 8), samples_per_N=500, seed=0)
+        pinned = PINNED_MAX_RATIO[case.label]
+        assert abs(rep.max_ratio - pinned) <= 1e-12 * pinned, case.label
 
 
 def test_transcription_flag_is_reported():

@@ -237,7 +237,8 @@ def _run_strichartz(cfg: RunConfig):
 
 def _run_bilinear(cfg: RunConfig):
     p = cfg.params
-    res = bilinear_sweep(seeds=int(p.get("seeds", 20)), T=float(p.get("T", 0.5)))
+    res = bilinear_sweep(seeds=int(p.get("seeds", 20)), T=float(p.get("T", 0.5)),
+                         seed0=cfg.seed + 1000)
     lines = ["axis,value,mean_ratio"]
     for ax, vals, means in (("N2", res["N2_axis"], res["N2_means"]),
                             ("N1", res["N1_axis"], res["N1_means"])):

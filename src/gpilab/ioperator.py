@@ -14,12 +14,12 @@ on [0, 1]).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Representation, as_physical, as_spectral,
-                   homogeneous_norm, inverse_transform, lp_norm)
+from .grid import Field, Representation, as_physical, as_spectral, inverse_transform
 
 __all__ = [
     "MultiplierSpec", "EnergyReport", "multiplier_value", "apply_I",
@@ -45,9 +45,8 @@ class MultiplierSpec:
 def multiplier_value(spec: MultiplierSpec, xi) -> np.ndarray:
     """m_N evaluated at |xi|; accepts scalars or arrays of magnitudes.
 
-    Frequency vectors are accepted too: anything with a trailing axis of
-    length > 1 should be reduced to a magnitude by the caller; this
-    function treats its input as |xi| directly.
+    The input is read as |xi| directly: reduce frequency vectors to their
+    magnitudes first.
     """
     absxi = np.abs(np.asarray(xi, dtype=float))
     safe = np.maximum(absxi, 1e-300)
@@ -62,12 +61,10 @@ def multiplier_value(spec: MultiplierSpec, xi) -> np.ndarray:
 
 def apply_I(f: Field, spec: MultiplierSpec) -> Field:
     """Pointwise spectral multiplication by m_N; preserves representation."""
-    g = as_spectral(f)
     m = multiplier_value(spec, f.grid.xi_abs())
-    out = Field.spectral(g.grid, g.values * m)
-    if f.representation is Representation.PHYSICAL:
-        out = inverse_transform(out)
-    return out
+    out = Field.spectral(f.grid, as_spectral(f).values * m)
+    physical = f.representation is Representation.PHYSICAL
+    return inverse_transform(out) if physical else out
 
 
 @dataclass(frozen=True)
@@ -99,21 +96,32 @@ def reports_to_csv(reports) -> str:
     return buf.getvalue()
 
 
+def _energy_report(coef, xi2, u, w, time, N=np.inf, s=1.0) -> EnergyReport:
+    """The one energy path: kinetic sum |xi|^2 |coef|^2 and l2 from the
+    unitary coefficients, no transform; potential from the physical values
+    u of the same state under the quadrature weight w.
+    """
+    c2 = np.abs(coef) ** 2
+    kin = float(np.sum(xi2 * c2))
+    pot = 0.5 * float(np.sum((np.abs(u) ** 2 + 2 * u.real) ** 2)) * w
+    return EnergyReport(time=time, kinetic=kin, potential=pot, total=kin + pot,
+                        l2=math.sqrt(float(np.sum(c2))), N=N, s=s)
+
+
 def energy(f: Field, time: float = 0.0) -> EnergyReport:
     """E(u) = int |grad u|^2 + 1/2 int (|u|^2 + 2 Re u)^2."""
-    kin = homogeneous_norm(f, 1.0) ** 2
-    u = as_physical(f).values
-    w = f.grid.dx ** f.grid.dim
-    pot = 0.5 * float(np.sum((np.abs(u) ** 2 + 2 * u.real) ** 2)) * w
-    return EnergyReport(time=time, kinetic=kin, potential=pot,
-                        total=kin + pot, l2=lp_norm(f, 2))
+    grid = f.grid
+    return _energy_report(as_spectral(f).values, grid.xi_abs() ** 2,
+                          as_physical(f).values, grid.dx ** grid.dim, time)
 
 
 def modified_energy(f: Field, spec: MultiplierSpec, time: float = 0.0) -> EnergyReport:
     """E(Iu): the energy functional evaluated on the smoothed field."""
-    rep = energy(apply_I(f, spec), time=time)
-    return EnergyReport(time=rep.time, kinetic=rep.kinetic, potential=rep.potential,
-                        total=rep.total, l2=rep.l2, N=spec.N, s=spec.s)
+    grid = f.grid
+    absxi = grid.xi_abs()
+    g = Field.spectral(grid, as_spectral(f).values * multiplier_value(spec, absxi))
+    return _energy_report(g.values, absxi ** 2, inverse_transform(g).values,
+                          grid.dx ** grid.dim, time, N=spec.N, s=spec.s)
 
 
 def gradient_I_norm(f: Field, spec: MultiplierSpec, with_comparator: bool = False):
@@ -123,14 +131,13 @@ def gradient_I_norm(f: Field, spec: MultiplierSpec, with_comparator: bool = Fals
     || |xi| u_hat ||_{L^2(|xi| <= N)} + N^{1-s} || |xi|^s u_hat ||_{L^2(|xi| > N)},
     exposed for audits; the two agree up to a factor set by the m branches.
     """
-    val = homogeneous_norm(apply_I(f, spec), 1.0)
-    if not with_comparator:
-        return val
     coef = np.abs(as_spectral(f).values)
     absxi = f.grid.xi_abs()
+    coef_I = coef * multiplier_value(spec, absxi)
+    val = math.sqrt(float(np.sum(absxi ** 2 * coef_I ** 2)))
+    if not with_comparator:
+        return val
     low = absxi <= spec.N
     lo = np.sqrt(np.sum((absxi[low] * coef[low]) ** 2))
-    hi_mask = ~low
-    hi = np.sqrt(np.sum((absxi[hi_mask] ** spec.s * coef[hi_mask]) ** 2))
-    comparator = float(lo + spec.N ** (1 - spec.s) * hi)
-    return val, comparator
+    hi = np.sqrt(np.sum((absxi[~low] ** spec.s * coef[~low]) ** 2))
+    return val, float(lo + spec.N ** (1 - spec.s) * hi)

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from gpilab.grid import Field, Grid, forward_transform, lp_norm
-from gpilab.bench import (MixedNormSpec, band_datum, bilinear_ratio,
-                          bilinear_sweep, free_evolution, gn_l3_audit,
-                          mixed_norm, strichartz_admissible,
+from gpilab.bench import (band_datum, bilinear_ratio, bilinear_sweep,
+                          gn_l3_audit, strichartz_admissible,
                           strichartz_ratio_sweep, time_cutoff,
-                          _low_high_split)
+                          _free_flow, _low_high_split)
 
 
 # ---------------------------------------------------------------------------
-# admissibility and mixed norms
+# admissibility and the free flow
 
 def test_admissibility_truth_table():
     assert strichartz_admissible(2, 6)
@@ -24,44 +23,16 @@ def test_admissibility_truth_table():
     assert not strichartz_admissible(1, 100)     # q below 2
 
 
-def test_mixed_norm_constant_series():
-    # time-constant series: norm = T^{1/q} ||f||_r
-    g = Grid(dim=1, n=32, length=2 * np.pi)
-    f = Field.physical(g, np.full(g.shape, 0.5, dtype=complex))
-    spec = MixedNormSpec(q=2, r=4, T=3.0, m=32)
-    series = [f] * 32
-    expect = 3.0 ** 0.5 * lp_norm(f, 4)
-    assert abs(mixed_norm(series, spec) - expect) < 1e-12 * expect
-
-
-def test_mixed_norm_q_inf_is_sup():
-    g = Grid(dim=1, n=32, length=2 * np.pi)
-    small = Field.physical(g, np.full(g.shape, 0.1, dtype=complex))
-    big = Field.physical(g, np.full(g.shape, 0.7, dtype=complex))
-    spec = MixedNormSpec(q=math.inf, r=2, T=1.0, m=16)
-    series = [small] * 15 + [big]
-    assert abs(mixed_norm(series, spec) - lp_norm(big, 2)) < 1e-12
-
-
-def test_mixed_norm_spec_validation():
-    with pytest.raises(ValueError):
-        MixedNormSpec(q=0.5, r=2, T=1.0)
-    with pytest.raises(ValueError):
-        MixedNormSpec(q=2, r=2, T=1.0, m=8)
-    with pytest.raises(ValueError):
-        MixedNormSpec(q=2, r=2, T=0.0)
-    with pytest.raises(ValueError):
-        mixed_norm([], MixedNormSpec(q=2, r=2, T=1.0, m=16))
-
-
-def test_free_evolution_is_unitary_and_additive():
+def test_free_flow_is_unitary_and_additive():
     g = Grid(dim=1, n=64, length=2 * np.pi)
     f = band_datum(g, 8.0, seed=0)
-    u1 = free_evolution(f, 0.3)
-    assert abs(lp_norm(u1, 2) - lp_norm(f, 2)) < 1e-12
+    xi2 = g.xi_abs() ** 2
+    u1, = _free_flow(g, xi2, (f.values,), 0.3)
+    assert abs(lp_norm(Field.physical(g, u1), 2) - lp_norm(f, 2)) < 1e-12
     # group property: flowing 0.2 then 0.1 equals flowing 0.3
-    u2 = free_evolution(free_evolution(f, 0.2), 0.1)
-    assert np.max(np.abs(u1.values - u2.values)) < 1e-12
+    mid, = _free_flow(g, xi2, (f.values,), 0.2)
+    u2, = _free_flow(g, xi2, (forward_transform(Field.physical(g, mid)).values,), 0.1)
+    assert np.max(np.abs(u1 - u2)) < 1e-12
 
 
 def test_time_cutoff_profile():
@@ -96,6 +67,14 @@ def test_band_datum_rejects_unresolvable_center():
 def test_strichartz_sweep_rejects_inadmissible_pair():
     with pytest.raises(ValueError):
         strichartz_ratio_sweep(4, 4, T=0.3)
+
+
+def test_strichartz_sweep_q_inf_endpoint_is_sup():
+    # the flow is unitary and the cutoff peaks at 1, so the L^inf_t L^2_x
+    # ratio of unit data is 1
+    res = strichartz_ratio_sweep(math.inf, 2, 0.5, centers=(2, 4), seeds=1,
+                                 grid=Grid(dim=3, n=16, length=2 * np.pi))
+    assert all(abs(m - 1.0) < 1e-12 for m in res["means"])
 
 
 def test_strichartz_sweep_small_is_flat():

@@ -184,3 +184,24 @@ def test_no_stray_temp_files_after_run(tmp_path):
     out = tmp_path / "out"
     main(["--config", ledger_config(tmp_path, out)])
     assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
+
+
+def test_bilinear_uses_config_seed(tmp_path, monkeypatch):
+    # the sweep itself is stubbed: only the seed routing is under test
+    import gpilab.cli as cli
+    from gpilab.fitting import loglog_fit
+    seen = []
+
+    def stub(seeds, T, seed0):
+        seen.append(seed0)
+        flat = loglog_fit([1, 2], [1.0, 1.0])
+        return {"N2_axis": [8], "N2_means": [1.0], "N1_axis": [4], "N1_means": [1.0],
+                "N2_fit": flat, "N1_fit": flat, "seeds": seeds}
+
+    monkeypatch.setattr(cli, "bilinear_sweep", stub)
+    for seed in (0, 5):
+        path = write_config(tmp_path, {"subcommand": "bilinear",
+                                       "params": {"seeds": 1}, "seed": seed,
+                                       "out_dir": str(tmp_path / f"out{seed}")})
+        assert main(["--config", path]) == EXIT_OK
+    assert seen == [1000, 1005]

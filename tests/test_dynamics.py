@@ -12,8 +12,8 @@ from gpilab.grid import (Field, Grid, band_project, FrequencyBand, BandKind,
 from gpilab.dynamics import (BlowUpError, EvolveConfig, StepLawInput,
                              almost_conservation_experiment, delta_step,
                              evolve, iterate_global, l2_growth_audit,
-                             nonlinearity, rough_datum, step)
-from gpilab.ioperator import MultiplierSpec
+                             rough_datum)
+from gpilab.ioperator import MultiplierSpec, energy, modified_energy
 
 
 def smooth_datum(grid, amp=0.2):
@@ -34,19 +34,14 @@ def test_evolve_config_rejects_bad_input():
         EvolveConfig(grid=g, dt=0.1, t_end=1.0, diagnostics_every=3)
 
 
-def test_nonlinearity_requires_physical_representation():
-    g = Grid(dim=1, n=16, length=1.0)
-    with pytest.raises(ValueError):
-        nonlinearity(forward_transform(Field.zero(g)))
-
-
 # ---------------------------------------------------------------------------
 # linear flow sanity
 
 def test_linear_step_preserves_l2_exactly():
     g = Grid(dim=1, n=64, length=2 * np.pi)
     f = smooth_datum(g)
-    out = step(f, 0.01, nonlinearity_enabled=False)
+    cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.01, nonlinearity_enabled=False)
+    out = evolve(f, cfg).snapshots[-1][1]
     assert abs(lp_norm(out, 2) - lp_norm(f, 2)) < 1e-13
 
 
@@ -60,6 +55,47 @@ def test_linear_evolution_matches_spectral_phase():
     exact = coef * np.exp(1j * g.xi_abs() ** 2 * 0.1)
     got = forward_transform(traj.snapshots[-1][1]).values
     assert np.max(np.abs(got - exact)) < 1e-12
+
+
+def test_records_match_field_energies():
+    # the coefficient-side records agree with energy/modified_energy on the
+    # recorded snapshots
+    g = Grid(dim=2, n=32, length=2 * np.pi)
+    specs = (MultiplierSpec(N=2.0, s=0.8), MultiplierSpec(N=4.0, s=0.6))
+    cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.05, diagnostics_every=5)
+    traj = evolve(rough_datum(g, 0.8, seed=2), cfg, specs)
+    for k, (t, f) in enumerate(traj.snapshots):
+        reps = [(traj.reports[k], energy(f, time=t))]
+        reps += [(traj.reports_I[sp][k], modified_energy(f, sp, time=t))
+                 for sp in specs]
+        for got, want in reps:
+            assert (got.time, got.N, got.s) == (want.time, want.N, want.s)
+            for name in ("kinetic", "potential", "total", "l2"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert abs(a - b) <= 1e-13 * abs(b)
+
+
+def test_record_transform_count(monkeypatch):
+    # one fftn for the datum, an ifftn/fftn pair per step, and per record
+    # one ifftn for u plus one per spec
+    g = Grid(dim=1, n=64, length=2 * np.pi)
+    specs = [MultiplierSpec(N=float(N), s=0.8) for N in (2, 4, 8, 16)]
+    cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.05, diagnostics_every=1)
+    u0 = smooth_datum(g)
+    calls = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    traj = evolve(u0, cfg, specs)
+    steps, records = cfg.n_steps, len(traj.reports)
+    assert records == steps + 1
+    assert len(calls) == 1 + 2 * steps + (1 + len(specs)) * records
 
 
 def test_zero_datum_stays_zero():

@@ -9,7 +9,7 @@ from gpilab.grid import Field, Grid, forward_transform, lp_norm
 from gpilab.bench import (band_datum, bilinear_ratio, bilinear_sweep,
                           gn_l3_audit, strichartz_admissible,
                           strichartz_ratio_sweep, time_cutoff,
-                          _free_flow, _low_high_split)
+                          _FreeFlow, _low_high_split)
 
 
 # ---------------------------------------------------------------------------
@@ -26,13 +26,92 @@ def test_admissibility_truth_table():
 def test_free_flow_is_unitary_and_additive():
     g = Grid(dim=1, n=64, length=2 * np.pi)
     f = band_datum(g, 8.0, seed=0)
-    xi2 = g.xi_abs() ** 2
-    u1, = _free_flow(g, xi2, (f.values,), 0.3)
+    flow = _FreeFlow(g, 1)
+    first = flow((f.values,), 0.3)
+    u1 = first[0].copy()
     assert abs(lp_norm(Field.physical(g, u1), 2) - lp_norm(f, 2)) < 1e-12
     # group property: flowing 0.2 then 0.1 equals flowing 0.3
-    mid, = _free_flow(g, xi2, (f.values,), 0.2)
-    u2, = _free_flow(g, xi2, (forward_transform(Field.physical(g, mid)).values,), 0.1)
+    mid = flow((f.values,), 0.2)[0].copy()
+    again = flow((forward_transform(Field.physical(g, mid)).values,), 0.1)
+    u2 = again[0]
     assert np.max(np.abs(u1 - u2)) < 1e-12
+    # the kernel hands back its own buffers, overwritten by the next call
+    assert again[0] is first[0]
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 1024, 16 * np.pi), Grid(2, 64, 3.7),
+                                  Grid(3, 32, 2 * np.pi)])
+def test_free_flow_phase_table_is_exact(grid):
+    # one exp per |xi|^2 level, gathered onto the grid, is bitwise the
+    # full-grid phase
+    xi2 = grid.xi_abs() ** 2
+    flow = _FreeFlow(grid, 0)
+    for t in (0.0, 0.123, -0.37, 5.5):
+        want = np.exp(1j * xi2 * t)
+        assert np.array_equal(flow.phase(t).view(np.uint64), want.view(np.uint64))
+    want = np.exp(-1j * xi2 * 0.27)     # the bilinear chirp
+    assert np.array_equal(flow.phase(-0.27).view(np.uint64), want.view(np.uint64))
+
+
+def test_free_flow_matches_out_of_place_formula_bitwise():
+    # the in-place kernel rounds like ifftn(c * phase) * scale, element by
+    # element; sums over the grid average last-bit changes away, so the
+    # bench pins alone would miss them.  `phase` is named: numpy multiplies
+    # into an unnamed temporary in place with the operands swapped, and its
+    # SIMD complex product is not bitwise symmetric in its operands.
+    g = Grid(3, 32, 2 * np.pi)
+    c = band_datum(g, 8.0, seed=1).values
+    xi2 = g.xi_abs() ** 2
+    scale = g.n ** g.dim / math.sqrt(g.volume)
+    flow = _FreeFlow(g, 1)
+    for t in (0.123, -0.37):
+        phase = np.exp(1j * xi2 * t)
+        want = np.fft.ifftn(c * phase) * scale
+        got, = flow((c,), t)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_dispersive_benches_pinned_bitwise():
+    # values of the full-grid-phase kernel, which the level table and the
+    # in-place transforms must reproduce exactly
+    g = Grid(3, 32, 2 * np.pi)
+    stat = bilinear_ratio(4, 8, seeds=2, T=0.5, grid=g)
+    assert stat.ratios == (float.fromhex("0x1.e109f334e02d6p-4"),
+                           float.fromhex("0x1.e10ba37632800p-4"))
+    res = strichartz_ratio_sweep(2, 6, 0.3, centers=(4, 8), seeds=1, grid=g, m=16)
+    assert res["means"] == [float.fromhex("0x1.c3c4ad565d86cp-4"),
+                            float.fromhex("0x1.c4ae40617a0abp-4")]
+
+
+def _count_calls(monkeypatch, obj, name):
+    calls = []
+    fn = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+def test_free_flow_work_counts(monkeypatch):
+    g = Grid(3, 16, 2 * np.pi)
+    ifftn = _count_calls(monkeypatch, np.fft, "ifftn")
+    exp = _count_calls(monkeypatch, np, "exp")
+    # 16 samples per datum, the two zero-weight ends skipped
+    strichartz_ratio_sweep(2, 6, 0.3, centers=(4, 8), seeds=1, grid=g, m=16)
+    assert len(ifftn) == 2 * 14
+    assert g.n ** 3 not in exp
+    # full-grid exp only for the profile, shift and window of each pair;
+    # the chirp and each of the pair's ~66 time samples take one exp over
+    # the |xi|^2 levels
+    levels = _FreeFlow(g, 0).levels.size
+    for seeds in (1, 2):
+        exp.clear()
+        bilinear_ratio(4, 8, seeds=seeds, T=0.5, grid=g)
+        assert exp.count(g.n ** 3) == 3 * seeds
+        assert exp.count(levels) == len(exp) - 3 * seeds > 60 * seeds
 
 
 def test_time_cutoff_profile():

@@ -77,13 +77,16 @@ def strichartz_admissible(q: float, r: float) -> bool:
     return abs(lhs - 0.75) <= 1e-12
 
 
+def _smoothstep(x):
+    """Quintic smoothstep x^3 (10 - 15x + 6x^2) of x clipped to [0, 1]."""
+    x = np.clip(x, 0.0, 1.0)
+    return x ** 3 * (10 - 15 * x + 6 * x * x)
+
+
 def time_cutoff(ts, T: float) -> np.ndarray:
     """Quintic smoothstep ramps on [0, 0.1T] and [0.9T, T], flat between."""
-    def smooth(x):
-        x = np.clip(x, 0.0, 1.0)
-        return x ** 3 * (10 - 15 * x + 6 * x * x)
     ts = np.asarray(ts, dtype=float)
-    return smooth(ts / (0.1 * T)) * smooth((T - ts) / (0.1 * T))
+    return _smoothstep(ts / (0.1 * T)) * _smoothstep((T - ts) / (0.1 * T))
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +249,7 @@ class GNAuditRecord:
 
 def _low_high_split(f: Field):
     """Smooth radial split at |xi| in [1, 2]: u1 low, u2 = f - u1 high."""
-    absxi = f.grid.xi_abs()
-    t = np.clip(absxi - 1.0, 0.0, 1.0)
-    low = 1.0 - (t ** 3 * (10 - 15 * t + 6 * t * t))
+    low = 1.0 - _smoothstep(f.grid.xi_abs() - 1.0)
     coef = as_spectral(f).values
     u1 = Field.spectral(f.grid, coef * low)
     u2 = Field.spectral(f.grid, coef * (1.0 - low))

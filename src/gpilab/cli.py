@@ -1,10 +1,11 @@
 """Batch entry point: JSON config in, manifest + CSV + JSON summary out.
 
+One table, ``_COMMANDS``, declares every subcommand's runner and params.
 Every run writes, atomically (write-temp-then-rename), into the output
-directory: ``manifest.json`` echoing the fully resolved config, a JSON
-``summary.json``, and CSV time series where the subcommand produces any.
-Outputs carry no timestamps, so a fixed (config, seed) pair reproduces
-every artifact byte for byte.
+directory: ``manifest.json`` echoing the config resolved against that
+table, every default included, a JSON ``summary.json``, and CSV time
+series where the subcommand produces any.  Outputs carry no timestamps,
+so a fixed (config, seed) pair reproduces every artifact byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 acceptance-gate failure.
@@ -35,8 +36,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_GATE = 4
 
-SUBCOMMANDS = ("simulate", "almost-conservation", "strichartz", "bilinear",
-               "multiplier-verify", "ledger")
+REQUIRED = object()   # default of a field the config must give
 
 
 class ConfigError(ValueError):
@@ -53,72 +53,62 @@ class RunConfig:
 
 def _key_line(text: str, key: str) -> int:
     """1-based line of the first occurrence of a JSON key, 0 if absent."""
-    needle = f'"{key}"'
-    for i, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return i
-    return 0
+    return next((i for i, line in enumerate(text.splitlines(), start=1)
+                 if f'"{key}"' in line), 0)
 
 
-def _check_fields(obj: dict, allowed: dict, where: str, path: str, text: str):
-    for key in obj:
-        if key not in allowed:
-            line = _key_line(text, key)
+def _one_of(choices):
+    def cast(v):
+        if v not in choices:
+            raise ValueError(f"{v!r} is not one of: {', '.join(choices)}")
+        return v
+    return cast
+
+
+def _seed(v):
+    if not isinstance(v, int) or not 0 <= v < 2 ** 64:
+        raise ValueError("seed must be an integer in [0, 2^64)")
+    return v
+
+
+def _parse_exponent(v):
+    return math.inf if v in ("inf", "Infinity") else float(v)
+
+
+def _cases(v):
+    labels = {case.label for case in CATALOG}
+    for label in ([] if v == "all" else v):
+        if label not in labels:
+            raise ValueError(f"unknown case label {label!r}")
+    return v
+
+
+def _resolve(obj, fields: dict, where: str, path: str, text: str, key=None) -> dict:
+    """Check ``obj``, the value of ``key``, against ``fields``, name -> (cast,
+    default) with cast None keeping the value as given; fill in the defaults."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}:{_key_line(text, key) if key else 1}: "
+                          f"{where} must be a JSON object")
+    for name in obj:
+        if name not in fields:
             raise ConfigError(
-                f"{path}:{line}: unknown field '{key}' in {where} "
-                f"(allowed: {', '.join(sorted(allowed))})")
-    for key, required in allowed.items():
-        if required and key not in obj:
-            raise ConfigError(f"{path}:1: missing required field '{key}' in {where}")
-
-
-_PARAM_FIELDS = {
-    "simulate": {"dim": True, "n": True, "length": True, "dt": True,
-                 "t_end": True, "datum": True, "diagnostics_every": False,
-                 "N": False, "s": False},
-    "almost-conservation": {"dim": True, "n": True, "length": True, "s": True,
-                            "N_list": True, "window": True, "dt": False},
-    "strichartz": {"q": True, "r": True, "T": True, "centers": False,
-                   "seeds": False},
-    "bilinear": {"seeds": False, "T": False},
-    "multiplier-verify": {"cases": False, "N_list": False,
-                          "samples_per_N": False, "cap": False,
-                          "slope_gate": False, "s": False},
-    "ledger": {"s_grid": True},
-}
-
-
-def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        raw = json.loads(text)
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}:1: config must be a JSON object")
-    _check_fields(raw, {"subcommand": True, "params": True, "seed": False,
-                        "out_dir": False}, "config", path, text)
-    sub = raw["subcommand"]
-    if sub not in SUBCOMMANDS:
-        line = _key_line(text, "subcommand")
-        raise ConfigError(f"{path}:{line}: unknown subcommand '{sub}' "
-                          f"(one of: {', '.join(SUBCOMMANDS)})")
-    params = raw["params"]
-    if not isinstance(params, dict):
-        line = _key_line(text, "params")
-        raise ConfigError(f"{path}:{line}: params must be a JSON object")
-    _check_fields(params, _PARAM_FIELDS[sub], f"params for '{sub}'", path, text)
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if not isinstance(seed, int) or not (0 <= seed < 2 ** 64):
-        line = _key_line(text, "seed")
-        raise ConfigError(f"{path}:{line}: seed must be an integer in [0, 2^64)")
-    out_dir = out_override if out_override is not None else raw.get("out_dir")
-    if not out_dir:
-        raise ConfigError(f"{path}:1: no output directory (out_dir field or --out)")
-    return RunConfig(subcommand=sub, params=params, seed=seed, out_dir=str(out_dir))
+                f"{path}:{_key_line(text, name)}: unknown field '{name}' in {where} "
+                f"(allowed: {', '.join(sorted(fields))})")
+    out = {}
+    for name, (cast, default) in fields.items():
+        value = obj.get(name, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{path}:1: missing required field '{name}' in {where}")
+        if value is not default:   # defaults are declared already resolved
+            try:
+                if isinstance(value, bool):   # no field takes a boolean
+                    raise TypeError(f"booleans are not accepted, got {value!r}")
+                value = value if cast is None else cast(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{path}:{_key_line(text, name)}: field '{name}' "
+                                  f"in {where}: {exc}") from exc
+        out[name] = value
+    return out
 
 
 def atomic_write(path: str, text: str):
@@ -138,28 +128,36 @@ def _write_artifacts(cfg: RunConfig, summary: dict, csvs: dict):
     os.makedirs(cfg.out_dir, exist_ok=True)
     manifest = {"subcommand": cfg.subcommand, "params": cfg.params,
                 "seed": cfg.seed, "out_dir": cfg.out_dir}
-    atomic_write(os.path.join(cfg.out_dir, "manifest.json"),
-                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    atomic_write(os.path.join(cfg.out_dir, "summary.json"),
-                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    for name, text in csvs.items():
+    files = {name: json.dumps(obj, indent=2, sort_keys=True) + "\n"
+             for name, obj in (("manifest.json", manifest), ("summary.json", summary))}
+    for name, text in {**files, **csvs}.items():
         atomic_write(os.path.join(cfg.out_dir, name), text)
 
 
-def _build_datum(grid: Grid, spec: dict, seed: int) -> Field:
-    kind = spec.get("kind")
-    if kind == "zero":
+def _csv(header: str, rows) -> str:
+    """CSV text: numbers as ``.17g`` (booleans as 1/0), everything else as ``str``."""
+    return "".join(",".join(f"{v:.17g}" if isinstance(v, (int, float, np.number))
+                            else str(v) for v in row) + "\n"
+                   for row in [(header,), *rows])
+
+
+def _build_datum(grid: Grid, datum: dict, seed: int) -> Field:
+    if datum["kind"] == "zero":
         return Field.zero(grid)
-    if kind == "rough":
-        return rough_datum(grid, float(spec.get("s", 0.9)), seed)
-    if kind == "gaussian":
-        amp = float(spec.get("amplitude", 0.1))
-        width = float(spec.get("width", grid.length / 8))
-        xs = grid.x_mesh()
-        r2 = sum((x - grid.length / 2) ** 2 for x in xs)
-        return Field.physical(grid, amp * np.exp(-r2 / (2 * width ** 2))
-                              .astype(complex))
-    raise ConfigError(f"datum kind must be one of zero/rough/gaussian, got {kind!r}")
+    if datum["kind"] == "rough":
+        return rough_datum(grid, datum["s"], seed)
+    r2 = sum((x - grid.length / 2) ** 2 for x in grid.x_mesh())
+    return Field.physical(grid, datum["amplitude"]
+                          * np.exp(-r2 / (2 * datum["width"] ** 2)).astype(complex))
+
+
+def _datum_fields(datum, length: float) -> dict:
+    """Fields of the simulate datum for its kind; a gaussian is L/8 wide by default."""
+    kinds = {"zero": {}, "rough": {"s": (float, 0.9)},
+             "gaussian": {"amplitude": (float, 0.1), "width": (float, length / 8)}}
+    kind = datum.get("kind") if isinstance(datum, dict) else None
+    # str(): a kind that is not a string gets no fields and fails the kind check
+    return {"kind": (_one_of(kinds), REQUIRED), **kinds.get(str(kind), {})}
 
 
 # ---------------------------------------------------------------------------
@@ -167,144 +165,150 @@ def _build_datum(grid: Grid, spec: dict, seed: int) -> Field:
 
 def _run_simulate(cfg: RunConfig):
     p = cfg.params
-    grid = Grid(dim=int(p["dim"]), n=int(p["n"]), length=float(p["length"]))
+    grid = Grid(dim=p["dim"], n=p["n"], length=p["length"])
     u0 = _build_datum(grid, p["datum"], cfg.seed)
-    ecfg = EvolveConfig(grid=grid, dt=float(p["dt"]), t_end=float(p["t_end"]),
-                        diagnostics_every=int(p.get("diagnostics_every", 1)))
-    specs = ()
-    if "N" in p or "s" in p:
-        if not ("N" in p and "s" in p):
-            raise ConfigError("simulate: N and s must be given together")
-        specs = (MultiplierSpec(N=float(p["N"]), s=float(p["s"])),)
+    ecfg = EvolveConfig(grid=grid, dt=p["dt"], t_end=p["t_end"],
+                        diagnostics_every=p["diagnostics_every"])
+    if (p["N"] is None) != (p["s"] is None):
+        raise ConfigError("simulate: N and s must be given together")
+    specs = () if p["N"] is None else (MultiplierSpec(N=p["N"], s=p["s"]),)
     try:
         traj = evolve(u0, ecfg, specs)
     except BlowUpError as exc:
-        csvs = {}
-        if exc.trajectory is not None and exc.trajectory.reports:
-            csvs["energy.csv"] = reports_to_csv(exc.trajectory.reports)
+        done = exc.trajectory.reports if exc.trajectory is not None else ()
+        csvs = {"energy.csv": reports_to_csv(done)} if done else {}
         return ({"status": "blow-up", "time": exc.time}, csvs, EXIT_NUMERIC)
-    reports = list(traj.reports)
-    for sp in specs:
-        reports.extend(traj.reports_I[sp])
+    reports = list(traj.reports) + [r for sp in specs for r in traj.reports_I[sp]]
     audit = l2_growth_audit(traj)
-    summary = {
-        "status": "ok",
-        "final_l2": traj.reports[-1].l2,
-        "final_energy": traj.reports[-1].total,
-        "l2_audit": {"differential_margin": audit.differential_margin,
-                     "gronwall_margin": audit.gronwall_margin,
-                     "violations": audit.violations},
-    }
+    summary = {"status": "ok", "final_l2": traj.reports[-1].l2,
+               "final_energy": traj.reports[-1].total,
+               "l2_audit": {"differential_margin": audit.differential_margin,
+                            "gronwall_margin": audit.gronwall_margin,
+                            "violations": audit.violations}}
     return summary, {"energy.csv": reports_to_csv(reports)}, EXIT_OK
 
 
 def _run_almost_conservation(cfg: RunConfig):
     p = cfg.params
-    grid = Grid(dim=int(p["dim"]), n=int(p["n"]), length=float(p["length"]))
-    s = float(p["s"])
-    u0 = rough_datum(grid, s, cfg.seed)
-    res = almost_conservation_experiment(u0, s, [float(N) for N in p["N_list"]],
-                                         float(p["window"]),
-                                         dt=float(p.get("dt", 2.5e-4)))
-    lines = ["N,increment_window,increment_delta,delta,gradI_norm"]
-    for r in res.rows:
-        lines.append(f"{r.N:.17g},{r.increment_window:.17g},"
-                     f"{r.increment_delta:.17g},{r.delta:.17g},{r.gradI_norm:.17g}")
+    grid = Grid(dim=p["dim"], n=p["n"], length=p["length"])
+    u0 = rough_datum(grid, p["s"], cfg.seed)
+    res = almost_conservation_experiment(u0, p["s"], p["N_list"], p["window"],
+                                         dt=p["dt"])
+    csv = _csv("N,increment_window,increment_delta,delta,gradI_norm",
+               [(r.N, r.increment_window, r.increment_delta, r.delta, r.gradI_norm)
+                for r in res.rows])
     summary = {"status": "ok", "slope": res.fit.slope,
-               "residual": res.fit.residual, "window": res.window, "s": s}
-    return summary, {"increments.csv": "\n".join(lines) + "\n"}, EXIT_OK
-
-
-def _parse_exponent(v):
-    if v in ("inf", "Infinity"):
-        return math.inf
-    return float(v)
+               "residual": res.fit.residual, "window": res.window, "s": p["s"]}
+    return summary, {"increments.csv": csv}, EXIT_OK
 
 
 def _run_strichartz(cfg: RunConfig):
     p = cfg.params
     res = strichartz_ratio_sweep(_parse_exponent(p["q"]), _parse_exponent(p["r"]),
-                                 float(p["T"]),
-                                 centers=tuple(p.get("centers", (4, 8, 16, 32))),
-                                 seeds=int(p.get("seeds", 4)), seed0=cfg.seed + 100)
-    lines = ["center,mean_ratio"]
-    for c, mval in zip(res["centers"], res["means"]):
-        lines.append(f"{c:.17g},{mval:.17g}")
+                                 p["T"], centers=p["centers"], seeds=p["seeds"],
+                                 seed0=cfg.seed + 100)
     summary = {"status": "ok", "slope": res["fit"].slope,
                "residual": res["fit"].residual, "q": str(p["q"]), "r": str(p["r"])}
-    return summary, {"ratios.csv": "\n".join(lines) + "\n"}, EXIT_OK
+    return (summary, {"ratios.csv": _csv("center,mean_ratio",
+                                         zip(res["centers"], res["means"]))}, EXIT_OK)
 
 
 def _run_bilinear(cfg: RunConfig):
     p = cfg.params
-    res = bilinear_sweep(seeds=int(p.get("seeds", 20)), T=float(p.get("T", 0.5)),
-                         seed0=cfg.seed + 1000)
-    lines = ["axis,value,mean_ratio"]
-    for ax, vals, means in (("N2", res["N2_axis"], res["N2_means"]),
-                            ("N1", res["N1_axis"], res["N1_means"])):
-        for v, mval in zip(vals, means):
-            lines.append(f"{ax},{v:.17g},{mval:.17g}")
+    res = bilinear_sweep(seeds=p["seeds"], T=p["T"], seed0=cfg.seed + 1000)
+    rows = [(ax, v, mval) for ax in ("N2", "N1")
+            for v, mval in zip(res[f"{ax}_axis"], res[f"{ax}_means"])]
     summary = {"status": "ok", "N2_slope": res["N2_fit"].slope,
                "N1_slope": res["N1_fit"].slope, "seeds": res["seeds"]}
-    return summary, {"ratios.csv": "\n".join(lines) + "\n"}, EXIT_OK
+    return summary, {"ratios.csv": _csv("axis,value,mean_ratio", rows)}, EXIT_OK
 
 
 def _run_multiplier_verify(cfg: RunConfig):
     p = cfg.params
-    wanted = p.get("cases", "all")
-    cases = CATALOG if wanted == "all" else [catalog_by_label(lbl) for lbl in wanted]
-    N_list = tuple(p.get("N_list", (4, 8, 16, 32)))
-    reports = [verify_bound(c, N_list=N_list,
-                            samples_per_N=int(p.get("samples_per_N", 10 ** 4)),
-                            seed=cfg.seed, s=float(p.get("s", 0.75)),
-                            cap=float(p.get("cap", 64.0)),
-                            slope_gate=float(p.get("slope_gate", 0.1)))
+    cases = (CATALOG if p["cases"] == "all"
+             else [catalog_by_label(label) for label in p["cases"]])
+    reports = [verify_bound(c, N_list=p["N_list"], samples_per_N=p["samples_per_N"],
+                            seed=cfg.seed, s=p["s"], cap=p["cap"],
+                            slope_gate=p["slope_gate"])
                for c in cases]
-    lines = ["case,max_ratio,slope,passed"]
-    for r in reports:
-        lines.append(f"{r.label},{r.max_ratio:.17g},{r.slope:.17g},{int(r.passed)}")
+    csv = _csv("case,max_ratio,slope,passed",
+               [(r.label, r.max_ratio, r.slope, r.passed) for r in reports])
     failed = [r.label for r in reports if not r.passed]
-    summary = {
-        "status": "ok" if not failed else "gate-failure",
-        "failed": failed,
-        "flagged": {r.label: r.flagged for r in reports if r.flagged},
-        "cases": {r.label: {"max_ratio": r.max_ratio, "slope": r.slope,
-                            "per_N": {str(k): v for k, v in r.per_N.items()},
-                            "passed": r.passed} for r in reports},
-    }
-    code = EXIT_OK if not failed else EXIT_GATE
-    return summary, {"bounds.csv": "\n".join(lines) + "\n"}, code
+    summary = {"status": "gate-failure" if failed else "ok", "failed": failed,
+               "flagged": {r.label: r.flagged for r in reports if r.flagged},
+               "cases": {r.label: {"max_ratio": r.max_ratio, "slope": r.slope,
+                                   "per_N": {str(k): v for k, v in r.per_N.items()},
+                                   "passed": r.passed} for r in reports}}
+    return summary, {"bounds.csv": csv}, EXIT_GATE if failed else EXIT_OK
 
 
 def _run_ledger(cfg: RunConfig):
     rows = ledger_table(cfg.params["s_grid"])
-    lines = ["s,e1,e2,e3,e4,dominant_index,step_exponent,energy_exponent,gwp,slack"]
-    for r in rows:
-        e = r["increment_exponents"]
-        lines.append(f"{r['s']},{e[0]},{e[1]},{e[2]},{e[3]},"
-                     f"{r['dominant_index']},{r['step_exponent']},"
-                     f"{r['energy_exponent']},{int(r['gwp'])},{r['slack']}")
-    return ({"status": "ok", "rows": rows}, {"ledger.csv": "\n".join(lines) + "\n"},
-            EXIT_OK)
+    csv = _csv("s,e1,e2,e3,e4,dominant_index,step_exponent,energy_exponent,gwp,slack",
+               [(r["s"], *r["increment_exponents"], r["dominant_index"],
+                 r["step_exponent"], r["energy_exponent"], r["gwp"], r["slack"])
+                for r in rows])
+    return {"status": "ok", "rows": rows}, {"ledger.csv": csv}, EXIT_OK
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "almost-conservation": _run_almost_conservation,
-    "strichartz": _run_strichartz,
-    "bilinear": _run_bilinear,
-    "multiplier-verify": _run_multiplier_verify,
-    "ledger": _run_ledger,
+# subcommand -> (runner, params); a param is name -> (cast, default)
+_COMMANDS = {
+    "simulate": (_run_simulate, {
+        "dim": (int, REQUIRED), "n": (int, REQUIRED), "length": (float, REQUIRED),
+        "dt": (float, REQUIRED), "t_end": (float, REQUIRED),
+        "datum": (None, REQUIRED), "diagnostics_every": (int, 1),
+        "N": (float, None), "s": (float, None)}),
+    "almost-conservation": (_run_almost_conservation, {
+        "dim": (int, REQUIRED), "n": (int, REQUIRED), "length": (float, REQUIRED),
+        "s": (float, REQUIRED), "N_list": (lambda v: [float(N) for N in v], REQUIRED),
+        "window": (float, REQUIRED), "dt": (float, 2.5e-4)}),
+    "strichartz": (_run_strichartz, {
+        "q": (None, REQUIRED), "r": (None, REQUIRED), "T": (float, REQUIRED),
+        "centers": (tuple, (4, 8, 16, 32)), "seeds": (int, 4)}),
+    "bilinear": (_run_bilinear, {"seeds": (int, 20), "T": (float, 0.5)}),
+    "multiplier-verify": (_run_multiplier_verify, {
+        "cases": (_cases, "all"), "N_list": (tuple, (4, 8, 16, 32)),
+        "samples_per_N": (int, 10 ** 4), "cap": (float, 64.0),
+        "slope_gate": (float, 0.1), "s": (float, 0.75)}),
+    "ledger": (_run_ledger, {"s_grid": (list, REQUIRED)}),
 }
+
+_CONFIG = {"subcommand": (_one_of(_COMMANDS), REQUIRED), "params": (None, REQUIRED),
+           "seed": (_seed, 0), "out_dir": (str, None)}
+
+
+def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        raw = json.loads(text)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if isinstance(raw, dict):   # command-line overrides win, and are checked too
+        raw.update((k, v) for k, v in (("seed", seed_override),
+                                       ("out_dir", out_override)) if v is not None)
+    top = _resolve(raw, _CONFIG, "config", path, text)
+    sub = top["subcommand"]
+    params = _resolve(top["params"], _COMMANDS[sub][1], f"params for '{sub}'",
+                      path, text, "params")
+    if sub == "simulate":
+        params["datum"] = _resolve(params["datum"],
+                                   _datum_fields(params["datum"], params["length"]),
+                                   "datum", path, text, "datum")
+    if not top["out_dir"]:
+        raise ConfigError(f"{path}:1: no output directory (out_dir field or --out)")
+    return RunConfig(sub, params, top["seed"], top["out_dir"])
 
 
 def run(cfg: RunConfig) -> int:
     try:
-        summary, csvs, code = _RUNNERS[cfg.subcommand](cfg)
+        summary, csvs, code = _COMMANDS[cfg.subcommand][0](cfg)
     except BlowUpError as exc:
         _write_artifacts(cfg, {"status": "blow-up", "time": exc.time}, {})
         return EXIT_NUMERIC
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid parameters for '{cfg.subcommand}': {exc}") from exc
     _write_artifacts(cfg, summary, csvs)
     return code
@@ -320,13 +324,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, seed_override=args.seed,
-                          out_override=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return run(cfg)
+        return run(load_config(args.config, seed_override=args.seed,
+                               out_override=args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -89,19 +89,15 @@ class Grid:
 
     def nyquist_mask(self) -> np.ndarray:
         """True away from the k = -n/2 modes (zeroed on differentiation)."""
-        axis = np.fft.fftfreq(self.n) * self.n
-        keep1 = axis != -self.n // 2
-        out = np.ones(self.shape, dtype=bool)
-        for j in range(self.dim):
-            shape = [1] * self.dim
-            shape[j] = self.n
-            out &= keep1.reshape(shape)
-        return out
+        return self._every_axis(np.fft.fftfreq(self.n) * self.n != -self.n // 2)
 
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep |k| <= (2/3)(n/2) per axis."""
         axis = np.abs(np.fft.fftfreq(self.n) * self.n)
-        keep1 = axis <= (2.0 / 3.0) * (self.n // 2)
+        return self._every_axis(axis <= (2.0 / 3.0) * (self.n // 2))
+
+    def _every_axis(self, keep1: np.ndarray) -> np.ndarray:
+        """True where every axis index is kept by the 1D mask ``keep1``."""
         out = np.ones(self.shape, dtype=bool)
         for j in range(self.dim):
             shape = [1] * self.dim

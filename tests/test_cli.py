@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -62,10 +63,18 @@ def test_missing_required_param_rejected(tmp_path):
         load_config(path)
 
 
-def test_seed_must_be_u64(tmp_path):
+@pytest.mark.parametrize("bad", [
+    pytest.param({"seed": -1}, id="negative"),
+    pytest.param({"seed": True}, id="true"),
+    pytest.param({"seed": 2 ** 64}, id="2**64"),
+    pytest.param({"subcommand": "almost-conservation",
+                  "params": {"dim": True, "n": 16, "length": 6.283185307179586,
+                             "s": 0.9, "N_list": [4], "window": 0.1}}, id="dim-true"),
+])
+def test_seed_must_be_u64(tmp_path, bad):
     path = write_config(tmp_path, {"subcommand": "ledger",
                                    "params": {"s_grid": []},
-                                   "seed": -1, "out_dir": "x"})
+                                   "seed": 0, "out_dir": "x", **bad})
     with pytest.raises(ConfigError):
         load_config(path)
 
@@ -205,3 +214,160 @@ def test_bilinear_uses_config_seed(tmp_path, monkeypatch):
                                        "out_dir": str(tmp_path / f"out{seed}")})
         assert main(["--config", path]) == EXIT_OK
     assert seen == [1000, 1005]
+
+
+# ---------------------------------------------------------------------------
+# resolution: the datum, case labels, the resolved manifest
+
+def key_line(path, key):
+    text = open(path, encoding="utf-8").read()
+    return next(i for i, line in enumerate(text.splitlines(), start=1)
+                if f'"{key}"' in line)
+
+
+@pytest.mark.parametrize("datum, key", [
+    pytest.param({"kind": "gaussian", "amplitde": 5.0}, "amplitde", id="misspelled"),
+    pytest.param("rough", "datum", id="not-an-object"),
+])
+def test_simulate_datum_is_validated(tmp_path, capsys, datum, key):
+    path = write_config(tmp_path, {
+        "subcommand": "simulate",
+        "params": {"dim": 1, "n": 16, "length": 6.283185307179586,
+                   "dt": 0.01, "t_end": 0.02, "datum": datum},
+        "seed": 0, "out_dir": str(tmp_path / "sim"),
+    })
+    assert main(["--config", path]) == EXIT_CONFIG
+    assert f"{path}:{key_line(path, key)}:" in capsys.readouterr().err
+
+
+def test_manifest_records_resolved_datum(tmp_path):
+    out = tmp_path / "sim"
+    path = write_config(tmp_path, {
+        "subcommand": "simulate",
+        "params": {"dim": 1, "n": 16, "length": 8.0, "dt": 0.01, "t_end": 0.02,
+                   "datum": {"kind": "gaussian"}},
+        "seed": 0, "out_dir": str(out),
+    })
+    assert main(["--config", path]) == EXIT_OK
+    params = json.loads((out / "manifest.json").read_text())["params"]
+    assert params["datum"] == {"kind": "gaussian", "amplitude": 0.1, "width": 1.0}
+    assert params["diagnostics_every"] == 1
+
+
+def test_unknown_case_label_names_its_line(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{\n "subcommand": "multiplier-verify",\n "params": {\n'
+                    '  "cases": ["nope/x"]\n },\n "out_dir": "x"\n}\n')
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert ":4:" in str(err.value) and "nope/x" in str(err.value)
+
+
+def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+    import gpilab.cli as cli
+
+    def stub(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "verify_bound", stub)
+    path = write_config(tmp_path, {"subcommand": "multiplier-verify",
+                                   "params": {"cases": ["cubic-pair/case2"]},
+                                   "seed": 0, "out_dir": str(tmp_path / "mv")})
+    with pytest.raises(KeyError):
+        main(["--config", path])
+
+
+def test_manifest_lists_defaults_and_reruns_byte_identically(tmp_path):
+    out1, out2 = tmp_path / "first", tmp_path / "again"
+    path = write_config(tmp_path, {
+        "subcommand": "multiplier-verify",
+        "params": {"cases": ["cubic-pair/case2", "lwp-cubic/case1"],
+                   "samples_per_N": 200},
+        "seed": 3, "out_dir": str(out1),
+    })
+    code = main(["--config", path])
+    assert code in (EXIT_OK, EXIT_GATE)
+    params = json.loads((out1 / "manifest.json").read_text())["params"]
+    assert params == {"cases": ["cubic-pair/case2", "lwp-cubic/case1"],
+                      "samples_per_N": 200, "N_list": [4, 8, 16, 32], "s": 0.75,
+                      "cap": 64.0, "slope_gate": 0.1}
+    assert main(["--config", str(out1 / "manifest.json"), "--out", str(out2)]) == code
+    for name in ("summary.json", "bounds.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    manifest = (out1 / "manifest.json").read_text()
+    assert (out2 / "manifest.json").read_text() == manifest.replace(str(out1), str(out2))
+
+
+# ---------------------------------------------------------------------------
+# CSV format, with the library stubbed: numbers as .17g, labels as text
+
+BIG = 123456789012345678   # an int that .17g writes in exponent form
+THIRD = 0.1 + 0.2          # a float that needs all 17 digits
+FIT = SimpleNamespace(slope=0.5, residual=0.0)
+
+
+def _report(case, **kwargs):
+    passed = case.label == "lwp-cubic/case1"
+    return SimpleNamespace(label=case.label, max_ratio=BIG if passed else THIRD,
+                           slope=-2, per_N={4: 1.0}, passed=passed, flagged=False)
+
+
+def _ledger_rows(s_grid):
+    return [{"s": s, "increment_exponents": [THIRD, "1/2", 7, "-5/2"],
+             "dominant_index": 3, "dominant_exponent": "1/2", "step_exponent": "2/5",
+             "energy_exponent": "1/5", "gwp": i == 1, "slack": "1/10"}
+            for i, s in enumerate(s_grid)]
+
+
+CSV_CASES = {
+    "almost-conservation": (
+        "almost_conservation_experiment",
+        lambda *args, **kwargs: SimpleNamespace(
+            rows=[SimpleNamespace(N=4.0, increment_window=THIRD, increment_delta=BIG,
+                                  delta=-3, gradI_norm=1e-300)],
+            fit=FIT, window=0.25),
+        {"dim": 1, "n": 16, "length": 6.283185307179586, "s": 0.9,
+         "N_list": [4], "window": 0.25},
+        "increments.csv",
+        "N,increment_window,increment_delta,delta,gradI_norm\n"
+        "4,0.30000000000000004,1.2345678901234568e+17,-3,1e-300\n"),
+    "strichartz": (
+        "strichartz_ratio_sweep",
+        lambda *args, **kwargs: {"centers": [4, BIG], "means": [THIRD, 2], "fit": FIT},
+        {"q": 2, "r": 6, "T": 0.3},
+        "ratios.csv",
+        "center,mean_ratio\n4,0.30000000000000004\n1.2345678901234568e+17,2\n"),
+    "bilinear": (
+        "bilinear_sweep",
+        lambda seeds, T, seed0: {"N2_axis": [8, BIG], "N2_means": [THIRD, 1],
+                                 "N1_axis": [4], "N1_means": [0.5],
+                                 "N2_fit": FIT, "N1_fit": FIT, "seeds": seeds},
+        {"seeds": 1},
+        "ratios.csv",
+        "axis,value,mean_ratio\nN2,8,0.30000000000000004\n"
+        "N2,1.2345678901234568e+17,1\nN1,4,0.5\n"),
+    "multiplier-verify": (
+        "verify_bound", _report,
+        {"cases": ["cubic-pair/case2", "lwp-cubic/case1"]},
+        "bounds.csv",
+        "case,max_ratio,slope,passed\ncubic-pair/case2,0.30000000000000004,-2,0\n"
+        "lwp-cubic/case1,1.2345678901234568e+17,-2,1\n"),
+    "ledger": (
+        "ledger_table", _ledger_rows,
+        {"s_grid": ["3/4", "9/10"]},
+        "ledger.csv",
+        "s,e1,e2,e3,e4,dominant_index,step_exponent,energy_exponent,gwp,slack\n"
+        "3/4,0.30000000000000004,1/2,7,-5/2,3,2/5,1/5,0,1/10\n"
+        "9/10,0.30000000000000004,1/2,7,-5/2,3,2/5,1/5,1,1/10\n"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(CSV_CASES))
+def test_csv_format_pinned(tmp_path, monkeypatch, sub):
+    import gpilab.cli as cli
+    target, stub, params, name, expected = CSV_CASES[sub]
+    monkeypatch.setattr(cli, target, stub)
+    path = write_config(tmp_path, {"subcommand": sub, "params": params, "seed": 0,
+                                   "out_dir": str(tmp_path / "out")})
+    assert main(["--config", path]) in (EXIT_OK, EXIT_GATE)
+    assert (tmp_path / "out" / name).read_text() == expected

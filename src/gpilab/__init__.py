@@ -3,10 +3,10 @@ Gross-Pitaevskii equation on periodic boxes.
 
 Modules
 -------
-grid        periodic grids, spectral fields, norms, serialization
+grid        periodic grids, spectral fields, norms, band projections
 ioperator   the smoothing multiplier m_N, I_N, energy functionals
 dynamics    split-step integrator, growth audits, step law, sweeps
-bench       Strichartz / bilinear / interpolation benches
+bench       Strichartz / bilinear benches
 multverify  randomized checks of the pointwise multiplier bounds
 ledger      exact rational exponent bookkeeping
 cli         batch entry point

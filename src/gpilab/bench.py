@@ -1,5 +1,4 @@
-"""Empirical benches for the Strichartz family, the bilinear refinement,
-and the Gagliardo-Nirenberg chain behind the L^2 lemma.
+"""Empirical benches for the Strichartz family and the bilinear refinement.
 
 All benches run on finite windows with a fixed smooth time cutoff; the
 L^2 norm of the datum stands in for the space-time norm on the right of
@@ -19,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (BandKind, Field, FrequencyBand, Grid, as_spectral,
-                   homogeneous_norm, lp_norm)
+from .grid import BandKind, Field, FrequencyBand, Grid, as_spectral
 from .fitting import loglog_fit
 
 __all__ = [
     "strichartz_admissible", "time_cutoff", "band_datum", "strichartz_ratio_sweep",
-    "BilinearStat", "bilinear_ratio", "bilinear_sweep", "gn_l3_audit",
+    "BilinearStat", "bilinear_ratio", "bilinear_sweep",
 ]
 
 
@@ -235,36 +233,3 @@ def bilinear_sweep(seeds: int = 20, T: float = 0.5, grid: Grid = None,
         "N2_axis": n2_axis, "N1_axis": n1_axis, "seeds": seeds, "T": T,
     }
 
-
-# ---------------------------------------------------------------------------
-# Gagliardo-Nirenberg L^3 chain
-
-@dataclass(frozen=True)
-class GNAuditRecord:
-    lhs: float            # ||u||_{L^3}
-    rhs_gn: float         # ||grad u1||^{1/2} ||u1||^{1/2} + || |D|^{1/2} u2 ||
-    rhs_chain: float      # the four-term Young form with exponent s
-    ratio: float          # lhs / rhs_chain
-
-
-def _low_high_split(f: Field):
-    """Smooth radial split at |xi| in [1, 2]: u1 low, u2 = f - u1 high."""
-    low = 1.0 - _smoothstep(f.grid.xi_abs() - 1.0)
-    coef = as_spectral(f).values
-    u1 = Field.spectral(f.grid, coef * low)
-    u2 = Field.spectral(f.grid, coef * (1.0 - low))
-    return u1, u2
-
-
-def gn_l3_audit(f: Field, s: float = 0.9) -> GNAuditRecord:
-    """Evaluate both sides of the L^3 interpolation chain on one field."""
-    u1, u2 = _low_high_split(f)
-    lhs = lp_norm(f, 3)
-    grad_u1 = homogeneous_norm(u1, 1.0)
-    l2_u1 = lp_norm(u1, 2)
-    l2_u2 = lp_norm(u2, 2)
-    rhs_gn = math.sqrt(grad_u1) * math.sqrt(l2_u1) + homogeneous_norm(u2, 0.5)
-    rhs_chain = (grad_u1 ** 2 + l2_u1 ** (2.0 / 3.0) + l2_u2 ** (2.0 / 3.0)
-                 + homogeneous_norm(u2, s) ** (2.0 / (3.0 - 2.0 * s)))
-    ratio = lhs / rhs_chain if rhs_chain > 0 else 0.0
-    return GNAuditRecord(lhs=lhs, rhs_gn=rhs_gn, rhs_chain=rhs_chain, ratio=ratio)

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -51,10 +52,25 @@ class RunConfig:
     out_dir: str
 
 
-def _key_line(text: str, key: str) -> int:
-    """1-based line of the first occurrence of a JSON key, 0 if absent."""
-    return next((i for i, line in enumerate(text.splitlines(), start=1)
-                 if f'"{key}"' in line), 0)
+_DECODER = json.JSONDecoder()
+_SEPARATORS = re.compile(r"[\s,:]*")
+
+
+def _members(text: str, pos: int) -> dict:
+    """key -> (1-based line of the key, offset of its value) for the JSON
+    object whose ``{`` is at ``pos``; {} for any other value.  ``text`` has
+    parsed already, so separators are skipped without checks."""
+    out = {}
+    if text[pos] != "{":
+        return out
+    pos = _SEPARATORS.match(text, pos + 1).end()
+    while text[pos] != "}":
+        line = text.count("\n", 0, pos) + 1
+        key, pos = _DECODER.raw_decode(text, pos)
+        pos = _SEPARATORS.match(text, pos).end()
+        out[key] = (line, pos)
+        pos = _SEPARATORS.match(text, _DECODER.raw_decode(text, pos)[1]).end()
+    return out
 
 
 def _one_of(choices):
@@ -75,6 +91,16 @@ def _parse_exponent(v):
     return math.inf if v in ("inf", "Infinity") else float(v)
 
 
+def _exponent(v):
+    _parse_exponent(v)   # checked here, parsed by the runner
+    return v
+
+
+def _s_grid(v):
+    ledger_table(v)   # every s must be a number in (1/2, 1)
+    return list(v)
+
+
 def _cases(v):
     labels = {case.label for case in CATALOG}
     for label in ([] if v == "all" else v):
@@ -83,31 +109,34 @@ def _cases(v):
     return v
 
 
-def _resolve(obj, fields: dict, where: str, path: str, text: str, key=None) -> dict:
-    """Check ``obj``, the value of ``key``, against ``fields``, name -> (cast,
-    default) with cast None keeping the value as given; fill in the defaults."""
+def _resolve(obj, fields: dict, where: str, path: str, line: int, members: dict) -> dict:
+    """Check ``obj``, whose key is on ``line`` and whose ``members`` come from
+    `_members`, against ``fields``, name -> (cast, default) with cast None
+    keeping the value as given; fill in the defaults.  Bad values are named
+    before unknown fields, so a bad datum ``kind`` is named before the fields
+    that only another kind allows."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}:{_key_line(text, key) if key else 1}: "
-                          f"{where} must be a JSON object")
-    for name in obj:
-        if name not in fields:
-            raise ConfigError(
-                f"{path}:{_key_line(text, name)}: unknown field '{name}' in {where} "
-                f"(allowed: {', '.join(sorted(fields))})")
+        raise ConfigError(f"{path}:{line}: {where} must be a JSON object")
     out = {}
     for name, (cast, default) in fields.items():
         value = obj.get(name, default)
-        if value is REQUIRED:
-            raise ConfigError(f"{path}:1: missing required field '{name}' in {where}")
         if value is not default:   # defaults are declared already resolved
             try:
                 if isinstance(value, bool):   # no field takes a boolean
                     raise TypeError(f"booleans are not accepted, got {value!r}")
                 value = value if cast is None else cast(value)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{path}:{_key_line(text, name)}: field '{name}' "
-                                  f"in {where}: {exc}") from exc
+                raise ConfigError(f"{path}:{members.get(name, (0,))[0]}: field "
+                                  f"'{name}' in {where}: {exc}") from exc
         out[name] = value
+    for name in obj:
+        if name not in fields:
+            raise ConfigError(
+                f"{path}:{members.get(name, (0,))[0]}: unknown field '{name}' in "
+                f"{where} (allowed: {', '.join(sorted(fields))})")
+    for name, value in out.items():
+        if value is REQUIRED:
+            raise ConfigError(f"{path}:{line}: missing required field '{name}' in {where}")
     return out
 
 
@@ -169,8 +198,6 @@ def _run_simulate(cfg: RunConfig):
     u0 = _build_datum(grid, p["datum"], cfg.seed)
     ecfg = EvolveConfig(grid=grid, dt=p["dt"], t_end=p["t_end"],
                         diagnostics_every=p["diagnostics_every"])
-    if (p["N"] is None) != (p["s"] is None):
-        raise ConfigError("simulate: N and s must be given together")
     specs = () if p["N"] is None else (MultiplierSpec(N=p["N"], s=p["s"]),)
     try:
         traj = evolve(u0, ecfg, specs)
@@ -263,14 +290,14 @@ _COMMANDS = {
         "s": (float, REQUIRED), "N_list": (lambda v: [float(N) for N in v], REQUIRED),
         "window": (float, REQUIRED), "dt": (float, 2.5e-4)}),
     "strichartz": (_run_strichartz, {
-        "q": (None, REQUIRED), "r": (None, REQUIRED), "T": (float, REQUIRED),
+        "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (float, REQUIRED),
         "centers": (tuple, (4, 8, 16, 32)), "seeds": (int, 4)}),
     "bilinear": (_run_bilinear, {"seeds": (int, 20), "T": (float, 0.5)}),
     "multiplier-verify": (_run_multiplier_verify, {
         "cases": (_cases, "all"), "N_list": (tuple, (4, 8, 16, 32)),
         "samples_per_N": (int, 10 ** 4), "cap": (float, 64.0),
         "slope_gate": (float, 0.1), "s": (float, 0.75)}),
-    "ledger": (_run_ledger, {"s_grid": (list, REQUIRED)}),
+    "ledger": (_run_ledger, {"s_grid": (_s_grid, REQUIRED)}),
 }
 
 _CONFIG = {"subcommand": (_one_of(_COMMANDS), REQUIRED), "params": (None, REQUIRED),
@@ -289,14 +316,22 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     if isinstance(raw, dict):   # command-line overrides win, and are checked too
         raw.update((k, v) for k, v in (("seed", seed_override),
                                        ("out_dir", out_override)) if v is not None)
-    top = _resolve(raw, _CONFIG, "config", path, text)
+    at = _members(text, _SEPARATORS.match(text).end())
+    top = _resolve(raw, _CONFIG, "config", path, 1, at)
     sub = top["subcommand"]
-    params = _resolve(top["params"], _COMMANDS[sub][1], f"params for '{sub}'",
-                      path, text, "params")
+    where = f"params for '{sub}'"
+    line, pos = at["params"]
+    at = _members(text, pos)
+    params = _resolve(top["params"], _COMMANDS[sub][1], where, path, line, at)
     if sub == "simulate":
+        line, pos = at["datum"]
         params["datum"] = _resolve(params["datum"],
                                    _datum_fields(params["datum"], params["length"]),
-                                   "datum", path, text, "datum")
+                                   "datum", path, line, _members(text, pos))
+        if (params["N"] is None) != (params["s"] is None):
+            given = "s" if params["N"] is None else "N"
+            raise ConfigError(f"{path}:{at[given][0]}: N and s must be given "
+                              f"together in {where}")
     if not top["out_dir"]:
         raise ConfigError(f"{path}:1: no output directory (out_dir field or --out)")
     return RunConfig(sub, params, top["seed"], top["out_dir"])

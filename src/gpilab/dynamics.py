@@ -31,7 +31,7 @@ from .fitting import ExponentFit, loglog_fit
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "BlowUpError", "EvolveConfig", "Trajectory", "StepLawInput",
+    "BlowUpError", "EvolveConfig", "Trajectory",
     "evolve", "l2_growth_audit", "delta_step",
     "rough_datum", "almost_conservation_experiment", "iterate_global",
 ]
@@ -194,15 +194,6 @@ def l2_growth_audit(traj: Trajectory) -> GrowthAudit:
 # ---------------------------------------------------------------------------
 # step-size law
 
-@dataclass(frozen=True)
-class StepLawInput:
-    """(N, s, g) with g carrying ||grad I u0||^2 at the segment start."""
-
-    N: object
-    s: object
-    g: object
-
-
 def _is_exact(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return True
@@ -210,10 +201,10 @@ def _is_exact(x) -> bool:
     return mod.startswith("sympy")
 
 
-def delta_step(inp: StepLawInput):
+def delta_step(N, s, g):
     """Local step length from the three-term balance, epsilons dropped.
 
-    delta = min(1, d1, d2, d3) with
+    With g = ||grad I u0||^2 at the segment start, delta = min(1, d1, d2, d3):
         d1 = (N^{2(1-s)}/g)^{1/(s-1/2)},
         d2 = (N^{1-s}/g)^{2/s},
         d3 = g^{-2}.
@@ -221,7 +212,6 @@ def delta_step(inp: StepLawInput):
     When N, s, g are all exact (int, Fraction, or sympy numbers) the result
     is an exact sympy expression; otherwise a float.
     """
-    N, s, g = inp.N, inp.s, inp.g
     if float(s) <= 0.5:
         raise ValueError("step law needs s > 1/2 (the d1 exponent degenerates)")
     if not (float(N) >= 1):
@@ -300,8 +290,7 @@ def almost_conservation_experiment(u0: Field, s: float, N_list, window: float,
         e0 = series[0].total
         inc_window = abs(series[-1].total - e0)
         gnorm = gradient_I_norm(u0, sp)
-        delta = float(delta_step(StepLawInput(N=float(sp.N), s=float(s),
-                                              g=gnorm ** 2)))
+        delta = float(delta_step(float(sp.N), float(s), gnorm ** 2))
         t_delta = min(delta, window)
         idx = int(np.argmin(np.abs(ts - t_delta)))
         inc_delta = abs(series[idx].total - e0)
@@ -347,8 +336,7 @@ def iterate_global(u0: Field, s: float, N: float, T: float,
     while True:
         g = gradient_I_norm(u, spec) ** 2
         done = t >= T - 1e-12
-        delta = 0.0 if done else min(
-            float(delta_step(StepLawInput(N=float(N), s=float(s), g=g))), T - t)
+        delta = 0.0 if done else min(float(delta_step(float(N), float(s), g)), T - t)
         segments.append(SegmentRecord(t_start=t, delta=delta,
                                       modified_energy=modified_energy(u, spec).total,
                                       gradI_sq=g))

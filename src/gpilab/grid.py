@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -22,9 +21,8 @@ import numpy as np
 
 __all__ = [
     "Representation", "Grid", "Field", "FrequencyBand", "BandKind",
-    "forward_transform", "inverse_transform", "sobolev_norm",
-    "homogeneous_norm", "lp_norm", "band_project", "gradient",
-    "save_field", "load_field", "field_to_bytes", "field_from_bytes",
+    "forward_transform", "inverse_transform", "sobolev_norm", "lp_norm",
+    "band_project",
 ]
 
 
@@ -87,17 +85,10 @@ class Grid:
         ax = np.arange(self.n) * self.dx
         return list(np.meshgrid(*([ax] * self.dim), indexing="ij"))
 
-    def nyquist_mask(self) -> np.ndarray:
-        """True away from the k = -n/2 modes (zeroed on differentiation)."""
-        return self._every_axis(np.fft.fftfreq(self.n) * self.n != -self.n // 2)
-
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep |k| <= (2/3)(n/2) per axis."""
         axis = np.abs(np.fft.fftfreq(self.n) * self.n)
-        return self._every_axis(axis <= (2.0 / 3.0) * (self.n // 2))
-
-    def _every_axis(self, keep1: np.ndarray) -> np.ndarray:
-        """True where every axis index is kept by the 1D mask ``keep1``."""
+        keep1 = axis <= (2.0 / 3.0) * (self.n // 2)
         out = np.ones(self.shape, dtype=bool)
         for j in range(self.dim):
             shape = [1] * self.dim
@@ -137,8 +128,8 @@ class Field:
         return Field(grid, values, Representation.SPECTRAL)
 
     @staticmethod
-    def zero(grid: Grid, representation=Representation.PHYSICAL) -> "Field":
-        return Field(grid, np.zeros(grid.shape, dtype=np.complex128), representation)
+    def zero(grid: Grid) -> "Field":
+        return Field.physical(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +170,6 @@ def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm, (sum <xi>^{2s} |f_hat|^2)^{1/2}."""
     coef = as_spectral(f).values
     w = (1.0 + f.grid.xi_abs() ** 2) ** s
-    return float(np.sqrt(np.sum(w * np.abs(coef) ** 2)))
-
-
-def homogeneous_norm(f: Field, s: float) -> float:
-    """Homogeneous norm (sum_{k != 0} |xi|^{2s} |f_hat|^2)^{1/2}.
-
-    The zero mode is excluded.  For s < 0 a field carrying significant
-    zero-mode mass has no meaningful homogeneous norm and is rejected.
-    """
-    coef = as_spectral(f).values
-    total = np.sum(np.abs(coef) ** 2)
-    zero_mass = abs(coef[(0,) * f.grid.dim]) ** 2
-    if s < 0 and total > 0 and zero_mass > 1e-14 * total:
-        raise ValueError(
-            "homogeneous norm with s < 0 undefined: zero mode carries "
-            f"{zero_mass / total:.2e} of the mass")
-    absxi = f.grid.xi_abs()
-    w = np.zeros_like(absxi)
-    nz = absxi > 0
-    w[nz] = absxi[nz] ** (2 * s)
     return float(np.sqrt(np.sum(w * np.abs(coef) ** 2)))
 
 
@@ -245,56 +216,3 @@ def band_project(f: Field, band: FrequencyBand) -> Field:
         out = inverse_transform(out)
     return out
 
-
-def gradient(f: Field) -> list:
-    """Spectral gradient, one physical Field per axis.
-
-    The k = -n/2 modes are zeroed so that differentiation stays symmetric.
-    """
-    g = as_spectral(f)
-    nyq = f.grid.nyquist_mask()
-    out = []
-    for k in f.grid.xi_mesh():
-        comp = Field.spectral(f.grid, 1j * k * g.values * nyq)
-        out.append(inverse_transform(comp))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# serialization: header (dim, n, L, representation), then interleaved re/im
-
-_MAGIC = b"GPFD"
-_REPR_CODE = {Representation.PHYSICAL: 0, Representation.SPECTRAL: 1}
-_CODE_REPR = {v: k for k, v in _REPR_CODE.items()}
-
-
-def field_to_bytes(f: Field) -> bytes:
-    head = _MAGIC + struct.pack(
-        "<qqdq", f.grid.dim, f.grid.n, f.grid.length, _REPR_CODE[f.representation])
-    flat = np.ascontiguousarray(f.values).ravel()
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    return head + inter.tobytes()
-
-
-def field_from_bytes(buf: bytes) -> Field:
-    if buf[:4] != _MAGIC:
-        raise ValueError("not a field container (bad magic)")
-    dim, n, length, code = struct.unpack_from("<qqdq", buf, 4)
-    grid = Grid(dim=int(dim), n=int(n), length=float(length))
-    inter = np.frombuffer(buf, dtype="<f8", offset=4 + struct.calcsize("<qqdq"))
-    if inter.size != 2 * n ** dim:
-        raise ValueError("field container payload has wrong size")
-    vals = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
-    return Field(grid, vals, _CODE_REPR[int(code)])
-
-
-def save_field(f: Field, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(field_to_bytes(f))
-
-
-def load_field(path) -> Field:
-    with open(path, "rb") as fh:
-        return field_from_bytes(fh.read())

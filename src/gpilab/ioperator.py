@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Representation, as_physical, as_spectral, inverse_transform
+from .grid import Field, as_physical, as_spectral, inverse_transform
 
 __all__ = [
-    "MultiplierSpec", "EnergyReport", "multiplier_value", "apply_I",
-    "energy", "modified_energy", "gradient_I_norm",
+    "MultiplierSpec", "EnergyReport", "multiplier_value", "energy",
+    "modified_energy", "gradient_I_norm",
     "reports_to_csv", "CSV_HEADER",
 ]
 
@@ -57,14 +57,6 @@ def multiplier_value(spec: MultiplierSpec, xi) -> np.ndarray:
     if np.isscalar(xi) or out.ndim == 0:
         return float(out)
     return out
-
-
-def apply_I(f: Field, spec: MultiplierSpec) -> Field:
-    """Pointwise spectral multiplication by m_N; preserves representation."""
-    m = multiplier_value(spec, f.grid.xi_abs())
-    out = Field.spectral(f.grid, as_spectral(f).values * m)
-    physical = f.representation is Representation.PHYSICAL
-    return inverse_transform(out) if physical else out
 
 
 @dataclass(frozen=True)
@@ -124,20 +116,9 @@ def modified_energy(f: Field, spec: MultiplierSpec, time: float = 0.0) -> Energy
                           grid.dx ** grid.dim, time, N=spec.N, s=spec.s)
 
 
-def gradient_I_norm(f: Field, spec: MultiplierSpec, with_comparator: bool = False):
-    """||grad Iu||_{L^2}, optionally with the two-piece comparator.
-
-    The comparator is the equivalent expression
-    || |xi| u_hat ||_{L^2(|xi| <= N)} + N^{1-s} || |xi|^s u_hat ||_{L^2(|xi| > N)},
-    exposed for audits; the two agree up to a factor set by the m branches.
-    """
+def gradient_I_norm(f: Field, spec: MultiplierSpec) -> float:
+    """||grad Iu||_{L^2}."""
     coef = np.abs(as_spectral(f).values)
     absxi = f.grid.xi_abs()
     coef_I = coef * multiplier_value(spec, absxi)
-    val = math.sqrt(float(np.sum(absxi ** 2 * coef_I ** 2)))
-    if not with_comparator:
-        return val
-    low = absxi <= spec.N
-    lo = np.sqrt(np.sum((absxi[low] * coef[low]) ** 2))
-    hi = np.sqrt(np.sum((absxi[~low] ** spec.s * coef[~low]) ** 2))
-    return val, float(lo + spec.N ** (1 - spec.s) * hi)
+    return math.sqrt(float(np.sum(absxi ** 2 * coef_I ** 2)))

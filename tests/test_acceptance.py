@@ -16,8 +16,7 @@ import sympy as sp
 from gpilab.grid import (BandKind, Field, FrequencyBand, Grid, band_project,
                          forward_transform, inverse_transform)
 from gpilab.ioperator import MultiplierSpec
-from gpilab.dynamics import (EvolveConfig, StepLawInput,
-                             almost_conservation_experiment, delta_step,
+from gpilab.dynamics import (EvolveConfig, almost_conservation_experiment, delta_step,
                              evolve, l2_growth_audit, rough_datum)
 from gpilab.bench import bilinear_sweep, strichartz_admissible, strichartz_ratio_sweep
 from gpilab.multverify import CATALOG, verify_bound
@@ -99,7 +98,7 @@ def test_acceptance_04_step_law_exact(capsys):
     for s in (Fraction(3, 4), Fraction(5, 6), Fraction(9, 10)):
         for N in (4, 16, 64):
             gval = sp.Integer(N) ** (2 * (1 - sp.Rational(s)))
-            got = delta_step(StepLawInput(N=N, s=s, g=gval))
+            got = delta_step(N, s, gval)
             expect = sp.Integer(N) ** (-4 * (1 - sp.Rational(s)))
             if sp.simplify(got - expect) != 0:
                 failures.append((s, N, got, expect))

@@ -1,4 +1,4 @@
-"""Strichartz, bilinear, and interpolation bench tests (desk scale)."""
+"""Strichartz and bilinear bench tests (desk scale)."""
 
 import math
 
@@ -7,9 +7,8 @@ import pytest
 
 from gpilab.grid import Field, Grid, forward_transform, lp_norm
 from gpilab.bench import (band_datum, bilinear_ratio, bilinear_sweep,
-                          gn_l3_audit, strichartz_admissible,
-                          strichartz_ratio_sweep, time_cutoff,
-                          _FreeFlow, _low_high_split)
+                          strichartz_admissible, strichartz_ratio_sweep,
+                          time_cutoff, _FreeFlow)
 
 
 # ---------------------------------------------------------------------------
@@ -192,45 +191,3 @@ def test_bilinear_sweep_shapes():
     assert res["N2_fit"].slope < 0      # decay in the high frequency
     assert res["N1_fit"].slope > 0      # growth in the low frequency
 
-
-# ---------------------------------------------------------------------------
-# L^3 interpolation chain
-
-def random_smooth_field(seed):
-    g = Grid(dim=1, n=128, length=2 * np.pi)
-    rng = np.random.default_rng(seed)
-    coef = np.zeros(g.shape, dtype=complex)
-    ks = np.fft.fftfreq(g.n, d=1.0 / g.n).astype(int)
-    sel = np.abs(ks) <= 20
-    coef[sel] = ((rng.standard_normal(sel.sum())
-                  + 1j * rng.standard_normal(sel.sum()))
-                 / (1.0 + np.abs(ks[sel]) ** 2))
-    from gpilab.grid import inverse_transform
-    return inverse_transform(Field.spectral(g, coef))
-
-
-def test_low_high_split_is_a_partition():
-    f = random_smooth_field(0)
-    u1, u2 = _low_high_split(f)
-    recon = u1.values + u2.values
-    spec_f = forward_transform(f) if f.representation.name == "PHYSICAL" else f
-    assert np.max(np.abs(recon - spec_f.values)) < 1e-12
-    # low piece has no content above |xi| = 2, high piece none below 1
-    absxi = f.grid.xi_abs()
-    assert np.max(np.abs(u1.values[absxi > 2.0])) < 1e-12
-    assert np.max(np.abs(u2.values[absxi < 1.0])) < 1e-12
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_gn_l3_chain_controls_l3(seed):
-    rec = gn_l3_audit(random_smooth_field(seed), s=0.9)
-    assert rec.lhs > 0
-    # chain side dominates with a modest constant on smooth data
-    assert rec.ratio < 4.0
-    assert rec.lhs <= 4.0 * rec.rhs_gn
-
-
-def test_gn_audit_zero_field():
-    g = Grid(dim=1, n=32, length=2 * np.pi)
-    rec = gn_l3_audit(Field.zero(g))
-    assert rec.lhs == 0.0 and rec.ratio == 0.0

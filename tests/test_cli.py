@@ -228,6 +228,7 @@ def key_line(path, key):
 @pytest.mark.parametrize("datum, key", [
     pytest.param({"kind": "gaussian", "amplitde": 5.0}, "amplitde", id="misspelled"),
     pytest.param("rough", "datum", id="not-an-object"),
+    pytest.param({"kind": "gauss", "width": 1}, "kind", id="unknown-kind"),
 ])
 def test_simulate_datum_is_validated(tmp_path, capsys, datum, key):
     path = write_config(tmp_path, {
@@ -237,7 +238,45 @@ def test_simulate_datum_is_validated(tmp_path, capsys, datum, key):
         "seed": 0, "out_dir": str(tmp_path / "sim"),
     })
     assert main(["--config", path]) == EXIT_CONFIG
-    assert f"{path}:{key_line(path, key)}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}:{key_line(path, key)}:" in err and key in err
+
+
+SIMULATE_HEAD = ['{', ' "subcommand": "simulate",', ' "out_dir": "x",', ' "params": {',
+                 '  "dim": 1, "n": 16, "length": 6.283185307179586,',
+                 '  "dt": 0.01, "t_end": 0.02, "N": 4,']
+
+
+@pytest.mark.parametrize("body, line", [
+    pytest.param(['  "s": 0.9,', '  "datum": {', '   "kind": "rough",', '   "s": "x"',
+                  '  }'], 10, id="bad-in-datum"),
+    pytest.param(['  "datum": {', '   "kind": "rough",', '   "s": 0.9', '  },',
+                  '  "s": "x"'], 11, id="bad-in-params"),
+])
+def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
+    # "s" is a key of both params and the rough datum; the bad one is named
+    path = tmp_path / "c2.json"
+    path.write_text("\n".join(SIMULATE_HEAD + body + [' }', '}']) + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value).startswith(f"{path}:{line}: field 's'")
+
+
+@pytest.mark.parametrize("sub, params, key", [
+    pytest.param("simulate", {"dim": 1, "n": 16, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": 0.02, "datum": {"kind": "zero"},
+                              "N": 4}, "N", id="N-without-s"),
+    pytest.param("ledger", {"s_grid": ["3/4", "1/3"]}, "s_grid", id="s-out-of-range"),
+    pytest.param("strichartz", {"q": "abc", "r": 6, "T": 0.3}, "q", id="bad-exponent"),
+])
+def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
+    path = write_config(tmp_path, {"subcommand": sub, "params": params,
+                                   "out_dir": str(tmp_path / "out")})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value).startswith(f"{path}:{key_line(path, key)}:")
+    assert main(["--config", path]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_records_resolved_datum(tmp_path):

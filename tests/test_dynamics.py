@@ -9,9 +9,8 @@ import sympy as sp
 
 from gpilab.grid import (Field, Grid, band_project, FrequencyBand, BandKind,
                          forward_transform, lp_norm, sobolev_norm)
-from gpilab.dynamics import (BlowUpError, EvolveConfig, StepLawInput,
-                             almost_conservation_experiment, delta_step,
-                             evolve, iterate_global, l2_growth_audit,
+from gpilab.dynamics import (BlowUpError, EvolveConfig, almost_conservation_experiment,
+                             delta_step, evolve, iterate_global, l2_growth_audit,
                              rough_datum)
 from gpilab.ioperator import MultiplierSpec, energy, modified_energy
 
@@ -153,34 +152,32 @@ def test_delta_step_exact_power_law():
     for s in (Fraction(3, 4), Fraction(5, 6), Fraction(9, 10)):
         for N in (4, 16, 64):
             gval = sp.Integer(N) ** (2 * (1 - sp.Rational(s)))
-            got = delta_step(StepLawInput(N=N, s=s, g=gval))
+            got = delta_step(N, s, gval)
             expect = sp.Integer(N) ** (-4 * (1 - sp.Rational(s)))
             assert sp.simplify(got - expect) == 0
 
 
 def test_delta_step_float_path_agrees_with_exact():
     s, N, gval = 0.75, 16, 3.7
-    fl = delta_step(StepLawInput(N=N, s=s, g=gval))
-    ex = delta_step(StepLawInput(N=sp.Integer(N), s=sp.Rational(3, 4),
-                                 g=sp.Rational(37, 10)))
+    fl = delta_step(N, s, gval)
+    ex = delta_step(sp.Integer(N), sp.Rational(3, 4), sp.Rational(37, 10))
     assert abs(fl - float(ex)) < 1e-12 * float(ex)
 
 
 def test_delta_step_edge_cases():
-    assert delta_step(StepLawInput(N=4, s=Fraction(3, 4), g=0)) == 1
+    assert delta_step(4, Fraction(3, 4), 0) == 1
     with pytest.raises(ValueError):
-        delta_step(StepLawInput(N=4, s=0.5, g=1.0))
+        delta_step(4, 0.5, 1.0)
     with pytest.raises(ValueError):
-        delta_step(StepLawInput(N=0.5, s=0.75, g=1.0))
+        delta_step(0.5, 0.75, 1.0)
     with pytest.raises(ValueError):
-        delta_step(StepLawInput(N=4, s=0.75, g=-1.0))
+        delta_step(4, 0.75, -1.0)
     # tiny gradient: the unit cap binds
-    assert delta_step(StepLawInput(N=4, s=0.75, g=1e-8)) == 1.0
+    assert delta_step(4, 0.75, 1e-8) == 1.0
 
 
 def test_delta_step_monotone_in_g():
-    deltas = [delta_step(StepLawInput(N=8, s=0.75, g=g))
-              for g in (0.5, 2.0, 8.0, 32.0)]
+    deltas = [delta_step(8, 0.75, g) for g in (0.5, 2.0, 8.0, 32.0)]
     assert all(a >= b for a, b in zip(deltas, deltas[1:]))
 
 

@@ -1,4 +1,4 @@
-"""Oracles and properties for grids, transforms, norms, and serialization."""
+"""Oracles and properties for grids, transforms, norms, and projections."""
 
 import math
 
@@ -8,21 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpilab.grid import (BandKind, Field, FrequencyBand, Grid, Representation,
-                         band_project, field_from_bytes, field_to_bytes,
-                         forward_transform, gradient, homogeneous_norm,
-                         inverse_transform, load_field, lp_norm, save_field,
-                         sobolev_norm)
+                         band_project, forward_transform, inverse_transform,
+                         lp_norm, sobolev_norm)
 
 
-def random_field(grid, seed, band_limited=False):
+def random_field(grid, seed):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    f = Field.physical(grid, vals)
-    if band_limited:
-        g = forward_transform(f)
-        keep = grid.dealias_mask() & grid.nyquist_mask()
-        f = inverse_transform(Field.spectral(grid, g.values * keep))
-    return f
+    return Field.physical(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +114,6 @@ def test_sobolev_norm_on_plane_wave():
         assert abs(sobolev_norm(f, s) - expect) < 1e-10 * expect
 
 
-def test_homogeneous_norm_excludes_zero_mode():
-    g = Grid(dim=1, n=32, length=2 * np.pi)
-    f = Field.physical(g, np.ones(g.shape, dtype=complex))
-    assert homogeneous_norm(f, 1.0) == 0.0
-
-
-def test_homogeneous_norm_negative_s_rejects_mean():
-    g = Grid(dim=1, n=32, length=2 * np.pi)
-    f = Field.physical(g, 1.0 + np.exp(1j * g.x_mesh()[0]))
-    with pytest.raises(ValueError):
-        homogeneous_norm(f, -0.5)
-    # mean-free field is fine
-    f0 = Field.physical(g, np.exp(1j * g.x_mesh()[0]))
-    assert homogeneous_norm(f0, -0.5) > 0
-
-
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(min_value=1e-3, max_value=1e3),
        seed=st.integers(min_value=0, max_value=2 ** 31))
@@ -144,8 +121,7 @@ def test_norms_are_absolutely_homogeneous(scale, seed):
     g = Grid(dim=1, n=32, length=2 * np.pi)
     f = random_field(g, seed)
     fs = Field.physical(g, scale * f.values)
-    for norm in (lambda h: lp_norm(h, 2), lambda h: sobolev_norm(h, 0.7),
-                 lambda h: homogeneous_norm(h, 1.0)):
+    for norm in (lambda h: lp_norm(h, 2), lambda h: sobolev_norm(h, 0.7)):
         a, b = norm(fs), scale * norm(f)
         assert abs(a - b) <= 1e-9 * max(a, 1e-30)
 
@@ -180,70 +156,3 @@ def test_empty_band_warns_and_zeroes():
         out = band_project(f, FrequencyBand(1e6))
     assert np.all(out.values == 0)
 
-
-# ---------------------------------------------------------------------------
-# gradient
-
-def test_gradient_matches_analytic_plane_wave():
-    g = Grid(dim=2, n=32, length=2 * np.pi)
-    xs = g.x_mesh()
-    f = Field.physical(g, np.exp(1j * (3 * xs[0] - 2 * xs[1])))
-    gx, gy = gradient(f)
-    assert np.max(np.abs(gx.values - 3j * f.values)) < 1e-10
-    assert np.max(np.abs(gy.values + 2j * f.values)) < 1e-10
-
-
-def test_gradient_matches_finite_differences():
-    # eighth-order centered stencil on a smooth periodic profile
-    g = Grid(dim=1, n=128, length=2 * np.pi)
-    x = g.x_mesh()[0]
-    vals = np.exp(np.sin(x)) + 1j * np.cos(2 * x)
-    f = Field.physical(g, vals)
-    (gr,) = gradient(f)
-    c = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0, 4 / 5, -1 / 5,
-                  4 / 105, -1 / 280])
-    fd = sum(ci * np.roll(vals, 4 - i) for i, ci in enumerate(c)) / g.dx
-    assert np.max(np.abs(gr.values - fd)) < 1e-9
-
-
-def test_gradient_norm_equals_homogeneous_norm():
-    g = Grid(dim=2, n=32, length=2 * np.pi)
-    f = random_field(g, seed=9, band_limited=True)   # keep Nyquist-free
-    comps = gradient(f)
-    direct = math.sqrt(sum(lp_norm(c, 2) ** 2 for c in comps))
-    assert abs(direct - homogeneous_norm(f, 1.0)) < 1e-10 * max(direct, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-@pytest.mark.parametrize("rep", [Representation.PHYSICAL, Representation.SPECTRAL])
-def test_bytes_round_trip_is_exact(rep):
-    g = Grid(dim=2, n=16, length=3.5)
-    rng = np.random.default_rng(0)
-    f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape), rep)
-    back = field_from_bytes(field_to_bytes(f))
-    assert back.grid == f.grid
-    assert back.representation is rep
-    assert np.array_equal(back.values, f.values)
-
-
-def test_file_round_trip(tmp_path):
-    g = Grid(dim=1, n=32, length=1.0)
-    f = random_field(g, seed=4)
-    path = tmp_path / "state.gpfd"
-    save_field(f, path)
-    back = load_field(path)
-    assert np.array_equal(back.values, f.values)
-
-
-def test_bad_magic_is_rejected():
-    with pytest.raises(ValueError):
-        field_from_bytes(b"NOPE" + b"\x00" * 64)
-
-
-def test_truncated_payload_is_rejected():
-    g = Grid(dim=1, n=16, length=1.0)
-    buf = field_to_bytes(Field.zero(g))
-    with pytest.raises(ValueError):
-        field_from_bytes(buf[:-8])

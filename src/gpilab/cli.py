@@ -316,21 +316,21 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     if isinstance(raw, dict):   # command-line overrides win, and are checked too
         raw.update((k, v) for k, v in (("seed", seed_override),
                                        ("out_dir", out_override)) if v is not None)
-    at = _members(text, _SEPARATORS.match(text).end())
-    top = _resolve(raw, _CONFIG, "config", path, 1, at)
+    members = _members(text, _SEPARATORS.match(text).end())
+    top = _resolve(raw, _CONFIG, "config", path, 1, members)
     sub = top["subcommand"]
     where = f"params for '{sub}'"
-    line, pos = at["params"]
-    at = _members(text, pos)
-    params = _resolve(top["params"], _COMMANDS[sub][1], where, path, line, at)
+    line, pos = members["params"]
+    members = _members(text, pos)
+    params = _resolve(top["params"], _COMMANDS[sub][1], where, path, line, members)
     if sub == "simulate":
-        line, pos = at["datum"]
+        line, pos = members["datum"]
         params["datum"] = _resolve(params["datum"],
                                    _datum_fields(params["datum"], params["length"]),
                                    "datum", path, line, _members(text, pos))
         if (params["N"] is None) != (params["s"] is None):
             given = "s" if params["N"] is None else "N"
-            raise ConfigError(f"{path}:{at[given][0]}: N and s must be given "
+            raise ConfigError(f"{path}:{members[given][0]}: N and s must be given "
                               f"together in {where}")
     if not top["out_dir"]:
         raise ConfigError(f"{path}:1: no output directory (out_dir field or --out)")

@@ -109,6 +109,12 @@ def _cases(v):
     return v
 
 
+def _cast(cast, value):
+    if isinstance(value, bool):   # no field takes a boolean
+        raise TypeError(f"booleans are not accepted, got {value!r}")
+    return value if cast is None else cast(value)
+
+
 def _resolve(obj, fields: dict, where: str, path: str, line: int, members: dict) -> dict:
     """Check ``obj``, whose key is on ``line`` and whose ``members`` come from
     `_members`, against ``fields``, name -> (cast, default) with cast None
@@ -122,9 +128,7 @@ def _resolve(obj, fields: dict, where: str, path: str, line: int, members: dict)
         value = obj.get(name, default)
         if value is not default:   # defaults are declared already resolved
             try:
-                if isinstance(value, bool):   # no field takes a boolean
-                    raise TypeError(f"booleans are not accepted, got {value!r}")
-                value = value if cast is None else cast(value)
+                value = _cast(cast, value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{members.get(name, (0,))[0]}: field "
                                   f"'{name}' in {where}: {exc}") from exc
@@ -305,6 +309,14 @@ _CONFIG = {"subcommand": (_one_of(_COMMANDS), REQUIRED), "params": (None, REQUIR
 
 
 def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
+    overrides = {}
+    for option, name, value in (("--seed", "seed", seed_override),
+                                ("--out", "out_dir", out_override)):
+        if value is not None:   # no line in the file: the error names the option
+            try:
+                overrides[name] = _cast(_CONFIG[name][0], value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"option {option}: {exc}") from exc
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -313,9 +325,8 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if isinstance(raw, dict):   # command-line overrides win, and are checked too
-        raw.update((k, v) for k, v in (("seed", seed_override),
-                                       ("out_dir", out_override)) if v is not None)
+    if isinstance(raw, dict):   # command-line overrides win
+        raw.update(overrides)
     members = _members(text, _SEPARATORS.match(text).end())
     top = _resolve(raw, _CONFIG, "config", path, 1, members)
     sub = top["subcommand"]

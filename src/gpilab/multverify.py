@@ -28,6 +28,20 @@ class InfeasibleRegionError(RuntimeError):
     """Rejection sampling delivered fewer admissible points than asked."""
 
 
+def _norm3(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm over a last axis of length 3, summed in the order that
+    makes it bitwise equal to ``np.linalg.norm(X, axis=-1)``."""
+    x, y, z = X[..., 0], X[..., 1], X[..., 2]
+    out = x * x
+    out += y * y
+    out += z * z
+    return np.sqrt(out, out=out)
+
+
+# compare-exchange pairs that sort a block of 1, 2 or 3 columns descending
+_NETWORKS = {1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}
+
+
 @dataclass(frozen=True)
 class MultiplierExpr:
     label: str
@@ -35,6 +49,10 @@ class MultiplierExpr:
     commutator: bool = True
     solve: int = 0              # frequency closing the zero-sum constraint, -1: none
     arity = property(lambda self: sum(len(g) for g in self.groups))
+
+    def __post_init__(self):
+        if any(len(g) not in _NETWORKS for g in self.groups):
+            raise ValueError(f"{self.label}: blocks hold 1 to 3 frequencies")
 
 
 LWP_CUBIC = MultiplierExpr("lwp-cubic", ((0, 1, 2),), False, -1)
@@ -57,13 +75,13 @@ def eval_multiplier(expr: MultiplierExpr, xis, N: float, s: float):
     X = xis[None] if xis.ndim == 2 else xis
     if X.shape[1:] != (expr.arity, 3):
         raise ValueError(f"expected shape (count, {expr.arity}, 3), got {X.shape}")
-    mags = np.linalg.norm(X, axis=-1)
+    mags = _norm3(X)
     if (mags < SINGULAR_EPS).any():
         raise SingularInputError("frequency magnitude below 1e-9")
     spec = MultiplierSpec(N=N, s=s)
     for k, g in enumerate(expr.groups):
         block = slice(g[0], g[-1] + 1)
-        ssum = np.linalg.norm(X[:, block].sum(axis=1), axis=-1)
+        ssum = _norm3(X[:, block].sum(axis=1))
         msum = multiplier_value(spec, ssum)
         mm = multiplier_value(spec, mags[:, block]).prod(axis=1)
         part = np.abs(msum - mm) / mm if k == 0 and expr.commutator else msum / mm
@@ -99,9 +117,14 @@ class VerifyCase:
         return f"{self.expr.label}/{self.case}"
 
     def sorted_mags(self, mags: np.ndarray) -> np.ndarray:
-        Q = np.empty_like(mags)
+        """Magnitudes sorted descending inside each block, by a min/max network."""
+        Q = mags.copy(order="K")
         for g in self.expr.groups:
-            Q[:, g[0]:g[-1] + 1] = np.sort(mags[:, g[0]:g[-1] + 1], axis=1)[:, ::-1]
+            for i, j in _NETWORKS[len(g)]:
+                a, b = Q[:, g[i]], Q[:, g[j]]
+                hi = np.maximum(a, b)
+                np.minimum(a, b, out=b)
+                a[...] = hi
         return Q
 
     def holds(self, Q: np.ndarray, N: float) -> np.ndarray:
@@ -234,38 +257,46 @@ def catalog_by_label(label: str) -> VerifyCase:
 
 def sample_region(case: VerifyCase, N: float, count: int, seed: int):
     """Draw `count` tuples in the case region, log-uniform magnitudes and uniform
-    directions, with the counts of rejected and singular candidates; raise
-    InfeasibleRegionError if 200 rounds yield fewer than `count`."""
+    directions.  Each round draws 4x the shortfall, at least 2000 candidates, and
+    keeps its first admissible ones in draw order; the counts of rejected and
+    singular candidates cover every candidate drawn.  Raise InfeasibleRegionError
+    if 200 rounds yield fewer than `count`."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     arity, solve = case.expr.arity, case.expr.solve
     free = [i for i in range(arity) if i != solve]
-    out, rejected, singular = np.empty((0, arity, 3)), 0, 0
+    out, have, rejected, singular = np.empty((count, arity, 3)), 0, 0, 0
     for _ in range(200):
-        if out.shape[0] >= count:
+        if have >= count:
             break
-        c = max(4 * (count - out.shape[0]), 2000)
-        X = np.empty((c, arity, 3))
+        c = max(4 * (count - have), 2000)
+        F = np.empty((arity, c, 3))     # F[i]: frequency i of every candidate
         for code, i in zip(case.free_ranges, free, strict=True):
             lo, hi = WINDOWS[code]
-            mag = np.exp(rng.uniform(np.log(lo * N), np.log(hi * N), size=c))
-            d = rng.standard_normal((c, 3))
-            d /= np.linalg.norm(d, axis=1, keepdims=True)
-            X[:, i] = mag[:, None] * d
-        if solve >= 0:
-            X[:, solve] = -X[:, free].sum(axis=1)
-        mags = np.linalg.norm(X, axis=-1)
-        sing = (mags < SINGULAR_EPS).any(axis=1)
-        ok = case.holds(case.sorted_mags(mags), N) & ~sing
-        singular += int(sing.sum())
-        rejected += int((~ok).sum() - sing.sum())
-        out = np.concatenate([out, X[ok]], axis=0)
-    if len(out) < count:
+            mag = rng.uniform(np.log(lo * N), np.log(hi * N), size=c)
+            rng.standard_normal((c, 3), out=F[i])
+            F[i] /= _norm3(F[i])[:, None]
+            F[i] *= np.exp(mag, out=mag)[:, None]
+        if solve >= 0:          # minus the sum of the free ones, added in order
+            np.copyto(F[solve], F[free[0]])
+            for i in free[1:]:
+                F[solve] += F[i]
+            np.negative(F[solve], out=F[solve])
+        mags = _norm3(F)
+        sing = (mags < SINGULAR_EPS).any(axis=0)
+        ok = case.holds(case.sorted_mags(mags.T), N) & ~sing
+        n_sing, n_ok = int(sing.sum()), int(ok.sum())
+        singular += n_sing
+        rejected += c - n_ok - n_sing
+        take = np.flatnonzero(ok)[:count - have]
+        out[have:have + len(take)] = F[:, take].transpose(1, 0, 2)
+        have += len(take)
+    if have < count:
         raise InfeasibleRegionError(
-            f"region {case.label} gave {len(out)} of {count} samples at N={N}, "
-            f"acceptance rate {len(out) / (len(out) + rejected + singular):.3g}")
-    return out[:count], {"rejected": rejected, "singular": singular}
+            f"region {case.label} gave {have} of {count} samples at N={N}, "
+            f"acceptance rate {have / (have + rejected + singular):.3g}")
+    return out, {"rejected": rejected, "singular": singular}
 
 
 @dataclass(frozen=True)
@@ -289,7 +320,7 @@ def verify_bound(case: VerifyCase, N_list=(4, 8, 16, 32),
     per_N, rejections, best = {}, {}, (-np.inf, None)
     for k, N in enumerate(N_list):
         X, stats = sample_region(case, N, samples_per_N, seed=seed + 7919 * k)
-        bound = case.bound(case.sorted_mags(np.linalg.norm(X, axis=-1)), N, s)
+        bound = case.bound(case.sorted_mags(_norm3(X)), N, s)
         ratio = eval_multiplier(case.expr, X, N, s) / bound
         i = int(np.argmax(ratio))
         per_N[N], rejections[N] = float(ratio[i]), stats["rejected"]

@@ -100,6 +100,17 @@ def test_overrides_take_precedence(tmp_path):
     assert cfg.out_dir.endswith("b")
 
 
+@pytest.mark.parametrize("given", [{}, {"seed": 3}], ids=["no-seed", "seed-in-file"])
+def test_bad_override_names_its_option(tmp_path, capsys, given):
+    # an override has no line in the file, so the error names the option
+    path = write_config(tmp_path, {"subcommand": "ledger", "params": {"s_grid": []},
+                                   "out_dir": "x", **given})
+    assert main(["--config", path, "--seed", "-1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: option --seed: seed must be")
+    assert "cfg.json" not in err
+
+
 # ---------------------------------------------------------------------------
 # runs and artifacts
 

@@ -1,16 +1,18 @@
 """Tests of the multiplier expressions, region sampler, and bound checks."""
 
+import hashlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gpilab.ioperator import MultiplierSpec, multiplier_value
-from gpilab.multverify import (CATALOG, InfeasibleRegionError, VerifyCase,
-                               LWP_CUBIC, LWP_QUADRATIC, COMM_CUBIC,
-                               SingularInputError, catalog_by_label,
+from gpilab.multverify import (CATALOG, InfeasibleRegionError, MultiplierExpr,
+                               VerifyCase, LWP_CUBIC, LWP_QUADRATIC, COMM_CUBIC,
+                               SingularInputError, _norm3, catalog_by_label,
                                eval_multiplier, sample_region, verify_bound)
 
 
@@ -86,6 +88,50 @@ def test_large_N_collapse_to_unsmoothed_form():
     assert eval_multiplier(COMM_CUBIC, X, N, 0.75) == 0.0
 
 
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e200, -1e200]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       edges=st.lists(st.tuples(st.integers(0, 191), st.sampled_from(_EDGE_VALUES)),
+                      max_size=24))
+def test_norm3_is_bitwise_linalg_norm(seed, edges):
+    # rows of comparable components, whose squares round differently when
+    # summed in another order, scaled from subnormal to overflowing
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((4, 16, 3)) * 10.0 ** rng.integers(-320, 200, (4, 16, 1))
+    for pos, value in edges:
+        X.flat[pos] = value
+    with np.errstate(over="ignore"):   # 1e200 squared overflows to inf in both
+        want = np.linalg.norm(X, axis=-1)
+        got, got_rows = _norm3(X), _norm3(X[0])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got_rows.view(np.uint64), want[0].view(np.uint64))
+
+
+_BLOCKS = VerifyCase(MultiplierExpr("blocks", ((0,), (1, 2), (3, 4, 5))), "all",
+                     "", "")
+
+
+@settings(max_examples=30, deadline=None)
+@given(mags=arrays(np.float64, st.tuples(st.integers(1, 40), st.just(6)),
+                   elements=st.one_of(st.floats(0, 1e300),
+                                      st.sampled_from([0.0, 1.0, 1.5, 5e-324]))))
+def test_sorted_mags_network_matches_sort(mags):
+    # small pools make ties and exact duplicates common
+    got = _BLOCKS.sorted_mags(mags)
+    for block in (slice(0, 1), slice(1, 3), slice(3, 6)):
+        want = np.sort(mags[:, block], axis=1)[:, ::-1]
+        assert np.array_equal(got[:, block].view(np.uint64), want.view(np.uint64))
+    # the sampler passes a column-major view
+    assert np.array_equal(_BLOCKS.sorted_mags(mags.T.copy().T), got)
+
+
+def test_blocks_beyond_three_frequencies_are_refused():
+    with pytest.raises(ValueError, match="1 to 3"):
+        MultiplierExpr("quartic-block", ((0, 1, 2, 3),))
+
+
 # ---------------------------------------------------------------------------
 # regions and sampling
 
@@ -133,6 +179,38 @@ def test_sample_region_raises_on_under_delivery():
     message = r"gave 28 of 1000 samples at N=4\.0, acceptance rate 3\.55e-05"
     with pytest.raises(InfeasibleRegionError, match=message):
         sample_region(rare, N=4.0, count=1000, seed=0)
+
+
+# sha256 of the samples and the exact (rejected, singular) at N = 4 and 32,
+# 2000 samples, seed 3, then verify_bound's per-N maxima on the same draws,
+# recorded before the sampler worked in place, which must keep every bit
+PINNED_SAMPLES = {
+    "lwp-cubic/case2": (
+        {4: ("706ebca5f4b3d1958363accb36ac8abe2acc1ef84595a98e1667f729a7bfbc13", 0, 0),
+         32: ("954d21195a2743213e268afdcc98461917accd4adfc1f634a699560a046c9a31", 0, 0)},
+        {4: "0x1.a8103baab9815p+0", 32: "0x1.a32189735df73p+0"}),
+    "sextic/case3c-meanvalue": (
+        {4: ("4a63e8d6bb9114a16038003a66ca04ff8064f62857cf8095c0267b30bb8b963f", 132, 0),
+         32: ("1d3246c89a47a6cdd6e5fa37a00463555e70a50fcedc20b3ddc36636b34ff127", 132, 0)},
+        {4: "0x1.245a896d91608p-1", 32: "0x1.4b688068445dep-1"}),
+    "quintic-cubic-pair/case3b": (
+        {4: ("b1436981fa13b4dc789edaf35f5692b44977ed139355e0d25c7c9e29d051d3d5", 93, 0),
+         32: ("802a8eccd6ea79a0387e5c2e28df3f2ad35dcdbb0f8bee38d8fa9b014d384060", 93, 0)},
+        {4: "0x1.c01fee0fc8e81p-1", 32: "0x1.bfebc554e3ae5p-1"}),
+}
+
+
+@pytest.mark.parametrize("label", list(PINNED_SAMPLES))
+def test_sampler_pinned_bitwise(label):
+    case = catalog_by_label(label)
+    samples, per_N = PINNED_SAMPLES[label]
+    for N, (digest, rejected, singular) in samples.items():
+        X, stats = sample_region(case, float(N), 2000, seed=3)
+        assert X.shape == (2000, case.expr.arity, 3)
+        assert hashlib.sha256(X.tobytes()).hexdigest() == digest
+        assert (stats["rejected"], stats["singular"]) == (rejected, singular)
+    rep = verify_bound(case, N_list=(4, 32), samples_per_N=2000, seed=3)
+    assert rep.per_N == {N: float.fromhex(v) for N, v in per_N.items()}
 
 
 def test_sample_region_count_validation():

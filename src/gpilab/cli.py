@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid
-from .ioperator import MultiplierSpec, reports_to_csv
+from .ioperator import MultiplierSpec
 from .dynamics import (BlowUpError, EvolveConfig, almost_conservation_experiment,
                        evolve, l2_growth_audit, rough_datum)
 from .bench import bilinear_sweep, strichartz_ratio_sweep
@@ -174,6 +174,12 @@ def _csv(header: str, rows) -> str:
                    for row in [(header,), *rows])
 
 
+def _energy_csv(reports) -> str:
+    return _csv("time,kinetic,potential,total,l2,N,s",
+                [(r.time, r.kinetic, r.potential, r.total, r.l2, r.N, r.s)
+                 for r in reports])
+
+
 def _build_datum(grid: Grid, datum: dict, seed: int) -> Field:
     if datum["kind"] == "zero":
         return Field.zero(grid)
@@ -206,9 +212,8 @@ def _run_simulate(cfg: RunConfig):
     try:
         traj = evolve(u0, ecfg, specs)
     except BlowUpError as exc:
-        done = exc.trajectory.reports if exc.trajectory is not None else ()
-        csvs = {"energy.csv": reports_to_csv(done)} if done else {}
-        return ({"status": "blow-up", "time": exc.time}, csvs, EXIT_NUMERIC)
+        return ({"status": "blow-up", "time": exc.time},
+                {"energy.csv": _energy_csv(exc.trajectory.reports)}, EXIT_NUMERIC)
     reports = list(traj.reports) + [r for sp in specs for r in traj.reports_I[sp]]
     audit = l2_growth_audit(traj)
     summary = {"status": "ok", "final_l2": traj.reports[-1].l2,
@@ -216,7 +221,7 @@ def _run_simulate(cfg: RunConfig):
                "l2_audit": {"differential_margin": audit.differential_margin,
                             "gronwall_margin": audit.gronwall_margin,
                             "violations": audit.violations}}
-    return summary, {"energy.csv": reports_to_csv(reports)}, EXIT_OK
+    return summary, {"energy.csv": _energy_csv(reports)}, EXIT_OK
 
 
 def _run_almost_conservation(cfg: RunConfig):

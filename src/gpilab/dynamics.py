@@ -8,9 +8,10 @@ integrated by Strang splitting on raw FFT coefficients: exact spectral
 half-step for the linear part, one classical RK4 update for the pointwise
 ODE u' = i F(u), with 2/3-rule dealiasing after the nonlinear product.
 `evolve` is the one stepper; its records take E(u) and every E(Iu) from
-the coefficients it holds.  Also here: the L^2 growth audits, the
-step-size law, the almost-conservation sweep, and the segment-iterated
-global run.
+the coefficients it holds and keep scalars only, so a trajectory holds
+one state, the final one, however many records it makes.  Also here: the
+L^2 growth audits, the step-size law, the almost-conservation sweep, and
+the segment-iterated global run.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ __all__ = [
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the state turns non-finite; carries the time stamp."""
+    """Raised when the state turns non-finite; carries the time stamp and
+    the trajectory recorded up to it (at least the t = 0 record)."""
 
-    def __init__(self, time: float, trajectory=None):
+    def __init__(self, time: float, trajectory: "Trajectory"):
         super().__init__(f"non-finite values at t = {time:.6g}")
         self.time = time
         self.trajectory = trajectory
@@ -70,9 +72,10 @@ class EvolveConfig:
 
 @dataclass
 class Trajectory:
-    snapshots: list                 # [(time, Field[Physical])]
+    snapshots: list                 # [(time, ||u||_{L^3})], one per record
     reports: list                   # EnergyReport for u
     reports_I: dict                 # MultiplierSpec -> [EnergyReport]
+    final: Field                    # physical state of the last record
     cfg: EvolveConfig
 
     def times(self):
@@ -108,8 +111,10 @@ def _step_raw(uh, half_phase, dt, mask, nonlinear):
 def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     """Integrate u0 to t_end, reporting E(u) and E(Iu) at the cadence.
 
-    A record costs one inverse FFT for the snapshot and E(u) and one per
-    spec for Iu; kinetic terms and l2 come from the coefficients.
+    A record costs one inverse FFT for u, which gives E(u) and ||u||_{L^3},
+    and one per spec for Iu; kinetic terms and l2 come from the
+    coefficients.  Records keep scalars only; the state of the last record,
+    at t_end, is kept as `final`.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum lives on a different grid")
@@ -126,11 +131,11 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     w = grid.dx ** grid.dim
 
     traj = Trajectory(snapshots=[], reports=[], reports_I={sp: [] for sp in specs},
-                      cfg=cfg)
+                      final=None, cfg=cfg)
 
     def record(t, uh_now):
-        f = Field.physical(grid, np.fft.ifftn(uh_now))
-        traj.snapshots.append((t, f))
+        traj.final = f = Field.physical(grid, np.fft.ifftn(uh_now))
+        traj.snapshots.append((t, lp_norm(f, 3)))
         traj.reports.append(_energy_report(uh_now * scale, xi2, f.values, w, t))
         for sp, m in zip(specs, m_N):
             ch = uh_now * m
@@ -171,8 +176,8 @@ def l2_growth_audit(traj: Trajectory) -> GrowthAudit:
         raise ValueError("audit needs at least three snapshots")
     ts = np.array(traj.times())
     l2 = np.array([r.l2 for r in traj.reports])
-    rhs = np.array([2.0 * (lp_norm(f, 3) ** 3 + 2.0 * r.l2 ** 2)
-                    for (_, f), r in zip(traj.snapshots, traj.reports)])
+    rhs = np.array([2.0 * (l3 ** 3 + 2.0 * r.l2 ** 2)
+                    for (_, l3), r in zip(traj.snapshots, traj.reports)])
     scale = float(rhs.max()) if rhs.max() > 0 else 1.0
     tol = 10.0 * traj.cfg.dt * scale
 
@@ -345,7 +350,7 @@ def iterate_global(u0: Field, s: float, N: float, T: float,
         n_sub = max(1, int(math.ceil(delta / dt_hint)))
         traj = evolve(u, EvolveConfig(grid=u.grid, dt=delta / n_sub, t_end=delta,
                                       diagnostics_every=n_sub))
-        u = traj.snapshots[-1][1]
+        u = traj.final
         t += delta
     e0 = segments[0].modified_energy
     if e0 <= 0:

@@ -13,7 +13,6 @@ on [0, 1]).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ from .grid import Field, as_physical, as_spectral, inverse_transform
 __all__ = [
     "MultiplierSpec", "EnergyReport", "multiplier_value", "energy",
     "modified_energy", "gradient_I_norm",
-    "reports_to_csv", "CSV_HEADER",
 ]
 
 
@@ -74,18 +72,6 @@ class EnergyReport:
     def __post_init__(self):
         if self.kinetic < 0 or self.potential < 0:
             raise ValueError("energy parts must be nonnegative")
-
-
-CSV_HEADER = "time,kinetic,potential,total,l2,N,s"
-
-
-def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in reports:
-        buf.write(f"{r.time:.17g},{r.kinetic:.17g},{r.potential:.17g},"
-                  f"{r.total:.17g},{r.l2:.17g},{r.N:.17g},{r.s:.17g}\n")
-    return buf.getvalue()
 
 
 def _energy_report(coef, xi2, u, w, time, N=np.inf, s=1.0) -> EnergyReport:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config validation, artifacts, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import pytest
 
 from gpilab.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK,
                         ConfigError, load_config, main)
+from gpilab.dynamics import Trajectory
+from gpilab.ioperator import EnergyReport
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -162,6 +165,30 @@ def test_simulate_blow_up_exit_code(tmp_path):
         assert main(["--config", path]) == EXIT_NUMERIC
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "blow-up"
+    # the records made before the blow-up, at least the one at t = 0
+    rows = (out / "energy.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) >= 1 and rows[0].startswith("0,")
+
+
+def test_simulate_artifacts_pinned(tmp_path):
+    # sha256 of a small 3D rough run with an I-spec; any change to the
+    # stepper, the records, the audit or the CSV format shows here.  Taken
+    # with numpy 2.4.6 on x86-64: another FFT or libm build may move them
+    out = tmp_path / "sim"
+    path = write_config(tmp_path, {
+        "subcommand": "simulate",
+        "params": {"dim": 3, "n": 16, "length": 6.283185307179586, "dt": 0.01,
+                   "t_end": 0.05, "datum": {"kind": "rough", "s": 0.9},
+                   "N": 4, "s": 0.9},
+        "seed": 1, "out_dir": str(out),
+    })
+    assert main(["--config", path]) == EXIT_OK
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("summary.json", "energy.csv")}
+    assert digests == {
+        "summary.json": "5b37821e13173f49121e1ff7bc9471fc1f735745d8e034a80b3b669931f5c363",
+        "energy.csv": "3e97a30e836024af1ed7e93d8171563e5caeeec1748b5868255ef452636a4bfe",
+    }
 
 
 def test_multiplier_verify_gate_failure_exit(tmp_path):
@@ -362,6 +389,16 @@ def _report(case, **kwargs):
                            slope=-2, per_N={4: 1.0}, passed=passed, flagged=False)
 
 
+def _trajectory(u0, cfg, specs):
+    def reports(**spec):
+        return [EnergyReport(time=t, kinetic=THIRD, potential=BIG, total=2.5, l2=1.0,
+                             **spec) for t in (0.0, 0.5, 1.0)]
+    return Trajectory(snapshots=[(t, 1.0) for t in (0.0, 0.5, 1.0)],
+                      reports=reports(),
+                      reports_I={sp: reports(N=sp.N, s=sp.s) for sp in specs},
+                      final=u0, cfg=cfg)
+
+
 def _ledger_rows(s_grid):
     return [{"s": s, "increment_exponents": [THIRD, "1/2", 7, "-5/2"],
              "dominant_index": 3, "dominant_exponent": "1/2", "step_exponent": "2/5",
@@ -370,6 +407,18 @@ def _ledger_rows(s_grid):
 
 
 CSV_CASES = {
+    "simulate": (
+        "evolve", _trajectory,
+        {"dim": 1, "n": 16, "length": 6.283185307179586, "dt": 0.5, "t_end": 1.0,
+         "datum": {"kind": "zero"}, "N": 4, "s": 0.9},
+        "energy.csv",
+        "time,kinetic,potential,total,l2,N,s\n"
+        "0,0.30000000000000004,1.2345678901234568e+17,2.5,1,inf,1\n"
+        "0.5,0.30000000000000004,1.2345678901234568e+17,2.5,1,inf,1\n"
+        "1,0.30000000000000004,1.2345678901234568e+17,2.5,1,inf,1\n"
+        "0,0.30000000000000004,1.2345678901234568e+17,2.5,1,4,0.90000000000000002\n"
+        "0.5,0.30000000000000004,1.2345678901234568e+17,2.5,1,4,0.90000000000000002\n"
+        "1,0.30000000000000004,1.2345678901234568e+17,2.5,1,4,0.90000000000000002\n"),
     "almost-conservation": (
         "almost_conservation_experiment",
         lambda *args, **kwargs: SimpleNamespace(

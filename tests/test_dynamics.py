@@ -1,6 +1,8 @@
 """Integrator, growth audits, step law, and the conservation sweeps."""
 
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +42,7 @@ def test_linear_step_preserves_l2_exactly():
     g = Grid(dim=1, n=64, length=2 * np.pi)
     f = smooth_datum(g)
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.01, nonlinearity_enabled=False)
-    out = evolve(f, cfg).snapshots[-1][1]
+    out = evolve(f, cfg).final
     assert abs(lp_norm(out, 2) - lp_norm(f, 2)) < 1e-13
 
 
@@ -52,18 +54,21 @@ def test_linear_evolution_matches_spectral_phase():
     traj = evolve(f, cfg)
     coef = forward_transform(f).values
     exact = coef * np.exp(1j * g.xi_abs() ** 2 * 0.1)
-    got = forward_transform(traj.snapshots[-1][1]).values
+    got = forward_transform(traj.final).values
     assert np.max(np.abs(got - exact)) < 1e-12
 
 
 def test_records_match_field_energies():
     # the coefficient-side records agree with energy/modified_energy on the
-    # recorded snapshots
+    # state at each record time, taken as the final state of a run to it
     g = Grid(dim=2, n=32, length=2 * np.pi)
     specs = (MultiplierSpec(N=2.0, s=0.8), MultiplierSpec(N=4.0, s=0.6))
-    cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.05, diagnostics_every=5)
-    traj = evolve(rough_datum(g, 0.8, seed=2), cfg, specs)
-    for k, (t, f) in enumerate(traj.snapshots):
+    cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.1, diagnostics_every=5)
+    u0 = rough_datum(g, 0.8, seed=2)
+    traj = evolve(u0, cfg, specs)
+    assert traj.times() == [0.0, 0.05, 0.1]
+    for k, t in enumerate(traj.times()):
+        f = u0 if t == 0 else evolve(u0, dataclasses.replace(cfg, t_end=t)).final
         reps = [(traj.reports[k], energy(f, time=t))]
         reps += [(traj.reports_I[sp][k], modified_energy(f, sp, time=t))
                  for sp in specs]
@@ -72,6 +77,35 @@ def test_records_match_field_energies():
             for name in ("kinetic", "potential", "total", "l2"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert abs(a - b) <= 1e-13 * abs(b)
+
+
+def test_records_keep_scalars_and_the_final_state():
+    g = Grid(dim=1, n=64, length=2 * np.pi)
+    cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.05, diagnostics_every=1)
+    traj = evolve(smooth_datum(g), cfg)
+    assert all(type(t) is float and type(l3) is float for t, l3 in traj.snapshots)
+    assert traj.snapshots[-1][1] == lp_norm(traj.final, 3)
+
+
+def test_record_memory_does_not_grow_with_record_count():
+    # 201 records against 2 over the same 200 steps: keeping one state per
+    # record would add about 200 states to the peak, scalars add a few
+    g = Grid(dim=1, n=1024, length=16 * np.pi)
+    u0 = rough_datum(g, 0.9, seed=1)
+    state_bytes = 16 * g.n
+
+    def peak(every):
+        cfg = EvolveConfig(grid=g, dt=1e-3, t_end=0.2, diagnostics_every=every)
+        tracemalloc.start()
+        try:
+            traj = evolve(u0, cfg)
+            return tracemalloc.get_traced_memory()[1], len(traj.snapshots)
+        finally:
+            tracemalloc.stop()
+
+    (few, n_few), (many, n_many) = peak(200), peak(1)
+    assert (n_few, n_many) == (2, 201)
+    assert many - few < 16 * state_bytes
 
 
 def test_record_transform_count(monkeypatch):

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from gpilab.grid import (Field, Grid, band_project, FrequencyBand, BandKind,
                          inverse_transform)
-from gpilab.ioperator import (CSV_HEADER, EnergyReport, MultiplierSpec,
-                              energy, gradient_I_norm, modified_energy,
-                              multiplier_value, reports_to_csv)
+from gpilab.ioperator import (EnergyReport, MultiplierSpec, energy,
+                              gradient_I_norm, modified_energy, multiplier_value)
 
 
 def test_spec_validation():
@@ -115,14 +114,6 @@ def test_gradient_I_norm_comparator():
     assert gradient_I_norm(f, spec) < math.sqrt(energy(f).kinetic)
 
 
-def test_report_validation_and_csv():
+def test_report_validation():
     with pytest.raises(ValueError):
         EnergyReport(time=0.0, kinetic=-1.0, potential=0.0, total=0.0, l2=0.0)
-    reps = [EnergyReport(time=0.5, kinetic=1.0, potential=0.25, total=1.25, l2=2.0)]
-    text = reports_to_csv(reps)
-    lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    cols = lines[1].split(",")
-    assert float(cols[0]) == 0.5 and float(cols[3]) == 1.25
-    # full precision round trip
-    assert float(cols[4]) == 2.0

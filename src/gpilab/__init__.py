@@ -3,7 +3,7 @@ Gross-Pitaevskii equation on periodic boxes.
 
 Modules
 -------
-grid        periodic grids, spectral fields, norms, band projections
+grid        periodic grids, physical fields, unitary FFTs, norms, band projections
 ioperator   the smoothing multiplier m_N, I_N, energy functionals
 dynamics    split-step integrator, growth audits, step law, sweeps
 bench       Strichartz / bilinear benches

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BandKind, Field, FrequencyBand, Grid, as_spectral
+from .grid import BandKind, FrequencyBand, Grid
 from .fitting import loglog_fit
 
 __all__ = [
@@ -90,8 +90,8 @@ def time_cutoff(ts, T: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # linear Strichartz sweep
 
-def band_datum(grid: Grid, N: float, seed: int) -> Field:
-    """Random spectral field supported on the annulus |xi| ~ N, unit L^2."""
+def band_datum(grid: Grid, N: float, seed: int) -> np.ndarray:
+    """Unitary coefficients of a random datum on the annulus |xi| ~ N, unit L^2."""
     rng = np.random.default_rng(seed)
     mask = FrequencyBand(N, BandKind.ANNULUS).mask(grid)
     if not mask.any():
@@ -99,13 +99,12 @@ def band_datum(grid: Grid, N: float, seed: int) -> Field:
     coef = (rng.standard_normal(grid.shape)
             + 1j * rng.standard_normal(grid.shape)) * mask
     coef /= np.linalg.norm(coef)
-    return Field.spectral(grid, coef)
+    return coef
 
 
 def strichartz_ratio_sweep(q: float, r: float, T: float,
                            centers=(4, 8, 16, 32), seeds: int = 4,
-                           grid: Grid = None, data_family=band_datum,
-                           m: int = 24, seed0: int = 100) -> dict:
+                           grid: Grid = None, m: int = 24, seed0: int = 100) -> dict:
     """Ratio ||cutoff * e^{itLap} f||_{L^q L^r} / ||f||_{L^2} over band centers.
 
     Boundedness of the estimate shows up as a near-zero fitted slope of the
@@ -124,7 +123,7 @@ def strichartz_ratio_sweep(q: float, r: float, T: float,
     for N in centers:
         ratios = []
         for j in range(seeds):
-            coef = as_spectral(data_family(grid, N, seed0 + j)).values
+            coef = band_datum(grid, N, seed0 + j)
             l2 = float(np.linalg.norm(coef))
             norms = np.zeros(m)
             for i, (t, wt) in enumerate(zip(ts, wts)):

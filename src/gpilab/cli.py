@@ -186,8 +186,8 @@ def _build_datum(grid: Grid, datum: dict, seed: int) -> Field:
     if datum["kind"] == "rough":
         return rough_datum(grid, datum["s"], seed)
     r2 = sum((x - grid.length / 2) ** 2 for x in grid.x_mesh())
-    return Field.physical(grid, datum["amplitude"]
-                          * np.exp(-r2 / (2 * datum["width"] ** 2)).astype(complex))
+    return Field(grid, datum["amplitude"]
+                 * np.exp(-r2 / (2 * datum["width"] ** 2)).astype(complex))
 
 
 def _datum_fields(datum, length: float) -> dict:
@@ -209,19 +209,22 @@ def _run_simulate(cfg: RunConfig):
     ecfg = EvolveConfig(grid=grid, dt=p["dt"], t_end=p["t_end"],
                         diagnostics_every=p["diagnostics_every"])
     specs = () if p["N"] is None else (MultiplierSpec(N=p["N"], s=p["s"]),)
+    blow_up = None
     try:
         traj = evolve(u0, ecfg, specs)
-    except BlowUpError as exc:
-        return ({"status": "blow-up", "time": exc.time},
-                {"energy.csv": _energy_csv(exc.trajectory.reports)}, EXIT_NUMERIC)
+    except BlowUpError as exc:      # keep the records made before it
+        traj, blow_up = exc.trajectory, exc.time
     reports = list(traj.reports) + [r for sp in specs for r in traj.reports_I[sp]]
+    csvs = {"energy.csv": _energy_csv(reports)}
+    if blow_up is not None:
+        return {"status": "blow-up", "time": blow_up}, csvs, EXIT_NUMERIC
     audit = l2_growth_audit(traj)
     summary = {"status": "ok", "final_l2": traj.reports[-1].l2,
                "final_energy": traj.reports[-1].total,
                "l2_audit": {"differential_margin": audit.differential_margin,
                             "gronwall_margin": audit.gronwall_margin,
                             "violations": audit.violations}}
-    return summary, {"energy.csv": _energy_csv(reports)}, EXIT_OK
+    return summary, csvs, EXIT_OK
 
 
 def _run_almost_conservation(cfg: RunConfig):

@@ -23,10 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import (Field, Grid, _spectral_scale, as_physical, inverse_transform,
-                   lp_norm, sobolev_norm)
-from .ioperator import (MultiplierSpec, _energy_report, gradient_I_norm,
-                        modified_energy, multiplier_value)
+from .grid import Field, Grid, _hs_norm, _spectral_scale, inverse_transform, lp_norm
+from .ioperator import MultiplierSpec, _energy_report, modified_energy, multiplier_value
 from .fitting import ExponentFit, loglog_fit
 
 log = logging.getLogger(__name__)
@@ -120,7 +118,7 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
         raise ValueError("initial datum lives on a different grid")
     specs = tuple(specs)
     grid = cfg.grid
-    uh = np.fft.fftn(as_physical(u0).values)
+    uh = np.fft.fftn(u0.values)
     absxi = grid.xi_abs()
     xi2 = absxi ** 2
     half_phase = np.exp(1j * xi2 * cfg.dt / 2)
@@ -134,7 +132,7 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
                       final=None, cfg=cfg)
 
     def record(t, uh_now):
-        traj.final = f = Field.physical(grid, np.fft.ifftn(uh_now))
+        traj.final = f = Field(grid, np.fft.ifftn(uh_now))
         traj.snapshots.append((t, lp_norm(f, 3)))
         traj.reports.append(_energy_report(uh_now * scale, xi2, f.values, w, t))
         for sp, m in zip(specs, m_N):
@@ -257,8 +255,7 @@ def rough_datum(grid: Grid, s: float, seed: int, pad: float = 0.01) -> Field:
     phase = np.exp(2j * np.pi * rng.uniform(size=grid.shape))
     cut = absxi <= (2.0 / 3.0) * absxi.max()
     coef = amp * phase * cut
-    nrm = sobolev_norm(Field.spectral(grid, coef), s)
-    return inverse_transform(Field.spectral(grid, coef / nrm))
+    return inverse_transform(grid, coef / _hs_norm(absxi, coef, s))
 
 
 @dataclass(frozen=True)
@@ -294,7 +291,7 @@ def almost_conservation_experiment(u0: Field, s: float, N_list, window: float,
         series = traj.reports_I[sp]
         e0 = series[0].total
         inc_window = abs(series[-1].total - e0)
-        gnorm = gradient_I_norm(u0, sp)
+        gnorm = math.sqrt(series[0].kinetic)
         delta = float(delta_step(float(sp.N), float(s), gnorm ** 2))
         t_delta = min(delta, window)
         idx = int(np.argmin(np.abs(ts - t_delta)))
@@ -335,16 +332,16 @@ def iterate_global(u0: Field, s: float, N: float, T: float,
     twice the initial modified energy) is flagged and the run continues.
     """
     spec = MultiplierSpec(N=N, s=s)
-    u = as_physical(u0)
+    u = u0
     t = 0.0
     segments = []
     while True:
-        g = gradient_I_norm(u, spec) ** 2
+        rep = modified_energy(u, spec)
+        g = rep.kinetic                 # ||grad Iu||^2
         done = t >= T - 1e-12
         delta = 0.0 if done else min(float(delta_step(float(N), float(s), g)), T - t)
         segments.append(SegmentRecord(t_start=t, delta=delta,
-                                      modified_energy=modified_energy(u, spec).total,
-                                      gradI_sq=g))
+                                      modified_energy=rep.total, gradI_sq=g))
         if done:
             break
         n_sub = max(1, int(math.ceil(delta / dt_hint)))

@@ -1,7 +1,9 @@
 """Periodic grids, unitary FFTs, and norm/projection primitives.
 
-Everything downstream (energies, time stepping, benches) goes through this
-module, so the normalization contract lives here and nowhere else:
+A `Field` is complex physical values on a `Grid`; spectral coefficients are
+plain arrays that live only inside a computation.  Everything downstream
+(energies, time stepping, benches) goes through this module, so the
+normalization contract lives here and nowhere else:
 
     coefficients f_hat satisfy  sum_k |f_hat_k|^2 = sum_j |f(x_j)|^2 (L/n)^d
 
@@ -20,15 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Representation", "Grid", "Field", "FrequencyBand", "BandKind",
+    "Grid", "Field", "FrequencyBand", "BandKind",
     "forward_transform", "inverse_transform", "sobolev_norm", "lp_norm",
     "band_project",
 ]
-
-
-class Representation(enum.Enum):
-    PHYSICAL = "physical"
-    SPECTRAL = "spectral"
 
 
 class BandKind(enum.Enum):
@@ -99,14 +96,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Complex state on a Grid, in physical or spectral representation.
+    """Complex physical values on a Grid.
 
     Values are frozen on construction; all operations return new Fields.
     """
 
     grid: Grid
     values: np.ndarray
-    representation: Representation
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -116,20 +112,10 @@ class Field:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        if not isinstance(self.representation, Representation):
-            raise TypeError("representation must be a Representation")
-
-    @staticmethod
-    def physical(grid: Grid, values) -> "Field":
-        return Field(grid, values, Representation.PHYSICAL)
-
-    @staticmethod
-    def spectral(grid: Grid, values) -> "Field":
-        return Field(grid, values, Representation.SPECTRAL)
 
     @staticmethod
     def zero(grid: Grid) -> "Field":
-        return Field.physical(grid, np.zeros(grid.shape, dtype=np.complex128))
+        return Field(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -140,44 +126,35 @@ def _spectral_scale(grid: Grid) -> float:
     return math.sqrt(grid.volume) / grid.n ** grid.dim
 
 
-def forward_transform(f: Field) -> Field:
-    """Physical -> spectral, unitary under the (L/n)^dim quadrature weight."""
-    if f.representation is not Representation.PHYSICAL:
-        raise ValueError("forward_transform expects a physical-representation field")
-    coef = np.fft.fftn(f.values) * _spectral_scale(f.grid)
-    return Field.spectral(f.grid, coef)
+def forward_transform(f: Field) -> np.ndarray:
+    """Unitary coefficients of f under the (L/n)^dim quadrature weight."""
+    return np.fft.fftn(f.values) * _spectral_scale(f.grid)
 
 
-def inverse_transform(f: Field) -> Field:
-    if f.representation is not Representation.SPECTRAL:
-        raise ValueError("inverse_transform expects a spectral-representation field")
-    vals = np.fft.ifftn(f.values / _spectral_scale(f.grid))
-    return Field.physical(f.grid, vals)
-
-
-def as_spectral(f: Field) -> Field:
-    return f if f.representation is Representation.SPECTRAL else forward_transform(f)
-
-
-def as_physical(f: Field) -> Field:
-    return f if f.representation is Representation.PHYSICAL else inverse_transform(f)
+def inverse_transform(grid: Grid, coef: np.ndarray) -> Field:
+    """The Field on grid whose unitary coefficients are coef."""
+    return Field(grid, np.fft.ifftn(coef / _spectral_scale(grid)))
 
 
 # ---------------------------------------------------------------------------
 # norms
 
+def _hs_norm(absxi: np.ndarray, coef: np.ndarray, s: float) -> float:
+    # the one H^s formula, on unitary coefficients at magnitudes absxi
+    w = (1.0 + absxi ** 2) ** s
+    return float(np.sqrt(np.sum(w * np.abs(coef) ** 2)))
+
+
 def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm, (sum <xi>^{2s} |f_hat|^2)^{1/2}."""
-    coef = as_spectral(f).values
-    w = (1.0 + f.grid.xi_abs() ** 2) ** s
-    return float(np.sqrt(np.sum(w * np.abs(coef) ** 2)))
+    return _hs_norm(f.grid.xi_abs(), forward_transform(f), s)
 
 
 def lp_norm(f: Field, p) -> float:
     """Quadrature L^p norm on the physical grid; p = inf gives the max norm."""
     if p != np.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    vals = np.abs(as_physical(f).values)
+    vals = np.abs(f.values)
     if p == np.inf:
         return float(vals.max())
     w = f.grid.dx ** f.grid.dim
@@ -204,15 +181,10 @@ class FrequencyBand:
 
 
 def band_project(f: Field, band: FrequencyBand) -> Field:
-    """Sharp spectral projection onto the band; returns f's representation."""
+    """Sharp spectral projection onto the band."""
     mask = band.mask(f.grid)
     if not mask.any():
         warnings.warn(
             f"band {band} lies outside the resolvable frequencies; "
             "returning the zero field", stacklevel=2)
-    g = as_spectral(f)
-    out = Field.spectral(g.grid, g.values * mask)
-    if f.representation is Representation.PHYSICAL:
-        out = inverse_transform(out)
-    return out
-
+    return inverse_transform(f.grid, forward_transform(f) * mask)

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, as_physical, as_spectral, inverse_transform
+from .grid import Field, forward_transform, inverse_transform
 
 __all__ = [
     "MultiplierSpec", "EnergyReport", "multiplier_value", "energy",
-    "modified_energy", "gradient_I_norm",
+    "modified_energy",
 ]
 
 
@@ -89,22 +89,17 @@ def _energy_report(coef, xi2, u, w, time, N=np.inf, s=1.0) -> EnergyReport:
 def energy(f: Field, time: float = 0.0) -> EnergyReport:
     """E(u) = int |grad u|^2 + 1/2 int (|u|^2 + 2 Re u)^2."""
     grid = f.grid
-    return _energy_report(as_spectral(f).values, grid.xi_abs() ** 2,
-                          as_physical(f).values, grid.dx ** grid.dim, time)
+    return _energy_report(forward_transform(f), grid.xi_abs() ** 2, f.values,
+                          grid.dx ** grid.dim, time)
 
 
 def modified_energy(f: Field, spec: MultiplierSpec, time: float = 0.0) -> EnergyReport:
-    """E(Iu): the energy functional evaluated on the smoothed field."""
+    """E(Iu): the energy functional evaluated on the smoothed field.
+
+    Its kinetic part is ||grad Iu||_{L^2}^2.
+    """
     grid = f.grid
     absxi = grid.xi_abs()
-    g = Field.spectral(grid, as_spectral(f).values * multiplier_value(spec, absxi))
-    return _energy_report(g.values, absxi ** 2, inverse_transform(g).values,
+    coef = forward_transform(f) * multiplier_value(spec, absxi)
+    return _energy_report(coef, absxi ** 2, inverse_transform(grid, coef).values,
                           grid.dx ** grid.dim, time, N=spec.N, s=spec.s)
-
-
-def gradient_I_norm(f: Field, spec: MultiplierSpec) -> float:
-    """||grad Iu||_{L^2}."""
-    coef = np.abs(as_spectral(f).values)
-    absxi = f.grid.xi_abs()
-    coef_I = coef * multiplier_value(spec, absxi)
-    return math.sqrt(float(np.sum(absxi ** 2 * coef_I ** 2)))

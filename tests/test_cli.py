@@ -152,43 +152,55 @@ def test_simulate_zero_datum_writes_zero_energy(tmp_path):
 
 
 def test_simulate_blow_up_exit_code(tmp_path):
-    out = tmp_path / "boom"
-    path = write_config(tmp_path, {
-        "subcommand": "simulate",
-        "params": {"dim": 1, "n": 32, "length": 6.283185307179586,
-                   "dt": 0.1, "t_end": 1.0,
-                   "datum": {"kind": "gaussian", "amplitude": 80.0}},
-        "seed": 0, "out_dir": str(out),
-    })
     import numpy as np
-    with np.errstate(all="ignore"):
-        assert main(["--config", path]) == EXIT_NUMERIC
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["status"] == "blow-up"
-    # the records made before the blow-up, at least the one at t = 0
-    rows = (out / "energy.csv").read_text().strip().split("\n")[1:]
-    assert len(rows) >= 1 and rows[0].startswith("0,")
+    for name, spec in (("boom", {}), ("boom_I", {"N": 4, "s": 0.9})):
+        out = tmp_path / name
+        path = write_config(tmp_path, {
+            "subcommand": "simulate",
+            "params": {"dim": 1, "n": 32, "length": 6.283185307179586,
+                       "dt": 0.1, "t_end": 1.0,
+                       "datum": {"kind": "gaussian", "amplitude": 80.0}, **spec},
+            "seed": 0, "out_dir": str(out),
+        })
+        with np.errstate(all="ignore"):
+            assert main(["--config", path]) == EXIT_NUMERIC
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "blow-up"
+        # the records made before the blow-up, at least the one at t = 0
+        rows = (out / "energy.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) >= 1 and rows[0].startswith("0,")
+    # with a spec, the E(Iu) records are kept as well as the E(u) ones
+    assert any(r.startswith("0,") and r.split(",")[5] == "4" for r in rows)
 
 
 def test_simulate_artifacts_pinned(tmp_path):
-    # sha256 of a small 3D rough run with an I-spec; any change to the
-    # stepper, the records, the audit or the CSV format shows here.  Taken
-    # with numpy 2.4.6 on x86-64: another FFT or libm build may move them
-    out = tmp_path / "sim"
-    path = write_config(tmp_path, {
-        "subcommand": "simulate",
-        "params": {"dim": 3, "n": 16, "length": 6.283185307179586, "dt": 0.01,
-                   "t_end": 0.05, "datum": {"kind": "rough", "s": 0.9},
-                   "N": 4, "s": 0.9},
-        "seed": 1, "out_dir": str(out),
-    })
-    assert main(["--config", path]) == EXIT_OK
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("summary.json", "energy.csv")}
-    assert digests == {
-        "summary.json": "5b37821e13173f49121e1ff7bc9471fc1f735745d8e034a80b3b669931f5c363",
-        "energy.csv": "3e97a30e836024af1ed7e93d8171563e5caeeec1748b5868255ef452636a4bfe",
+    # sha256 of a small 3D rough run with an I-spec and of a small 1D
+    # almost-conservation sweep; any change to the stepper, the records,
+    # the audit, the ||grad Iu0|| column or the CSV format shows here.
+    # Taken with numpy 2.4.6 on x86-64: another FFT or libm build may move them
+    runs = {
+        "simulate": ({"dim": 3, "n": 16, "length": 6.283185307179586, "dt": 0.01,
+                      "t_end": 0.05, "datum": {"kind": "rough", "s": 0.9},
+                      "N": 4, "s": 0.9}, {
+            "summary.json":
+                "5b37821e13173f49121e1ff7bc9471fc1f735745d8e034a80b3b669931f5c363",
+            "energy.csv":
+                "3e97a30e836024af1ed7e93d8171563e5caeeec1748b5868255ef452636a4bfe"}),
+        "almost-conservation": ({"dim": 1, "n": 256, "length": 50.26548245743669,
+                                 "s": 0.9, "N_list": [4, 8, 16], "window": 0.05}, {
+            "summary.json":
+                "02cd35c1cdf2dc42f4869c81a8414e6728117defba086c194969e32b412d4297",
+            "increments.csv":
+                "8ae6597c3b1fdcaebe4b68c31036f22cfc9449d99a22fb6dc66fb1a483798bfb"}),
     }
+    for sub, (params, want) in runs.items():
+        out = tmp_path / sub
+        path = write_config(tmp_path, {"subcommand": sub, "params": params,
+                                       "seed": 1, "out_dir": str(out)})
+        assert main(["--config", path]) == EXIT_OK
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in want}
+        assert digests == want, sub
 
 
 def test_multiplier_verify_gate_failure_exit(tmp_path):

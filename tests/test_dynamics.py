@@ -19,7 +19,7 @@ from gpilab.ioperator import MultiplierSpec, energy, modified_energy
 
 def smooth_datum(grid, amp=0.2):
     x = grid.x_mesh()[0]
-    return Field.physical(grid, amp * np.exp(1j * x) + 0.5 * amp * np.cos(2 * x))
+    return Field(grid, amp * np.exp(1j * x) + 0.5 * amp * np.cos(2 * x))
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +52,9 @@ def test_linear_evolution_matches_spectral_phase():
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.1, diagnostics_every=10,
                        nonlinearity_enabled=False)
     traj = evolve(f, cfg)
-    coef = forward_transform(f).values
+    coef = forward_transform(f)
     exact = coef * np.exp(1j * g.xi_abs() ** 2 * 0.1)
-    got = forward_transform(traj.final).values
+    got = forward_transform(traj.final)
     assert np.max(np.abs(got - exact)) < 1e-12
 
 
@@ -140,7 +140,7 @@ def test_zero_datum_stays_zero():
 
 def test_blow_up_carries_partial_trajectory():
     g = Grid(dim=1, n=64, length=2 * np.pi)
-    big = Field.physical(g, 50.0 * np.exp(1j * g.x_mesh()[0]))
+    big = Field(g, 50.0 * np.exp(1j * g.x_mesh()[0]))
     with pytest.raises(BlowUpError) as err, np.errstate(all="ignore"):
         evolve(big, EvolveConfig(grid=g, dt=0.1, t_end=1.0))
     assert err.value.time > 0
@@ -222,7 +222,7 @@ def test_rough_datum_is_normalized_and_band_limited():
     g = Grid(dim=1, n=256, length=16 * np.pi)
     f = rough_datum(g, 0.9, seed=0)
     assert abs(sobolev_norm(f, 0.9) - 1.0) < 1e-10
-    coef = forward_transform(f).values
+    coef = forward_transform(f)
     outside = ~ (g.xi_abs() <= (2.0 / 3.0) * g.xi_abs().max())
     # transform round-trip noise only; no real mass beyond the cut
     assert np.max(np.abs(coef[outside])) < 1e-14
@@ -258,7 +258,7 @@ def test_almost_conservation_rejects_bad_window():
 
 def test_iterate_global_smooth_datum_conserves():
     g = Grid(dim=1, n=64, length=2 * np.pi)
-    u0 = Field.physical(g, 0.05 * np.exp(1j * g.x_mesh()[0]))
+    u0 = Field(g, 0.05 * np.exp(1j * g.x_mesh()[0]))
     u, ledger = iterate_global(u0, s=0.9, N=8, T=1.0)
     assert not ledger.violated
     assert ledger.max_ratio < 1.01

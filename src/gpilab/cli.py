@@ -81,6 +81,13 @@ def _one_of(choices):
     return cast
 
 
+def _count(v):
+    n = int(v)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
 def _seed(v):
     if not isinstance(v, int) or not 0 <= v < 2 ** 64:
         raise ValueError("seed must be an integer in [0, 2^64)")
@@ -174,7 +181,9 @@ def _csv(header: str, rows) -> str:
                    for row in [(header,), *rows])
 
 
-def _energy_csv(reports) -> str:
+def _energy_csv(traj) -> str:
+    """The E(u) rows of a trajectory, then each spec's E(Iu) rows."""
+    reports = [*traj.reports, *(r for rs in traj.reports_I.values() for r in rs)]
     return _csv("time,kinetic,potential,total,l2,N,s",
                 [(r.time, r.kinetic, r.potential, r.total, r.l2, r.N, r.s)
                  for r in reports])
@@ -209,22 +218,14 @@ def _run_simulate(cfg: RunConfig):
     ecfg = EvolveConfig(grid=grid, dt=p["dt"], t_end=p["t_end"],
                         diagnostics_every=p["diagnostics_every"])
     specs = () if p["N"] is None else (MultiplierSpec(N=p["N"], s=p["s"]),)
-    blow_up = None
-    try:
-        traj = evolve(u0, ecfg, specs)
-    except BlowUpError as exc:      # keep the records made before it
-        traj, blow_up = exc.trajectory, exc.time
-    reports = list(traj.reports) + [r for sp in specs for r in traj.reports_I[sp]]
-    csvs = {"energy.csv": _energy_csv(reports)}
-    if blow_up is not None:
-        return {"status": "blow-up", "time": blow_up}, csvs, EXIT_NUMERIC
+    traj = evolve(u0, ecfg, specs)
     audit = l2_growth_audit(traj)
     summary = {"status": "ok", "final_l2": traj.reports[-1].l2,
                "final_energy": traj.reports[-1].total,
                "l2_audit": {"differential_margin": audit.differential_margin,
                             "gronwall_margin": audit.gronwall_margin,
                             "violations": audit.violations}}
-    return summary, csvs, EXIT_OK
+    return summary, {"energy.csv": _energy_csv(traj)}, EXIT_OK
 
 
 def _run_almost_conservation(cfg: RunConfig):
@@ -303,11 +304,11 @@ _COMMANDS = {
         "window": (float, REQUIRED), "dt": (float, 2.5e-4)}),
     "strichartz": (_run_strichartz, {
         "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (float, REQUIRED),
-        "centers": (tuple, (4, 8, 16, 32)), "seeds": (int, 4)}),
-    "bilinear": (_run_bilinear, {"seeds": (int, 20), "T": (float, 0.5)}),
+        "centers": (tuple, (4, 8, 16, 32)), "seeds": (_count, 4)}),
+    "bilinear": (_run_bilinear, {"seeds": (_count, 20), "T": (float, 0.5)}),
     "multiplier-verify": (_run_multiplier_verify, {
         "cases": (_cases, "all"), "N_list": (tuple, (4, 8, 16, 32)),
-        "samples_per_N": (int, 10 ** 4), "cap": (float, 64.0),
+        "samples_per_N": (_count, 10 ** 4), "cap": (float, 64.0),
         "slope_gate": (float, 0.1), "s": (float, 0.75)}),
     "ledger": (_run_ledger, {"s_grid": (_s_grid, REQUIRED)}),
 }
@@ -359,8 +360,9 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
 def run(cfg: RunConfig) -> int:
     try:
         summary, csvs, code = _COMMANDS[cfg.subcommand][0](cfg)
-    except BlowUpError as exc:
-        _write_artifacts(cfg, {"status": "blow-up", "time": exc.time}, {})
+    except BlowUpError as exc:      # keep the records made before it
+        _write_artifacts(cfg, {"status": "blow-up", "time": exc.time},
+                         {"energy.csv": _energy_csv(exc.trajectory)})
         return EXIT_NUMERIC
     except ValueError as exc:
         raise ConfigError(f"invalid parameters for '{cfg.subcommand}': {exc}") from exc

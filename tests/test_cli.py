@@ -151,15 +151,28 @@ def test_simulate_zero_datum_writes_zero_energy(tmp_path):
         assert float(kin) == float(pot) == float(tot) == float(l2) == 0.0
 
 
-def test_simulate_blow_up_exit_code(tmp_path):
+def test_simulate_blow_up_exit_code(tmp_path, monkeypatch):
+    # no finite datum short of overflow blows up, so a fault is injected:
+    # fftn returns NaN from its 3rd call, the one of step 2
     import numpy as np
+    real = np.fft.fftn
     for name, spec in (("boom", {}), ("boom_I", {"N": 4, "s": 0.9})):
+        calls = []
+
+        def faulty(*args, **kwargs):
+            calls.append(None)
+            out = real(*args, **kwargs)
+            if len(calls) >= 3:
+                out[...] = np.nan
+            return out
+
+        monkeypatch.setattr(np.fft, "fftn", faulty)
         out = tmp_path / name
         path = write_config(tmp_path, {
             "subcommand": "simulate",
             "params": {"dim": 1, "n": 32, "length": 6.283185307179586,
                        "dt": 0.1, "t_end": 1.0,
-                       "datum": {"kind": "gaussian", "amplitude": 80.0}, **spec},
+                       "datum": {"kind": "gaussian", "amplitude": 1.0}, **spec},
             "seed": 0, "out_dir": str(out),
         })
         with np.errstate(all="ignore"):
@@ -173,6 +186,24 @@ def test_simulate_blow_up_exit_code(tmp_path):
     assert any(r.startswith("0,") and r.split(",")[5] == "4" for r in rows)
 
 
+def test_simulate_overflow_blows_up_at_t0_with_no_record(tmp_path):
+    import numpy as np
+    out = tmp_path / "overflow"
+    path = write_config(tmp_path, {
+        "subcommand": "simulate",
+        "params": {"dim": 1, "n": 32, "length": 6.283185307179586,
+                   "dt": 0.1, "t_end": 1.0,
+                   "datum": {"kind": "gaussian", "amplitude": 1e100}, "N": 4, "s": 0.9},
+        "seed": 0, "out_dir": str(out),
+    })
+    with np.errstate(all="ignore"):
+        assert main(["--config", path]) == EXIT_NUMERIC
+    assert json.loads((out / "summary.json").read_text()) == {"status": "blow-up",
+                                                              "time": 0.0}
+    # the t = 0 record already overflows, so no record is kept
+    assert (out / "energy.csv").read_text() == "time,kinetic,potential,total,l2,N,s\n"
+
+
 def test_simulate_artifacts_pinned(tmp_path):
     # sha256 of a small 3D rough run with an I-spec and of a small 1D
     # almost-conservation sweep; any change to the stepper, the records,
@@ -183,15 +214,15 @@ def test_simulate_artifacts_pinned(tmp_path):
                       "t_end": 0.05, "datum": {"kind": "rough", "s": 0.9},
                       "N": 4, "s": 0.9}, {
             "summary.json":
-                "5b37821e13173f49121e1ff7bc9471fc1f735745d8e034a80b3b669931f5c363",
+                "d3d922eb4d471a5f522b8ab3530879c2f1f8e7472cc8b4edebd76c0e98665822",
             "energy.csv":
-                "3e97a30e836024af1ed7e93d8171563e5caeeec1748b5868255ef452636a4bfe"}),
+                "778c713861ada048c76417ebdcf5fdef751695f5457819305b98411267cf374c"}),
         "almost-conservation": ({"dim": 1, "n": 256, "length": 50.26548245743669,
                                  "s": 0.9, "N_list": [4, 8, 16], "window": 0.05}, {
             "summary.json":
-                "02cd35c1cdf2dc42f4869c81a8414e6728117defba086c194969e32b412d4297",
+                "84e9fe30a78e400d370d34e1b183d6dc2371db02ec1cacdbd232d4a3f0b94bda",
             "increments.csv":
-                "8ae6597c3b1fdcaebe4b68c31036f22cfc9449d99a22fb6dc66fb1a483798bfb"}),
+                "62f6c20407521f325a3083a8220a8093fc5ba0f03cce6440e21ec150fc6564f6"}),
     }
     for sub, (params, want) in runs.items():
         out = tmp_path / sub
@@ -318,6 +349,11 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
                               "N": 4}, "N", id="N-without-s"),
     pytest.param("ledger", {"s_grid": ["3/4", "1/3"]}, "s_grid", id="s-out-of-range"),
     pytest.param("strichartz", {"q": "abc", "r": 6, "T": 0.3}, "q", id="bad-exponent"),
+    pytest.param("strichartz", {"q": 2, "r": 6, "T": 0.3, "seeds": 0}, "seeds",
+                 id="strichartz-no-seeds"),
+    pytest.param("bilinear", {"seeds": 0}, "seeds", id="bilinear-no-seeds"),
+    pytest.param("multiplier-verify", {"samples_per_N": 0}, "samples_per_N",
+                 id="no-samples"),
 ])
 def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
     path = write_config(tmp_path, {"subcommand": sub, "params": params,

@@ -11,9 +11,9 @@ import sympy as sp
 
 from gpilab.grid import (Field, Grid, band_project, FrequencyBand, BandKind,
                          forward_transform, lp_norm, sobolev_norm)
-from gpilab.dynamics import (BlowUpError, EvolveConfig, almost_conservation_experiment,
-                             delta_step, evolve, iterate_global, l2_growth_audit,
-                             rough_datum)
+from gpilab.dynamics import (BlowUpError, EvolveConfig, _step_raw,
+                             almost_conservation_experiment, delta_step, evolve,
+                             iterate_global, l2_growth_audit, rough_datum)
 from gpilab.ioperator import MultiplierSpec, energy, modified_energy
 
 
@@ -138,14 +138,55 @@ def test_zero_datum_stays_zero():
     assert all(r.total == 0.0 for r in traj.reports)
 
 
-def test_blow_up_carries_partial_trajectory():
+def test_blow_up_carries_partial_trajectory(monkeypatch):
+    # no finite datum short of overflow blows up, so a fault is injected:
+    # fftn returns NaN from its 4th call, the one of step 3
     g = Grid(dim=1, n=64, length=2 * np.pi)
-    big = Field(g, 50.0 * np.exp(1j * g.x_mesh()[0]))
+    real, calls = np.fft.fftn, []
+
+    def faulty(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        if len(calls) >= 4:
+            out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(np.fft, "fftn", faulty)
     with pytest.raises(BlowUpError) as err, np.errstate(all="ignore"):
-        evolve(big, EvolveConfig(grid=g, dt=0.1, t_end=1.0))
+        evolve(smooth_datum(g), EvolveConfig(grid=g, dt=0.1, t_end=1.0))
     assert err.value.time > 0
     assert err.value.trajectory is not None
     assert len(err.value.trajectory.reports) >= 1
+    # the records before step 3 are kept, the non-finite one at t = 0.3 is not
+    assert err.value.time == pytest.approx(0.3)
+    assert err.value.trajectory.times() == pytest.approx([0.0, 0.1, 0.2])
+
+
+def test_nonlinear_substep_is_the_exact_flow(monkeypatch):
+    # with identity transforms, unit phase and no mask, _step_raw is the
+    # pointwise substep u' = iF(u) alone.  |1 + u| in [0.5, 1.5] and dt 1.5
+    # make theta = (|1 + u|^2 - 1) dt range over [-1.1, 1.9], far past the
+    # reach of one RK4 step (off by 1e5 here)
+    rng = np.random.default_rng(0)
+    u0 = (rng.uniform(0.5, 1.5, 256) * np.exp(2j * np.pi * rng.uniform(size=256))) - 1
+    dt = 1.5
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, lambda a: a)
+    u = _step_raw(u0, 1.0, dt, 1.0, True)
+
+    def rhs(w):
+        return 1j * (1 + w) * (np.abs(w) ** 2 + 2 * w.real)
+
+    ref, n = u0.copy(), 4000        # reference: 4000 RK4 steps
+    h = dt / n
+    for _ in range(n):
+        k1 = rhs(ref)
+        k2 = rhs(ref + h / 2 * k1)
+        k3 = rhs(ref + h / 2 * k2)
+        k4 = rhs(ref + h * k3)
+        ref = ref + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert np.max(np.abs(u - ref)) < 1e-10
+    assert np.max(np.abs(np.abs(1 + u) / np.abs(1 + u0) - 1)) <= 1e-15
 
 
 def test_energy_drift_shrinks_with_dt():
@@ -251,6 +292,8 @@ def test_almost_conservation_rejects_bad_window():
     g = Grid(dim=1, n=64, length=2 * np.pi)
     with pytest.raises(ValueError):
         almost_conservation_experiment(Field.zero(g), 0.9, [4], window=0.0)
+    with pytest.raises(ValueError):     # dt > 2 window rounds to zero steps
+        almost_conservation_experiment(Field.zero(g), 0.9, [4], window=0.25, dt=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ pointwise ODE u' = i F(u), then 2/3-rule dealiasing.  With v = 1 + u,
 F(u) = v(|v|^2 - 1), so that flow, v -> v e^{i(|v|^2 - 1) dt}, keeps |v|;
 the half-steps are unitary, so finite data turn non-finite only by
 overflow, and the first record with a non-finite number ends the run.
-`evolve` is the one stepper; its records take E(u) and every E(Iu) from
-the coefficients it holds and keep scalars only, so a trajectory holds
-one state, the final one, however many records it makes.  Also here: the
+`evolve` is the one stepper.  It allocates its arrays once: the step
+works in place, and each record is one pass over a stack of u and every
+Iu, with one batched inverse FFT.  Records keep scalars only, so a
+trajectory holds one state, the final one, however many records it
+makes.  Also here: the
 L^2 growth audits, the step-size law, the almost-conservation sweep, and
 the segment-iterated global run.
 """
@@ -26,8 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Field, Grid, _hs_norm, _spectral_scale, inverse_transform, lp_norm
-from .ioperator import MultiplierSpec, _energy_report, modified_energy, multiplier_value
+from .grid import Field, Grid, _hs_norm, _spectral_scale, inverse_transform
+from .ioperator import (MultiplierSpec, _potential_sums, _reports, _spectral_sums,
+                        modified_energy, multiplier_value)
 from .fitting import ExponentFit, loglog_fit
 
 log = logging.getLogger(__name__)
@@ -42,7 +45,8 @@ __all__ = [
 class BlowUpError(RuntimeError):
     """Raised at the first record whose E(u), any E(Iu) or ||u||_{L^3} is
     not finite; carries that record's time and the trajectory of the records
-    before it, which is empty when the datum itself overflows."""
+    before it, which is empty when the datum itself overflows and has no
+    final state."""
 
     def __init__(self, time: float, trajectory: "Trajectory"):
         super().__init__(f"non-finite record at t = {time:.6g}")
@@ -56,7 +60,6 @@ class EvolveConfig:
     dt: float
     t_end: float
     diagnostics_every: int = 1
-    nonlinearity_enabled: bool = True
 
     def __post_init__(self):
         if not (0 < self.dt <= self.t_end):
@@ -77,35 +80,47 @@ class Trajectory:
     snapshots: list                 # [(time, ||u||_{L^3})], one per record
     reports: list                   # EnergyReport for u
     reports_I: dict                 # MultiplierSpec -> [EnergyReport]
-    final: Field                    # physical state of the last record
+    final: Field                    # physical state at t_end; None on blow-up
     cfg: EvolveConfig
 
     def times(self):
         return [t for t, _ in self.snapshots]
 
 
-def _step_raw(uh, half_phase, dt, mask, nonlinear):
-    """One Strang step on raw fftn coefficients.
+def _step_raw(uh, half_phase, dt, mask, work):
+    """One Strang step on raw fftn coefficients, in place on uh.
 
     The nonlinear substep is the exact flow u -> u + (1+u)(e^{i theta} - 1),
     theta = (|u|^2 + 2 Re u) dt; expm1 keeps e^{i theta} - 1 accurate at
-    small theta.
+    small theta.  work = (u, e, theta, tmp) holds two complex and two real
+    arrays of uh's shape, overwritten; every product keeps its operand
+    order, since numpy's complex product is not bitwise symmetric.
     """
-    uh = uh * half_phase
-    if nonlinear:
-        u = np.fft.ifftn(uh)
-        theta = (np.abs(u) ** 2 + 2 * u.real) * dt
-        uh = np.fft.fftn(u + (1 + u) * np.expm1(1j * theta)) * mask
-    return uh * half_phase
+    u, e, theta, tmp = work
+    uh *= half_phase
+    np.fft.ifftn(uh, out=u)
+    np.square(np.abs(u, out=theta), out=theta)
+    theta += np.multiply(2, u.real, out=tmp)
+    theta *= dt
+    np.expm1(np.multiply(1j, theta, out=e), out=e)
+    np.add(1, u, out=uh)
+    uh *= e
+    uh += u
+    np.fft.fftn(uh, out=uh)
+    uh *= mask
+    uh *= half_phase
+    return uh
 
 
 def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     """Integrate u0 to t_end, reporting E(u) and E(Iu) at the cadence.
 
-    A record costs one inverse FFT for u, which gives E(u) and ||u||_{L^3},
-    and one per spec for Iu; kinetic terms and l2 come from the
-    coefficients.  Records keep scalars only; the state of the last record,
-    at t_end, is kept as `final`.
+    A record is one pass over the stack of u's coefficients and, per spec,
+    those of Iu: kinetic terms and l2 from the scaled coefficients, then one
+    batched inverse FFT in place, then the potentials and ||u||_{L^3}.  The
+    stack and the real arrays beside it are allocated once and are also the
+    step's workspace.  Records keep scalars only; the state of the last
+    record, at t_end, is kept as `final`.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum lives on a different grid")
@@ -116,36 +131,52 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     xi2 = absxi ** 2
     half_phase = np.exp(1j * xi2 * cfg.dt / 2)
     mask = grid.dealias_mask()
-    m_N = [multiplier_value(sp, absxi) for sp in specs]
+    m_N = np.array([multiplier_value(sp, absxi) for sp in specs]).reshape(
+        (len(specs),) + grid.shape)
     del absxi
     scale = _spectral_scale(grid)      # raw fftn -> unitary coefficients
     w = grid.dx ** grid.dim
+    labels = [(np.inf, 1.0)] + [(sp.N, sp.s) for sp in specs]
+    rows = len(labels)
+    # rows of coefficients, then of physical values, in place; the step
+    # needs two complex arrays, so the stack has at least two rows
+    stack = np.empty((max(rows, 2),) + grid.shape, dtype=complex)
+    real = np.empty((2, rows) + grid.shape)
+    step_work = (stack[0], stack[1], real[0, 0], real[1, 0])
+    ws = stack[:rows]
+    spatial = tuple(range(1, grid.dim + 1))
 
     traj = Trajectory(snapshots=[], reports=[], reports_I={sp: [] for sp in specs},
                       final=None, cfg=cfg)
 
-    def record(t, uh_now):
-        f = Field(grid, np.fft.ifftn(uh_now))
-        l3 = lp_norm(f, 3)
-        reports = [_energy_report(uh_now * scale, xi2, f.values, w, t)]
-        for sp, m in zip(specs, m_N):
-            ch = uh_now * m
-            u = np.fft.ifftn(ch)
-            ch *= scale
-            reports.append(_energy_report(ch, xi2, u, w, t, N=sp.N, s=sp.s))
+    def fill():
+        ws[0] = uh
+        np.multiply(uh, m_N, out=ws[1:])
+
+    def record(t):
+        fill()
+        np.multiply(ws, scale, out=ws)
+        kin, l2 = _spectral_sums(ws, xi2, real)
+        fill()
+        np.fft.ifftn(ws, axes=spatial, out=ws)
+        absu = np.abs(ws, out=real[0])
+        l3 = float((np.sum(np.power(absu[0], 3, out=real[1, 0])) * w) ** (1.0 / 3))
+        pot = _potential_sums(ws, absu, w, real[1])
+        reports = _reports(t, kin, pot, l2, labels)
         if not all(map(math.isfinite, [l3, *(r.total for r in reports)])):
             raise BlowUpError(t, trajectory=traj)
-        traj.final = f
         traj.snapshots.append((t, l3))
         traj.reports.append(reports[0])
         for sp, r in zip(specs, reports[1:]):
             traj.reports_I[sp].append(r)
 
-    record(0.0, uh)
+    record(0.0)
     for i in range(1, cfg.n_steps + 1):
-        uh = _step_raw(uh, half_phase, cfg.dt, mask, cfg.nonlinearity_enabled)
+        _step_raw(uh, half_phase, cfg.dt, mask, step_work)
         if i % cfg.diagnostics_every == 0:
-            record(i * cfg.dt, uh)
+            record(i * cfg.dt)
+    del uh, real, step_work            # freed before `final` copies its state
+    traj.final = Field(grid, ws[0])    # the last record's physical u
     return traj
 
 
@@ -160,7 +191,6 @@ class GrowthAudit:
     """
 
     differential_margin: float
-    differential_tolerance: float
     gronwall_margin: float
     violations: int
 
@@ -187,8 +217,8 @@ def l2_growth_audit(traj: Trajectory) -> GrowthAudit:
     worst_gron = float(gron_margins.min())
 
     violations = int(np.sum(diff_margins < 0) + np.sum(gron_margins < 0))
-    return GrowthAudit(differential_margin=worst_diff, differential_tolerance=tol,
-                       gronwall_margin=worst_gron, violations=violations)
+    return GrowthAudit(differential_margin=worst_diff, gronwall_margin=worst_gron,
+                       violations=violations)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ on [0, 1]).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,23 +73,52 @@ class EnergyReport:
             raise ValueError("energy parts must be nonnegative")
 
 
-def _energy_report(coef, xi2, u, w, time, N=np.inf, s=1.0) -> EnergyReport:
-    """The one energy path: kinetic sum |xi|^2 |coef|^2 and l2 from the
-    unitary coefficients, no transform; potential from the physical values
-    u of the same state under the quadrature weight w.
-    """
-    c2 = np.abs(coef) ** 2
-    kin = float(np.sum(xi2 * c2))
-    pot = 0.5 * float(np.sum((np.abs(u) ** 2 + 2 * u.real) ** 2)) * w
-    return EnergyReport(time=time, kinetic=kin, potential=pot, total=kin + pot,
-                        l2=math.sqrt(float(np.sum(c2))), N=N, s=s)
+def _row_sums(a) -> np.ndarray:
+    # the sum of each row of a stack, rounded as np.sum of that row alone
+    return np.sum(a.reshape(len(a), -1), axis=1)
+
+
+def _spectral_sums(coef, xi2, work):
+    """Kinetic sum |xi|^2 |c|^2 and l2 of each row of a stack of unitary
+    coefficients, no transform; work is two real arrays of coef's shape,
+    overwritten."""
+    c2, p = work
+    np.square(np.abs(coef, out=c2), out=c2)
+    np.multiply(xi2, c2, out=p)
+    return _row_sums(p), np.sqrt(_row_sums(c2))
+
+
+def _potential_sums(u, absu, w, tmp):
+    """1/2 int (|u|^2 + 2 Re u)^2 of each row of a stack of physical values
+    under the quadrature weight w; absu holds |u| and is overwritten, as is
+    the real array tmp."""
+    np.square(absu, out=absu)
+    absu += np.multiply(2, u.real, out=tmp)
+    np.square(absu, out=absu)
+    return 0.5 * _row_sums(absu) * w
+
+
+def _reports(time, kin, pot, l2, labels) -> list:
+    """One EnergyReport per row of the sums, labeled by its (N, s)."""
+    return [EnergyReport(time=time, kinetic=float(k), potential=float(p),
+                         total=float(k) + float(p), l2=float(l), N=N, s=s)
+            for k, p, l, (N, s) in zip(kin, pot, l2, labels)]
+
+
+def _one_row(coef, u, xi2, w, time, label) -> EnergyReport:
+    # energy and modified_energy: the one-row case of the record reduction
+    coef, u = coef[None], u[None]
+    work = np.empty((2,) + coef.shape)
+    kin, l2 = _spectral_sums(coef, xi2, work)
+    pot = _potential_sums(u, np.abs(u, out=work[0]), w, work[1])
+    return _reports(time, kin, pot, l2, [label])[0]
 
 
 def energy(f: Field, time: float = 0.0) -> EnergyReport:
     """E(u) = int |grad u|^2 + 1/2 int (|u|^2 + 2 Re u)^2."""
     grid = f.grid
-    return _energy_report(forward_transform(f), grid.xi_abs() ** 2, f.values,
-                          grid.dx ** grid.dim, time)
+    return _one_row(forward_transform(f), f.values, grid.xi_abs() ** 2,
+                    grid.dx ** grid.dim, time, (np.inf, 1.0))
 
 
 def modified_energy(f: Field, spec: MultiplierSpec, time: float = 0.0) -> EnergyReport:
@@ -101,5 +129,5 @@ def modified_energy(f: Field, spec: MultiplierSpec, time: float = 0.0) -> Energy
     grid = f.grid
     absxi = grid.xi_abs()
     coef = forward_transform(f) * multiplier_value(spec, absxi)
-    return _energy_report(coef, absxi ** 2, inverse_transform(grid, coef).values,
-                          grid.dx ** grid.dim, time, N=spec.N, s=spec.s)
+    return _one_row(coef, inverse_transform(grid, coef).values, absxi ** 2,
+                    grid.dx ** grid.dim, time, (spec.N, spec.s))

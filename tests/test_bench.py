@@ -38,6 +38,28 @@ def test_free_flow_is_unitary_and_additive():
     assert again[0] is first[0]
 
 
+
+def _smooth_datum(g, amp=0.2):
+    x = g.x_mesh()[0]
+    return Field(g, amp * np.exp(1j * x) + 0.5 * amp * np.cos(2 * x))
+
+
+def test_free_flow_preserves_l2_exactly():
+    g = Grid(dim=1, n=64, length=2 * np.pi)
+    f = _smooth_datum(g)
+    out, = _FreeFlow(g, 1)((forward_transform(f),), 0.01)
+    assert abs(lp_norm(Field(g, out), 2) - lp_norm(f, 2)) < 1e-13
+
+
+def test_free_flow_matches_spectral_phase():
+    g = Grid(dim=1, n=64, length=2 * np.pi)
+    f = _smooth_datum(g)
+    coef = forward_transform(f)
+    out, = _FreeFlow(g, 1)((coef,), 0.1)
+    exact = coef * np.exp(1j * g.xi_abs() ** 2 * 0.1)
+    got = forward_transform(Field(g, out))
+    assert np.max(np.abs(got - exact)) < 1e-12
+
 @pytest.mark.parametrize("grid", [Grid(1, 1024, 16 * np.pi), Grid(2, 64, 3.7),
                                   Grid(3, 32, 2 * np.pi)])
 def test_free_flow_phase_table_is_exact(grid):

@@ -10,11 +10,11 @@ import pytest
 import sympy as sp
 
 from gpilab.grid import (Field, Grid, band_project, FrequencyBand, BandKind,
-                         forward_transform, lp_norm, sobolev_norm)
+                         _spectral_scale, forward_transform, lp_norm, sobolev_norm)
 from gpilab.dynamics import (BlowUpError, EvolveConfig, _step_raw,
                              almost_conservation_experiment, delta_step, evolve,
                              iterate_global, l2_growth_audit, rough_datum)
-from gpilab.ioperator import MultiplierSpec, energy, modified_energy
+from gpilab.ioperator import MultiplierSpec, energy, modified_energy, multiplier_value
 
 
 def smooth_datum(grid, amp=0.2):
@@ -36,27 +36,7 @@ def test_evolve_config_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# linear flow sanity
-
-def test_linear_step_preserves_l2_exactly():
-    g = Grid(dim=1, n=64, length=2 * np.pi)
-    f = smooth_datum(g)
-    cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.01, nonlinearity_enabled=False)
-    out = evolve(f, cfg).final
-    assert abs(lp_norm(out, 2) - lp_norm(f, 2)) < 1e-13
-
-
-def test_linear_evolution_matches_spectral_phase():
-    g = Grid(dim=1, n=64, length=2 * np.pi)
-    f = smooth_datum(g)
-    cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.1, diagnostics_every=10,
-                       nonlinearity_enabled=False)
-    traj = evolve(f, cfg)
-    coef = forward_transform(f)
-    exact = coef * np.exp(1j * g.xi_abs() ** 2 * 0.1)
-    got = forward_transform(traj.final)
-    assert np.max(np.abs(got - exact)) < 1e-12
-
+# records
 
 def test_records_match_field_energies():
     # the coefficient-side records agree with energy/modified_energy on the
@@ -109,8 +89,8 @@ def test_record_memory_does_not_grow_with_record_count():
 
 
 def test_record_transform_count(monkeypatch):
-    # one fftn for the datum, an ifftn/fftn pair per step, and per record
-    # one ifftn for u plus one per spec
+    # one fftn for the datum, an ifftn/fftn pair per step, and one batched
+    # ifftn per record for u and every spec
     g = Grid(dim=1, n=64, length=2 * np.pi)
     specs = [MultiplierSpec(N=float(N), s=0.8) for N in (2, 4, 8, 16)]
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.05, diagnostics_every=1)
@@ -128,7 +108,85 @@ def test_record_transform_count(monkeypatch):
     traj = evolve(u0, cfg, specs)
     steps, records = cfg.n_steps, len(traj.reports)
     assert records == steps + 1
-    assert len(calls) == 1 + 2 * steps + (1 + len(specs)) * records
+    assert len(calls) == 1 + 2 * steps + records
+
+
+def _out_of_place_step(uh, half_phase, dt, mask):
+    # the Strang step as fresh arrays, with the operand order of evolve's
+    uh = uh * half_phase
+    u = np.fft.ifftn(uh)
+    theta = (np.abs(u) ** 2 + 2 * u.real) * dt
+    uh = np.fft.fftn(u + (1 + u) * np.expm1(1j * theta)) * mask
+    return uh * half_phase
+
+
+def _out_of_place_record(uh, m_N, scale, xi2, w):
+    # ||u||_{L^3}, then kinetic, potential, total and l2 of u and of each
+    # I_N u, one inverse transform per row; and the physical u
+    u = np.fft.ifftn(uh)
+    vals = [float((np.sum(np.abs(u) ** 3) * w) ** (1.0 / 3))]
+    rows = [(uh * scale, u)]
+    for m in m_N:
+        ch = uh * m
+        v = np.fft.ifftn(ch)
+        ch *= scale
+        rows.append((ch, v))
+    for coef, v in rows:
+        c2 = np.abs(coef) ** 2
+        kin = float(np.sum(xi2 * c2))
+        pot = 0.5 * float(np.sum((np.abs(v) ** 2 + 2 * v.real) ** 2)) * w
+        vals += [kin, pot, kin + pot, math.sqrt(float(np.sum(c2)))]
+    return vals, u
+
+
+@pytest.mark.parametrize("grid, Ns", [(Grid(1, 1024, 16 * np.pi), (4, 8, 16, 32)),
+                                      (Grid(3, 32, 2 * np.pi), (8,))])
+def test_evolve_matches_out_of_place_formulas_bitwise(grid, Ns):
+    # the in-place step and the stacked record round like the fresh-array
+    # formulas above, element by element and sum by sum
+    specs = [MultiplierSpec(N=float(N), s=0.9) for N in Ns]
+    cfg = EvolveConfig(grid=grid, dt=1e-3, t_end=6e-3, diagnostics_every=2)
+    u0 = rough_datum(grid, 0.9, seed=1)
+    traj = evolve(u0, cfg, specs)
+
+    absxi = grid.xi_abs()
+    xi2 = absxi ** 2
+    half_phase = np.exp(1j * xi2 * cfg.dt / 2)
+    m_N = [multiplier_value(sp, absxi) for sp in specs]
+    scale, w = _spectral_scale(grid), grid.dx ** grid.dim
+    uh = np.fft.fftn(u0.values)
+    want, u = _out_of_place_record(uh, m_N, scale, xi2, w)
+    for i in range(1, cfg.n_steps + 1):
+        uh = _out_of_place_step(uh, half_phase, cfg.dt, grid.dealias_mask())
+        if i % cfg.diagnostics_every == 0:
+            vals, u = _out_of_place_record(uh, m_N, scale, xi2, w)
+            want += vals
+
+    got = []
+    for k, (_, l3) in enumerate(traj.snapshots):
+        got.append(l3)
+        for r in [traj.reports[k]] + [traj.reports_I[sp][k] for sp in specs]:
+            got += [r.kinetic, r.potential, r.total, r.l2]
+    assert len(got) == len(want) == 4 * (1 + 4 * (1 + len(specs)))
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    assert np.array_equal(traj.final.values.view(np.uint64), u.view(np.uint64))
+
+
+def test_evolve_peak_memory_in_state_sizes():
+    # tracemalloc peak of a 32^3 run with one spec, the datum not counted,
+    # in complex states: fresh arrays per step and one transform per record
+    # row peaked at 9.6, the in-place step on the record's stack at 7.3
+    g = Grid(3, 32, 2 * np.pi)
+    u0 = rough_datum(g, 0.9, seed=1)
+    cfg = EvolveConfig(grid=g, dt=1e-3, t_end=4e-3, diagnostics_every=2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evolve(u0, cfg, [MultiplierSpec(N=8.0, s=0.9)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * g.n ** g.dim) < 8.5
 
 
 def test_zero_datum_stays_zero():
@@ -170,9 +228,17 @@ def test_nonlinear_substep_is_the_exact_flow(monkeypatch):
     rng = np.random.default_rng(0)
     u0 = (rng.uniform(0.5, 1.5, 256) * np.exp(2j * np.pi * rng.uniform(size=256))) - 1
     dt = 1.5
+
+    def identity(a, out=None):
+        if out is None:
+            return a
+        out[...] = a
+        return out
+
     for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, lambda a: a)
-    u = _step_raw(u0, 1.0, dt, 1.0, True)
+        monkeypatch.setattr(np.fft, name, identity)
+    work = (np.empty_like(u0), np.empty_like(u0), np.empty(256), np.empty(256))
+    u = _step_raw(u0.copy(), 1.0, dt, 1.0, work)
 
     def rhs(w):
         return 1j * (1 + w) * (np.abs(w) ** 2 + 2 * w.real)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -224,13 +223,6 @@ def l2_growth_audit(traj: Trajectory) -> GrowthAudit:
 # ---------------------------------------------------------------------------
 # step-size law
 
-def _is_exact(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return True
-    mod = type(x).__module__
-    return mod.startswith("sympy")
-
-
 def delta_step(N, s, g):
     """Local step length from the three-term balance, epsilons dropped.
 
@@ -239,8 +231,8 @@ def delta_step(N, s, g):
         d2 = (N^{1-s}/g)^{2/s},
         d3 = g^{-2}.
 
-    When N, s, g are all exact (int, Fraction, or sympy numbers) the result
-    is an exact sympy expression; otherwise a float.
+    The exact exponent of N in delta when g = N^a is
+    ledger.step_law_exponent(s, a).
     """
     if float(s) <= 0.5:
         raise ValueError("step law needs s > 1/2 (the d1 exponent degenerates)")
@@ -249,14 +241,7 @@ def delta_step(N, s, g):
     if float(g) < 0:
         raise ValueError("g = ||grad I u0||^2 must be nonnegative")
     if float(g) == 0:
-        return 1
-    if all(_is_exact(x) for x in (N, s, g)):
-        import sympy as sp
-        N_, s_, g_ = sp.nsimplify(N), sp.nsimplify(s), sp.sympify(g)
-        d1 = (N_ ** (2 * (1 - s_)) / g_) ** (1 / (s_ - sp.Rational(1, 2)))
-        d2 = (N_ ** (1 - s_) / g_) ** (2 / s_)
-        d3 = g_ ** -2
-        return sp.Min(1, sp.powsimp(d1), sp.powsimp(d2), sp.powsimp(d3))
+        return 1.0
     N, s, g = float(N), float(s), float(g)
     d1 = (N ** (2 * (1 - s)) / g) ** (1 / (s - 0.5))
     d2 = (N ** (1 - s) / g) ** (2 / s)
@@ -319,7 +304,7 @@ def almost_conservation_experiment(u0: Field, s: float, N_list, window: float,
         e0 = series[0].total
         inc_window = abs(series[-1].total - e0)
         gnorm = math.sqrt(series[0].kinetic)
-        delta = float(delta_step(float(sp.N), float(s), gnorm ** 2))
+        delta = delta_step(sp.N, s, gnorm ** 2)
         t_delta = min(delta, window)
         idx = int(np.argmin(np.abs(ts - t_delta)))
         inc_delta = abs(series[idx].total - e0)
@@ -366,7 +351,7 @@ def iterate_global(u0: Field, s: float, N: float, T: float,
         rep = modified_energy(u, spec)
         g = rep.kinetic                 # ||grad Iu||^2
         done = t >= T - 1e-12
-        delta = 0.0 if done else min(float(delta_step(float(N), float(s), g)), T - t)
+        delta = 0.0 if done else min(delta_step(N, s, g), T - t)
         segments.append(SegmentRecord(t_start=t, delta=delta,
                                       modified_energy=rep.total, gradI_sq=g))
         if done:

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 __all__ = [
     "ExponentLedger", "dominant_increment", "gwp_condition",
-    "iteration_count_exponent", "lwp_time_exponent", "gwp_threshold",
-    "ledger_table",
+    "iteration_count_exponent", "lwp_time_exponent", "step_law_exponent",
+    "gwp_threshold", "ledger_table",
 ]
 
 # (constant term, coefficient of (1 - s)) per increment term, display order
@@ -94,6 +94,20 @@ def lwp_time_exponent(s) -> Fraction:
     if s <= _HALF:
         raise ValueError(f"s must exceed 1/2, got {s}")
     return Fraction(4) / (2 * s - 1)
+
+
+def step_law_exponent(s, a) -> Fraction:
+    """Exact exponent of N in delta_step's delta when g = N^a.
+
+    Term by term, min(1, d1, d2, d3) becomes
+        min(0, (2(1-s) - a)/(s - 1/2), 2((1-s) - a)/s, -2a).
+    The d2 term is never strictly the least: e1 - e2 = (1-s)(1-a)/(s(s-1/2))
+    and e3 - e2 = 2(1-s)(a-1)/s.  So the cap binds for a <= 0, -2a for
+    0 < a < 1 and d1 for a > 1; all three terms tie at -2 when a = 1.
+    """
+    s, a = _check_s(s), Fraction(a)
+    eps = _ONE - s
+    return min(Fraction(0), (2 * eps - a) / (s - _HALF), 2 * (eps - a) / s, -2 * a)
 
 
 def gwp_threshold(max_denominator: int = 10 ** 6) -> Fraction:

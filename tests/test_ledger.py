@@ -6,7 +6,7 @@ import pytest
 
 from gpilab.ledger import (ExponentLedger, dominant_increment, gwp_condition,
                            gwp_threshold, iteration_count_exponent,
-                           ledger_table, lwp_time_exponent)
+                           ledger_table, lwp_time_exponent, step_law_exponent)
 
 
 def rational_grid(count=10 ** 4):
@@ -30,6 +30,8 @@ def test_domain_validation():
             dominant_increment(bad)
         with pytest.raises(ValueError):
             gwp_condition(bad)
+        with pytest.raises(ValueError):
+            step_law_exponent(bad, 1)
     with pytest.raises(ValueError):
         lwp_time_exponent(Fraction(1, 2))
 
@@ -77,6 +79,35 @@ def test_lwp_time_exponent():
     assert lwp_time_exponent(Fraction(1)) == 4
     vals = [lwp_time_exponent(s) for s in rational_grid(500)]
     assert all(a > b for a, b in zip(vals, vals[1:]))   # strictly decreasing
+
+
+def test_step_law_exponent_binding_terms():
+    s = Fraction(3, 4)
+    for a in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):   # -2a binds
+        assert step_law_exponent(s, a) == -2 * a
+    assert step_law_exponent(s, 2) == -6                         # d1 binds
+    for s in (Fraction(3, 4), Fraction(5, 6), Fraction(9, 10)):
+        a = Fraction(5, 2)
+        assert step_law_exponent(s, a) == (2 * (1 - s) - a) / (s - Fraction(1, 2))
+        assert step_law_exponent(s, 1) == -2                     # three-way tie
+        for a in (0, Fraction(-1, 3), -2):                       # the cap binds
+            assert step_law_exponent(s, a) == 0
+    assert isinstance(step_law_exponent(Fraction(3, 4), Fraction(1, 2)), Fraction)
+
+
+def test_step_law_d2_term_never_strictly_least():
+    """e1 - e2 = (1-s)(1-a)/(s(s-1/2)) and e3 - e2 = 2(1-s)(a-1)/s have
+    opposite signs off a = 1 and vanish at a = 1, so d2 never binds alone."""
+    a_grid = [Fraction(k, 8) for k in range(-8, 48)]
+    for s in rational_grid(104):
+        for a in a_grid:
+            e1 = (2 * (1 - s) - a) / (s - Fraction(1, 2))
+            e2 = 2 * ((1 - s) - a) / s
+            e3 = -2 * a
+            assert e1 - e2 == (1 - s) * (1 - a) / (s * (s - Fraction(1, 2)))
+            assert e3 - e2 == 2 * (1 - s) * (a - 1) / s
+            assert not (e2 < e1 and e2 < e3)
+            assert step_law_exponent(s, a) == min(0, e1, e3)
 
 
 def test_threshold_bisection_is_exact():

@@ -238,7 +238,7 @@ def _run_almost_conservation(cfg: RunConfig):
                [(r.N, r.increment_window, r.increment_delta, r.delta, r.gradI_norm)
                 for r in res.rows])
     summary = {"status": "ok", "slope": res.fit.slope,
-               "residual": res.fit.residual, "window": res.window, "s": p["s"]}
+               "residual": res.fit.residual, "window": p["window"], "s": p["s"]}
     return summary, {"increments.csv": csv}, EXIT_OK
 
 
@@ -259,7 +259,7 @@ def _run_bilinear(cfg: RunConfig):
     rows = [(ax, v, mval) for ax in ("N2", "N1")
             for v, mval in zip(res[f"{ax}_axis"], res[f"{ax}_means"])]
     summary = {"status": "ok", "N2_slope": res["N2_fit"].slope,
-               "N1_slope": res["N1_fit"].slope, "seeds": res["seeds"]}
+               "N1_slope": res["N1_fit"].slope, "seeds": p["seeds"]}
     return summary, {"ratios.csv": _csv("axis,value,mean_ratio", rows)}, EXIT_OK
 
 

@@ -283,8 +283,6 @@ class AlmostConservationRow:
 class AlmostConservationResult:
     rows: tuple
     fit: ExponentFit
-    window: float
-    s: float
 
 
 def almost_conservation_experiment(u0: Field, s: float, N_list, window: float,
@@ -313,8 +311,7 @@ def almost_conservation_experiment(u0: Field, s: float, N_list, window: float,
             delta=delta, gradI_norm=gnorm))
     fit = loglog_fit([r.N for r in rows],
                      [max(r.increment_window, 1e-300) for r in rows])
-    return AlmostConservationResult(rows=tuple(rows), fit=fit,
-                                    window=window, s=s)
+    return AlmostConservationResult(rows=tuple(rows), fit=fit)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from fractions import Fraction
 
 __all__ = [
     "ExponentLedger", "dominant_increment", "gwp_condition",
-    "iteration_count_exponent", "lwp_time_exponent", "step_law_exponent",
-    "gwp_threshold", "ledger_table",
+    "step_law_exponent", "gwp_threshold", "ledger_table",
 ]
 
 # (constant term, coefficient of (1 - s)) per increment term, display order
@@ -46,7 +45,7 @@ class ExponentLedger:
 
     s: Fraction
     increment_exponents: tuple
-    step_exponent: Fraction      # delta ~ N^{-step_exponent}
+    step_exponent: Fraction      # delta ~ N^{-step_exponent}; T/delta segments
     energy_exponent: Fraction    # modified energy ~ N^{energy_exponent}
 
     @classmethod
@@ -81,19 +80,6 @@ def gwp_condition(s) -> tuple:
     eps = _ONE - s
     slack = _ONE - 6 * eps
     return slack > 0, slack
-
-
-def iteration_count_exponent(s) -> Fraction:
-    """Number of iteration steps on [0, T] scales like T N^{4(1-s)}."""
-    return 4 * (_ONE - _check_s(s))
-
-
-def lwp_time_exponent(s) -> Fraction:
-    """Norm exponent in the local existence time law, 4/(2s - 1)."""
-    s = Fraction(s)
-    if s <= _HALF:
-        raise ValueError(f"s must exceed 1/2, got {s}")
-    return Fraction(4) / (2 * s - 1)
 
 
 def step_law_exponent(s, a) -> Fraction:

@@ -124,15 +124,15 @@ def test_free_flow_work_counts(monkeypatch):
     strichartz_ratio_sweep(2, 6, 0.3, centers=(4, 8), seeds=1, grid=g, m=16)
     assert len(ifftn) == 2 * 14
     assert g.n ** 3 not in exp
-    # full-grid exp only for the profile, shift and window of each pair;
-    # the chirp and each of the pair's ~66 time samples take one exp over
-    # the |xi|^2 levels
+    # full-grid exp for the N1 profile once per call, and for the shift and
+    # window of each pair; the chirp and each of the pair's ~66 time samples
+    # take one exp over the |xi|^2 levels
     levels = _FreeFlow(g, 0).levels.size
     for seeds in (1, 2):
         exp.clear()
         bilinear_ratio(4, 8, seeds=seeds, T=0.5, grid=g)
-        assert exp.count(g.n ** 3) == 3 * seeds
-        assert exp.count(levels) == len(exp) - 3 * seeds > 60 * seeds
+        assert exp.count(g.n ** 3) == 2 * seeds + 1
+        assert exp.count(levels) == len(exp) - (2 * seeds + 1) > 60 * seeds
 
 
 def test_time_cutoff_profile():
@@ -191,6 +191,13 @@ def test_bilinear_ratio_validates_input():
         bilinear_ratio(16, 8, seeds=1, T=0.5)
 
 
+def test_bilinear_ratio_rejects_empty_band():
+    # on a box of side 0.5 the first nonzero |xi| is 4*pi, past the band
+    # [2, 8): the data would be 0/0
+    with pytest.raises(ValueError, match="not resolvable"):
+        bilinear_ratio(4, 4, seeds=1, T=0.5, grid=Grid(3, 16, 0.5))
+
+
 def test_bilinear_ratio_bounded_by_cauchy_schwarz():
     # with unit data and a cutoff <= 1, the ratio is at most ~ sup-norm factor
     stat = bilinear_ratio(8, 16, seeds=2, T=0.5)
@@ -204,6 +211,26 @@ def test_bilinear_gain_with_frequency_separation():
     lo = bilinear_ratio(8, 8, seeds=3, T=0.5).mean
     hi = bilinear_ratio(8, 32, seeds=3, T=0.5).mean
     assert hi < lo
+
+
+def test_bilinear_sweep_evaluates_each_pair_once(monkeypatch):
+    # the axes share (8, 16): five bilinear_ratio calls, and the means of
+    # the six-call sweep, bitwise
+    import gpilab.bench as bench
+    calls = []
+    ratio = bench.bilinear_ratio
+
+    def counted(N1, N2, *args):
+        calls.append((N1, N2))
+        return ratio(N1, N2, *args)
+
+    monkeypatch.setattr(bench, "bilinear_ratio", counted)
+    res = bilinear_sweep(seeds=1, T=0.5, grid=Grid(3, 32, 2 * np.pi))
+    assert sorted(calls) == [(4, 16), (8, 8), (8, 16), (8, 32), (16, 16)]
+    assert res["N2_means"] == [float.fromhex(h) for h in (
+        "0x1.cb4c7612c9ad7p-3", "0x1.4e183b06c7beep-3", "0x1.ce17b2fc94281p-4")]
+    assert res["N1_means"] == [float.fromhex(h) for h in (
+        "0x1.8e3a547a86fe3p-4", "0x1.4e183b06c7beep-3", "0x1.f2509731f2712p-3")]
 
 
 def test_bilinear_sweep_shapes():

@@ -286,7 +286,7 @@ def test_bilinear_uses_config_seed(tmp_path, monkeypatch):
         seen.append(seed0)
         flat = loglog_fit([1, 2], [1.0, 1.0])
         return {"N2_axis": [8], "N2_means": [1.0], "N1_axis": [4], "N1_means": [1.0],
-                "N2_fit": flat, "N1_fit": flat, "seeds": seeds}
+                "N2_fit": flat, "N1_fit": flat}
 
     monkeypatch.setattr(cli, "bilinear_sweep", stub)
     for seed in (0, 5):
@@ -472,7 +472,7 @@ CSV_CASES = {
         lambda *args, **kwargs: SimpleNamespace(
             rows=[SimpleNamespace(N=4.0, increment_window=THIRD, increment_delta=BIG,
                                   delta=-3, gradI_norm=1e-300)],
-            fit=FIT, window=0.25),
+            fit=FIT),
         {"dim": 1, "n": 16, "length": 6.283185307179586, "s": 0.9,
          "N_list": [4], "window": 0.25},
         "increments.csv",
@@ -488,7 +488,7 @@ CSV_CASES = {
         "bilinear_sweep",
         lambda seeds, T, seed0: {"N2_axis": [8, BIG], "N2_means": [THIRD, 1],
                                  "N1_axis": [4], "N1_means": [0.5],
-                                 "N2_fit": FIT, "N1_fit": FIT, "seeds": seeds},
+                                 "N2_fit": FIT, "N1_fit": FIT},
         {"seeds": 1},
         "ratios.csv",
         "axis,value,mean_ratio\nN2,8,0.30000000000000004\n"

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gpilab.ledger import (ExponentLedger, dominant_increment, gwp_condition,
-                           gwp_threshold, iteration_count_exponent,
-                           ledger_table, lwp_time_exponent, step_law_exponent)
+                           gwp_threshold, ledger_table, step_law_exponent)
 
 
 def rational_grid(count=10 ** 4):
@@ -32,8 +31,6 @@ def test_domain_validation():
             gwp_condition(bad)
         with pytest.raises(ValueError):
             step_law_exponent(bad, 1)
-    with pytest.raises(ValueError):
-        lwp_time_exponent(Fraction(1, 2))
 
 
 def test_dominant_increment_examples():
@@ -65,20 +62,14 @@ def test_gwp_condition_monotone_on_grid():
 
 
 def test_iteration_count_examples_and_consistency():
-    assert iteration_count_exponent(Fraction(5, 6)) == Fraction(2, 3)
+    # T/delta segments on [0, T]: the segment count grows like N^{step_exponent}
+    assert ExponentLedger.at(Fraction(5, 6)).step_exponent == Fraction(2, 3)
     for s in rational_grid(500):
         led = ExponentLedger.at(s)
         _, dom = dominant_increment(s)
-        lhs = dom + iteration_count_exponent(s)
+        lhs = dom + led.step_exponent
         verdict, _ = gwp_condition(s)
         assert (lhs < led.energy_exponent) == verdict
-
-
-def test_lwp_time_exponent():
-    assert lwp_time_exponent(Fraction(3, 4)) == 8
-    assert lwp_time_exponent(Fraction(1)) == 4
-    vals = [lwp_time_exponent(s) for s in rational_grid(500)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))   # strictly decreasing
 
 
 def test_step_law_exponent_binding_terms():

@@ -8,15 +8,19 @@ integrated by Strang splitting on raw FFT coefficients: exact spectral
 half-steps for the linear part and, between them, the exact flow of the
 pointwise ODE u' = i F(u), then 2/3-rule dealiasing.  With v = 1 + u,
 F(u) = v(|v|^2 - 1), so that flow, v -> v e^{i(|v|^2 - 1) dt}, keeps |v|;
-the half-steps are unitary, so finite data turn non-finite only by
-overflow, and the first record with a non-finite number ends the run.
-`evolve` is the one stepper.  It allocates its arrays once: the step
-works in place, and each record is one pass over a stack of u and every
-Iu, with one batched inverse FFT.  Records keep scalars only, so a
+its factor e^{i theta} - 1 is computed from the half-angle sine,
+-2 sin^2(theta/2) + i sin(theta), which is what numpy's complex expm1
+computes, so the two agree bitwise.  The 2/3 rule keeps the box
+|k_j| <= K = floor((2/3)(n/2)) (`Grid.dealias_cutoff`); every state after
+the first step lies in it, and the transforms skip the lines the box
+makes zero.  The half-steps are unitary, so finite data turn non-finite
+only by overflow, and the first record with a non-finite number ends the
+run.  `evolve` is the one stepper.  It allocates its arrays once: the
+step works in place, and each record is one pass over a stack of u and
+every Iu, with one batched inverse FFT.  Records keep scalars only, so a
 trajectory holds one state, the final one, however many records it
-makes.  Also here: the
-L^2 growth audits, the step-size law, the almost-conservation sweep, and
-the segment-iterated global run.
+makes.  Also here: the L^2 growth audits, the step-size law, the
+almost-conservation sweep, and the segment-iterated global run.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _hs_norm, _spectral_scale, inverse_transform
+from .grid import (Field, Grid, _fftn_box, _hs_norm, _ifftn_box, _spectral_scale,
+                   inverse_transform)
 from .ioperator import (MultiplierSpec, _potential_sums, _reports, _spectral_sums,
                         modified_energy, multiplier_value)
 from .fitting import ExponentFit, loglog_fit
@@ -86,27 +91,52 @@ class Trajectory:
         return [t for t, _ in self.snapshots]
 
 
-def _step_raw(uh, half_phase, dt, mask, work):
+def _expm1_i(theta, e, s):
+    """e^{i theta} - 1 into the complex e, from real sines; s is real scratch.
+
+    At z = i theta numpy's complex expm1 computes the real part
+    expm1(Re z) cos(theta) - 2 sin^2(theta/2) and the imaginary part
+    exp(Re z) sin(theta), where Re z is a signed zero: the first term is a
+    signed zero and exp(Re z) is 1.  So sin(theta) and 0 theta - (2s)s,
+    s = sin(theta/2), are bitwise np.expm1(1j * theta) at half its cost,
+    and stay accurate at small theta; 0 theta only signs an exact-zero real
+    part.  theta = -0.0, which the step never makes, is the one exception:
+    1j * -0.0 has imaginary part +0.0.
+    """
+    np.sin(theta, out=e.imag)
+    np.sin(np.multiply(theta, 0.5, out=s), out=s)
+    np.multiply(s, 2, out=e.real)
+    e.real *= s
+    np.subtract(np.multiply(0.0, theta, out=s), e.real, out=e.real)
+    return e
+
+
+def _step_raw(uh, half_phase, dt, box, work):
     """One Strang step on raw fftn coefficients, in place on uh.
 
-    The nonlinear substep is the exact flow u -> u + (1+u)(e^{i theta} - 1),
-    theta = (|u|^2 + 2 Re u) dt; expm1 keeps e^{i theta} - 1 accurate at
-    small theta.  work = (u, e, theta, tmp) holds two complex and two real
-    arrays of uh's shape, overwritten; every product keeps its operand
-    order, since numpy's complex product is not bitwise symmetric.
+    box = (K_in, K): uh is zero outside the box |k_j| <= K_in (None: no
+    box), and the step ends with the 2/3 rule, which cuts the result to the
+    box |k_j| <= K (`Grid.dealias_cutoff`) by writing exact zeros past it;
+    the transforms skip the lines that the boxes make zero.  The nonlinear
+    substep is the exact flow u -> u + (1+u)(e^{i theta} - 1), theta =
+    (|u|^2 + 2 Re u) dt, with e^{i theta} - 1 from the half-angle sine
+    (`_expm1_i`), bitwise numpy's complex expm1.  work = (v, e, theta, s)
+    holds two complex and two real arrays of uh's shape, overwritten; every
+    product keeps its operand order, since numpy's complex product is not
+    bitwise symmetric.
     """
-    u, e, theta, tmp = work
+    v, e, theta, s = work
+    K_in, K = box
     uh *= half_phase
-    np.fft.ifftn(uh, out=u)
+    u = _ifftn_box(uh, uh.ndim, K_in)
     np.square(np.abs(u, out=theta), out=theta)
-    theta += np.multiply(2, u.real, out=tmp)
+    theta += np.multiply(2, u.real, out=s)
     theta *= dt
-    np.expm1(np.multiply(1j, theta, out=e), out=e)
-    np.add(1, u, out=uh)
-    uh *= e
-    uh += u
-    np.fft.fftn(uh, out=uh)
-    uh *= mask
+    _expm1_i(theta, e, s)
+    np.add(1, u, out=v)
+    v *= e
+    v += u
+    _fftn_box(v, uh.ndim, K, out=uh)
     uh *= half_phase
     return uh
 
@@ -118,8 +148,11 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     those of Iu: kinetic terms and l2 from the scaled coefficients, then one
     batched inverse FFT in place, then the potentials and ||u||_{L^3}.  The
     stack and the real arrays beside it are allocated once and are also the
-    step's workspace.  Records keep scalars only; the state of the last
-    record, at t_end, is kept as `final`.
+    step's workspace.  The datum may hold modes past the dealiased box
+    (`rough_datum` does in 2D and 3D), so the first record and step 1
+    transform every line; every later state lies in the box, and its
+    transforms skip the lines that are zero.  Records keep scalars only;
+    the state of the last record, at t_end, is kept as `final`.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum lives on a different grid")
@@ -129,7 +162,6 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     absxi = grid.xi_abs()
     xi2 = absxi ** 2
     half_phase = np.exp(1j * xi2 * cfg.dt / 2)
-    mask = grid.dealias_mask()
     m_N = np.array([multiplier_value(sp, absxi) for sp in specs]).reshape(
         (len(specs),) + grid.shape)
     del absxi
@@ -143,7 +175,7 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     real = np.empty((2, rows) + grid.shape)
     step_work = (stack[0], stack[1], real[0, 0], real[1, 0])
     ws = stack[:rows]
-    spatial = tuple(range(1, grid.dim + 1))
+    K = grid.dealias_cutoff
 
     traj = Trajectory(snapshots=[], reports=[], reports_I={sp: [] for sp in specs},
                       final=None, cfg=cfg)
@@ -152,12 +184,12 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
         ws[0] = uh
         np.multiply(uh, m_N, out=ws[1:])
 
-    def record(t):
+    def record(t, box):
         fill()
         np.multiply(ws, scale, out=ws)
         kin, l2 = _spectral_sums(ws, xi2, real)
         fill()
-        np.fft.ifftn(ws, axes=spatial, out=ws)
+        _ifftn_box(ws, grid.dim, box)
         absu = np.abs(ws, out=real[0])
         l3 = float((np.sum(np.power(absu[0], 3, out=real[1, 0])) * w) ** (1.0 / 3))
         pot = _potential_sums(ws, absu, w, real[1])
@@ -169,11 +201,11 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
         for sp, r in zip(specs, reports[1:]):
             traj.reports_I[sp].append(r)
 
-    record(0.0)
+    record(0.0, None)
     for i in range(1, cfg.n_steps + 1):
-        _step_raw(uh, half_phase, cfg.dt, mask, step_work)
+        _step_raw(uh, half_phase, cfg.dt, (None if i == 1 else K, K), step_work)
         if i % cfg.diagnostics_every == 0:
-            record(i * cfg.dt)
+            record(i * cfg.dt, K)
     del uh, real, step_work            # freed before `final` copies its state
     traj.final = Field(grid, ws[0])    # the last record's physical u
     return traj

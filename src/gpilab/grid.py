@@ -15,6 +15,7 @@ convention), so the Laplacian symbol is -|xi|^2.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,6 +36,11 @@ class BandKind(enum.Enum):
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _wavenumbers(n: int) -> np.ndarray:
+    """|k| of the integer wavenumbers on an axis of n points, FFT order."""
+    return np.minimum(np.arange(n), n - np.arange(n))
 
 
 @dataclass(frozen=True)
@@ -82,10 +88,15 @@ class Grid:
         ax = np.arange(self.n) * self.dx
         return list(np.meshgrid(*([ax] * self.dim), indexing="ij"))
 
+    @property
+    def dealias_cutoff(self) -> int:
+        """2/3-rule cutoff K = floor((2/3)(n/2)): the dealiased box is
+        |k_j| <= K on every axis, k_j the integer wavenumber."""
+        return 2 * (self.n // 2) // 3
+
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keep |k| <= (2/3)(n/2) per axis."""
-        axis = np.abs(np.fft.fftfreq(self.n) * self.n)
-        keep1 = axis <= (2.0 / 3.0) * (self.n // 2)
+        """The dealiased box |k_j| <= K as a full-grid mask."""
+        keep1 = _wavenumbers(self.n) <= self.dealias_cutoff
         out = np.ones(self.shape, dtype=bool)
         for j in range(self.dim):
             shape = [1] * self.dim
@@ -134,6 +145,77 @@ def forward_transform(f: Field) -> np.ndarray:
 def inverse_transform(grid: Grid, coef: np.ndarray) -> Field:
     """The Field on grid whose unitary coefficients are coef."""
     return Field(grid, np.fft.ifftn(coef / _spectral_scale(grid)))
+
+
+# ---------------------------------------------------------------------------
+# band-limited raw transforms
+#
+# numpy's n-D transform is a 1D pass along each axis, last axis first.  For
+# input that is zero outside the box |k_j| <= K, the inverse pass along axis
+# j has work only on the lines whose indices on the earlier axes lie in the
+# box; every other line is zero and is left as it is.  The forward pass along
+# axis j is needed only on the lines whose indices on the later axes lie in
+# the box, since the box keeps no other output.  A line that is transformed
+# sees the same numbers as in numpy's own n-D call, so inside the box the
+# values are bitwise np.fft.ifftn's and np.fft.fftn's.  Both act on the last
+# `dim` axes, so a leading axis batches arrays.
+
+def _box_ranges(n: int, K):
+    """Index ranges of |k| <= K on an axis of n points, FFT order, or None
+    for one whole transform: for K = None (no box) and for a box that keeps
+    more than 7/8 of the axis, where skipping lines saves less than the
+    extra calls cost (at 64^3 on a 2-vCPU Xeon, K = 31 took 9% longer by
+    lines than whole, and the two broke even near K = 27)."""
+    if K is None or 8 * (2 * K + 1) > 7 * n:
+        return None
+    return (slice(0, K + 1), slice(n - K, n)) if K else (slice(0, 1),)
+
+
+def _whole(fft, a, lead, out):
+    # one numpy n-D call over the axes after the first `lead`; an unbatched
+    # array gets the plain call fft(a, out=out)
+    axes = {"axes": tuple(range(lead, a.ndim))} if lead else {}
+    return fft(a, out=out, **axes)
+
+
+def _ifftn_box(a: np.ndarray, dim: int, K) -> np.ndarray:
+    """np.fft.ifftn of a in place, for a zero outside the box |k_j| <= K."""
+    lead, ranges = a.ndim - dim, _box_ranges(a.shape[-1], K)
+    if ranges is None or dim == 1:
+        return _whole(np.fft.ifftn, a, lead, a)
+    for j in reversed(range(dim)):
+        for box in itertools.product(ranges, repeat=j):
+            lines = a[(slice(None),) * lead + box]
+            np.fft.ifftn(lines, axes=(lead + j,), out=lines)
+    return a
+
+
+def _fftn_box(a: np.ndarray, dim: int, K, out: np.ndarray) -> np.ndarray:
+    """np.fft.fftn of a into out, cut to the box |k_j| <= K, with exact
+    zeros outside it."""
+    n = a.shape[-1]
+    lead, ranges = a.ndim - dim, _box_ranges(n, K)
+    if ranges is None or dim == 1:
+        _whole(np.fft.fftn, a, lead, out)
+    else:
+        np.fft.fftn(a, axes=(a.ndim - 1,), out=out)
+        for j in reversed(range(dim - 1)):
+            for box in itertools.product(ranges, repeat=dim - 1 - j):
+                lines = out[(slice(None),) * (lead + j + 1) + box]
+                np.fft.fftn(lines, axes=(lead + j,), out=lines)
+    if K is not None and 2 * K + 1 < n:
+        for j in range(lead, out.ndim):
+            out[(slice(None),) * j + (slice(K + 1, n - K),)] = 0
+    return out
+
+
+def _box_cutoff(coef: np.ndarray) -> int:
+    """The least K such that coef is zero outside the box |k_j| <= K."""
+    k = _wavenumbers(coef.shape[-1])
+    held = coef != 0
+    axes = range(coef.ndim)
+    return max(int(k[held.any(axis=tuple(i for i in axes if i != j))].max(initial=0))
+               for j in axes)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,13 @@ def eval_multiplier(expr: MultiplierExpr, xis, N: float, s: float):
     mags = _norm3(X)
     if (mags < SINGULAR_EPS).any():
         raise SingularInputError("frequency magnitude below 1e-9")
+    out = _eval_multiplier(expr, X, mags, N, s)
+    return float(out[0]) if xis.ndim == 2 else out
+
+
+def _eval_multiplier(expr: MultiplierExpr, X, mags, N: float, s: float):
+    """M at X of shape (count, arity, 3) whose magnitudes, mags = _norm3(X),
+    are given and above the singular guard."""
     spec = MultiplierSpec(N=N, s=s)
     for k, g in enumerate(expr.groups):
         block = slice(g[0], g[-1] + 1)
@@ -88,8 +95,7 @@ def eval_multiplier(expr: MultiplierExpr, xis, N: float, s: float):
         out = part if k == 0 else out * part
     if len(expr.groups) == 1:
         out = out * ssum
-    out = out / mags.prod(axis=1)
-    return float(out[0]) if xis.ndim == 2 else out
+    return out / mags.prod(axis=1)
 
 
 @dataclass(frozen=True)
@@ -255,12 +261,14 @@ def catalog_by_label(label: str) -> VerifyCase:
     return {case.label: case for case in CATALOG}[label]
 
 
-def sample_region(case: VerifyCase, N: float, count: int, seed: int):
+def sample_region(case: VerifyCase, N: float, count: int, seed: int, *, _mags=None):
     """Draw `count` tuples in the case region, log-uniform magnitudes and uniform
     directions.  Each round draws 4x the shortfall, at least 2000 candidates, and
     keeps its first admissible ones in draw order; the counts of rejected and
     singular candidates cover every candidate drawn.  Raise InfeasibleRegionError
-    if 200 rounds yield fewer than `count`."""
+    if 200 rounds yield fewer than `count`.  `_mags`, if given, is a (count,
+    arity) array that receives the magnitudes of the kept tuples, bitwise
+    `_norm3` of them."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -291,6 +299,8 @@ def sample_region(case: VerifyCase, N: float, count: int, seed: int):
         rejected += c - n_ok - n_sing
         take = np.flatnonzero(ok)[:count - have]
         out[have:have + len(take)] = F[:, take].transpose(1, 0, 2)
+        if _mags is not None:
+            _mags[have:have + len(take)] = mags[:, take].T
         have += len(take)
     if have < count:
         raise InfeasibleRegionError(
@@ -319,13 +329,16 @@ def verify_bound(case: VerifyCase, N_list=(4, 8, 16, 32),
     quarter-power bounds are stated at s = 3/4 and hold for any s >= 3/4."""
     per_N, rejections, best = {}, {}, (-np.inf, None)
     for k, N in enumerate(N_list):
-        X, stats = sample_region(case, N, samples_per_N, seed=seed + 7919 * k)
-        bound = case.bound(case.sorted_mags(_norm3(X)), N, s)
-        ratio = eval_multiplier(case.expr, X, N, s) / bound
+        mags = np.empty((samples_per_N, case.expr.arity))
+        X, stats = sample_region(case, N, samples_per_N, seed=seed + 7919 * k,
+                                 _mags=mags)
+        bound = case.bound(case.sorted_mags(mags), N, s)
+        ratio = _eval_multiplier(case.expr, X, mags, N, s) / bound
         i = int(np.argmax(ratio))
         per_N[N], rejections[N] = float(ratio[i]), stats["rejected"]
         if ratio[i] > best[0]:
             best = (float(ratio[i]), tuple(map(tuple, X[i])))
+        del X, mags, bound, ratio   # freed before the next draw, whose peak they raise
     slope = loglog_fit(list(N_list), [max(per_N[N], 1e-300) for N in N_list]).slope
     return BoundReport(case.label, case.source, best[0], best[1], per_N, rejections,
                        slope, best[0] <= cap and slope <= slope_gate, case.flagged)

@@ -1,5 +1,6 @@
 """Oracles and properties for grids, transforms, norms, and projections."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpilab.grid import (BandKind, Field, FrequencyBand, Grid, band_project,
-                         forward_transform, inverse_transform, lp_norm, sobolev_norm)
+from gpilab.grid import (BandKind, Field, FrequencyBand, Grid, _box_cutoff, _fftn_box,
+                         _ifftn_box, band_project, forward_transform, inverse_transform,
+                         lp_norm, sobolev_norm)
 
 
 def random_field(grid, seed):
@@ -63,6 +65,84 @@ def test_round_trip_is_identity(dim, n):
     f = random_field(g, seed=10 + dim)
     back = inverse_transform(g, forward_transform(f))
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+
+# ---------------------------------------------------------------------------
+# the dealiased box and the band-limited transforms
+
+def _box(n, dim, K):
+    # |k_j| <= K on every axis, k_j the integer wavenumber in FFT order;
+    # K = None is no box
+    keep = np.minimum(np.arange(n), n - np.arange(n)) <= (n if K is None else K)
+    return functools.reduce(np.logical_and, [keep.reshape((n,) + (1,) * j)
+                                             for j in range(dim)])
+
+
+@pytest.mark.parametrize("n", [2 ** p for p in range(3, 11)])
+def test_dealias_mask_is_the_box(n):
+    # K is the integer part of the 2/3 rule's (2/3)(n/2), and the mask is
+    # the box it bounds; a 3D mask is built up to 128^3 (1024^3 bools are
+    # 1 GB), and every mask is the product of the same per-axis rule
+    K = Grid(1, n, 1.0).dealias_cutoff
+    assert K <= (2.0 / 3.0) * (n // 2) < K + 1
+    for dim in (1, 2, 3):
+        if n ** dim <= 2 ** 21:
+            assert np.array_equal(Grid(dim, n, 1.0).dealias_mask(), _box(n, dim, K))
+    assert Grid(3, 64, 1.0).dealias_cutoff == 21
+
+
+# (shape, dim, K): 1D, 2D, 3D, batched leading axes, K = 0, the widest box
+# transformed by lines (13 of 16), a box transformed whole but still cut
+# (15 of 16), boxes that cover the axis, and no box
+BOX_CASES = [((64,), 1, 21), ((5, 64), 1, 21), ((32, 32), 2, 10), ((3, 32, 32), 2, 0),
+             ((16, 16, 16), 3, 5), ((2, 16, 16, 16), 3, 5), ((16, 16, 16), 3, 0),
+             ((16, 16, 16), 3, 6), ((16, 16, 16), 3, 7), ((16, 16, 16), 3, 8),
+             ((2, 8, 8, 8), 3, 40), ((8, 8, 8), 3, None)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _random(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape, dim, K", BOX_CASES)
+def test_band_limited_inverse_is_ifftn_bitwise(shape, dim, K):
+    a = _random(shape, 1) * _box(shape[-1], dim, K)
+    want = np.fft.ifftn(a, axes=tuple(range(len(shape) - dim, len(shape))))
+    got = _ifftn_box(a, dim, K)
+    assert got is a
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("shape, dim, K", BOX_CASES)
+def test_band_limited_forward_is_masked_fftn_bitwise(shape, dim, K):
+    # inside the box, bitwise fftn's values; outside, exact +0.0 written
+    # over whatever was there (the mask's product could leave -0.0)
+    a = _random(shape, 2)
+    inside = _box(shape[-1], dim, K)
+    want = np.fft.fftn(a, axes=tuple(range(len(shape) - dim, len(shape))))
+    out = np.full_like(a, np.nan)
+    assert _fftn_box(a, dim, K, out) is out
+    assert np.array_equal(_bits(out[..., inside]), _bits(want[..., inside]))
+    outside = _bits(out[..., ~inside])
+    assert np.array_equal(outside, np.zeros_like(outside))
+
+
+def test_box_cutoff_is_the_least_box():
+    n = 32
+    for dim, K in [(1, 11), (2, 5), (3, 9), (3, 16)]:
+        a = _random((n,) * dim, K) * _box(n, dim, K)
+        assert _box_cutoff(a) == K
+        a[..., K] = a[..., -K] = 0      # in 2D and 3D, K is reached on other axes
+        assert _box_cutoff(a) == (K if dim > 1 else K - 1)
+    one = np.zeros((8, 8), dtype=complex)
+    assert _box_cutoff(one) == 0
+    one[0, 0] = 1.0
+    assert _box_cutoff(one) == 0
 
 
 def test_plane_wave_hits_single_mode():

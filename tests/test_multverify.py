@@ -12,8 +12,9 @@ from hypothesis.extra.numpy import arrays
 from gpilab.ioperator import MultiplierSpec, multiplier_value
 from gpilab.multverify import (CATALOG, InfeasibleRegionError, MultiplierExpr,
                                VerifyCase, LWP_CUBIC, LWP_QUADRATIC, COMM_CUBIC,
-                               SingularInputError, _norm3, catalog_by_label,
-                               eval_multiplier, sample_region, verify_bound)
+                               SingularInputError, _eval_multiplier, _norm3,
+                               catalog_by_label, eval_multiplier, sample_region,
+                               verify_bound)
 
 
 def test_catalog_labels_are_unique():
@@ -179,6 +180,22 @@ def test_sample_region_raises_on_under_delivery():
     message = r"gave 28 of 1000 samples at N=4\.0, acceptance rate 3\.55e-05"
     with pytest.raises(InfeasibleRegionError, match=message):
         sample_region(rare, N=4.0, count=1000, seed=0)
+
+
+def test_sampled_magnitudes_are_norm3_bitwise():
+    # verify_bound reads the kept tuples' magnitudes from the sampler and
+    # hands them to the private evaluator; both must be what recomputing
+    # gives, and the stream and the counts must not move
+    for label in ("lwp-cubic/case2", "sextic/case3c-meanvalue", "cubic-pair/case2"):
+        case = catalog_by_label(label)
+        X, stats = sample_region(case, 8.0, 3000, seed=9)
+        mags = np.empty((3000, case.expr.arity))
+        X2, stats2 = sample_region(case, 8.0, 3000, seed=9, _mags=mags)
+        assert np.array_equal(X2, X) and stats2 == stats
+        assert np.array_equal(mags.view(np.uint64), _norm3(X).view(np.uint64))
+        got = _eval_multiplier(case.expr, X, mags, 8.0, 0.75)
+        want = eval_multiplier(case.expr, X, 8.0, 0.75)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # sha256 of the samples and the exact (rejected, singular) at N = 4 and 32,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BandKind, FrequencyBand, Grid, _box_cutoff, _ifftn_box
+from .grid import Grid, _box_cutoff, _ifftn_box, _spectral_scale
 from .fitting import loglog_fit
 
 __all__ = [
@@ -39,19 +39,18 @@ class _FreeFlow:
     The phase, one complex buffer per datum and the real `work` array are
     allocated once.  `phase(t)` returns the phase buffer and a call returns
     the data buffers, each of them overwritten by the next call: copy what
-    must outlive it.  A caller passes each datum's box, the least K with the
-    datum zero outside |k_j| <= K (`grid._box_cutoff`), computed once per
-    datum; the inverse transform then skips the lines that are zero, which
-    for band data at N <= 8 on 64^3 are most of them, and its values are
-    bitwise np.fft.ifftn's.  Callers skip the time samples where the cutoff
-    is exactly 0: the term there is 0.0 times a finite number, exactly 0.
+    must outlive it.  A caller passes each datum's box once per datum: the
+    least K with the datum zero outside |k_j| <= K (`grid._box_cutoff`), or
+    None.  The inverse transform skips the lines that are zero, most of them
+    for band data at N <= 8 on 64^3, and its values are bitwise
+    np.fft.ifftn's.  Callers skip the time samples where the cutoff is
+    exactly 0: the term there is 0.0 times a finite number, exactly 0.
     """
 
     def __init__(self, grid: Grid, count: int):
         levels, index = np.unique(grid.xi_abs() ** 2, return_inverse=True)
         self.levels, self.index = levels, index.reshape(grid.shape)
-        self.scale = grid.n ** grid.dim / math.sqrt(grid.volume)
-        self.dim = grid.dim
+        self.scale = 1 / _spectral_scale(grid)
         self._phase = np.empty(grid.shape, dtype=complex)
         self.out = tuple(np.empty(grid.shape, dtype=complex) for _ in range(count))
         self.work = np.empty(grid.shape)
@@ -62,14 +61,13 @@ class _FreeFlow:
         return np.take(np.exp(1j * self.levels * t), self.index,
                        out=self._phase, mode="clip")
 
-    def __call__(self, coefs, t: float, boxes=None) -> tuple:
+    def __call__(self, coefs, t: float, boxes) -> tuple:
         """Physical values at time t of the unitary coefficient arrays coefs,
-        each zero outside its box in `boxes` (default: no box)."""
+        each zero outside its box in `boxes`."""
         phase = self.phase(t)
-        boxes = boxes or (None,) * len(coefs)
         for c, b, K in zip(coefs, self.out, boxes):
             np.multiply(c, phase, out=b)
-            _ifftn_box(b, self.dim, K)
+            _ifftn_box(b, b.ndim, K)
             b *= self.scale
         return self.out
 
@@ -95,8 +93,9 @@ def time_cutoff(ts, T: float) -> np.ndarray:
 
 
 def _band(absxi, N) -> np.ndarray:
-    """The dyadic annulus |xi| ~ N on the magnitudes absxi; raises if empty."""
-    mask = FrequencyBand(N, BandKind.ANNULUS).mask(absxi)
+    """The dyadic annulus N/2 <= |xi| < 2N on the magnitudes absxi, the one
+    definition of a band; raises ValueError if empty, as for N <= 0 or NaN."""
+    mask = (absxi >= N / 2) & (absxi < 2 * N)
     if not mask.any():
         raise ValueError(f"band centered at {N} is not resolvable on this grid")
     return mask

@@ -81,11 +81,10 @@ def _one_of(choices):
     return cast
 
 
-def _count(v):
-    n = int(v)
-    if n < 1:
-        raise ValueError(f"must be at least 1, got {n}")
-    return n
+def _count(v):   # a float with an integral value is taken as that integer
+    if not (isinstance(v, int) or isinstance(v, float) and v.is_integer()) or v < 1:
+        raise ValueError(f"must be a positive integer, got {v!r}")
+    return int(v)
 
 
 def _seed(v):
@@ -100,6 +99,12 @@ def _parse_exponent(v):
 
 def _exponent(v):
     _parse_exponent(v)   # checked here, parsed by the runner
+    return v
+
+
+def _numbers(v):   # type(), not isinstance(): a boolean is not a number here
+    if not isinstance(v, list) or not all(type(x) in (int, float) for x in v):
+        raise ValueError(f"must be a JSON array of numbers, got {v!r}")
     return v
 
 
@@ -294,20 +299,20 @@ def _run_ledger(cfg: RunConfig):
 # subcommand -> (runner, params); a param is name -> (cast, default)
 _COMMANDS = {
     "simulate": (_run_simulate, {
-        "dim": (int, REQUIRED), "n": (int, REQUIRED), "length": (float, REQUIRED),
+        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (float, REQUIRED),
         "dt": (float, REQUIRED), "t_end": (float, REQUIRED),
-        "datum": (None, REQUIRED), "diagnostics_every": (int, 1),
+        "datum": (None, REQUIRED), "diagnostics_every": (_count, 1),
         "N": (float, None), "s": (float, None)}),
     "almost-conservation": (_run_almost_conservation, {
-        "dim": (int, REQUIRED), "n": (int, REQUIRED), "length": (float, REQUIRED),
-        "s": (float, REQUIRED), "N_list": (lambda v: [float(N) for N in v], REQUIRED),
-        "window": (float, REQUIRED), "dt": (float, 2.5e-4)}),
+        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (float, REQUIRED),
+        "s": (float, REQUIRED), "window": (float, REQUIRED), "dt": (float, 2.5e-4),
+        "N_list": (lambda v: [float(N) for N in _numbers(v)], REQUIRED)}),
     "strichartz": (_run_strichartz, {
         "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (float, REQUIRED),
-        "centers": (tuple, (4, 8, 16, 32)), "seeds": (_count, 4)}),
+        "centers": (_numbers, (4, 8, 16, 32)), "seeds": (_count, 4)}),
     "bilinear": (_run_bilinear, {"seeds": (_count, 20), "T": (float, 0.5)}),
     "multiplier-verify": (_run_multiplier_verify, {
-        "cases": (_cases, "all"), "N_list": (tuple, (4, 8, 16, 32)),
+        "cases": (_cases, "all"), "N_list": (_numbers, (4, 8, 16, 32)),
         "samples_per_N": (_count, 10 ** 4), "cap": (float, 64.0),
         "slope_gate": (float, 0.1), "s": (float, 0.75)}),
     "ledger": (_run_ledger, {"s_grid": (_s_grid, REQUIRED)}),

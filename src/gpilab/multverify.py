@@ -12,16 +12,11 @@ import numpy as np
 from .ioperator import MultiplierSpec, multiplier_value
 from .fitting import loglog_fit
 
-__all__ = ["MultiplierExpr", "VerifyCase", "SingularInputError",
-           "InfeasibleRegionError", "eval_multiplier", "sample_region",
-           "verify_bound", "CATALOG", "catalog_by_label"]
+__all__ = ["MultiplierExpr", "VerifyCase", "InfeasibleRegionError", "eval_multiplier",
+           "sample_region", "verify_bound", "CATALOG", "catalog_by_label"]
 
 SINGULAR_EPS = 1e-9
 WINDOWS = {"H": (1, 64), "L": (1 / 64, 1), "T": (1 / 64, 1 / 8), "A": (1 / 64, 64)}
-
-
-class SingularInputError(ValueError):
-    """A frequency magnitude fell below the 1e-9 guard."""
 
 
 class InfeasibleRegionError(RuntimeError):
@@ -67,24 +62,11 @@ QUARTIC_PAIRS = MultiplierExpr("quartic-pairs", ((0, 1), (2, 3)))
 CUBIC_PAIR = MultiplierExpr("cubic-pair", ((0, 1), (2,)))
 
 
-def eval_multiplier(expr: MultiplierExpr, xis, N: float, s: float):
-    """M at xis of shape ([count,] arity, 3): the leading block's m(|sum|)/prod m
-    or |m(|sum|) - prod m|/prod m (commutator), times m(|sum|)/prod m of each later
+def eval_multiplier(expr: MultiplierExpr, X, mags, N: float, s: float):
+    """M at X of shape (count, arity, 3) with magnitudes mags = _norm3(X), none
+    below the sampler's 1e-9 guard: the leading block's m(|sum|)/prod m or
+    |m(|sum|) - prod m|/prod m (commutator), times m(|sum|)/prod m of each later
     block, over the product of all magnitudes; a lone block carries |sum|."""
-    xis = np.asarray(xis, dtype=float)
-    X = xis[None] if xis.ndim == 2 else xis
-    if X.shape[1:] != (expr.arity, 3):
-        raise ValueError(f"expected shape (count, {expr.arity}, 3), got {X.shape}")
-    mags = _norm3(X)
-    if (mags < SINGULAR_EPS).any():
-        raise SingularInputError("frequency magnitude below 1e-9")
-    out = _eval_multiplier(expr, X, mags, N, s)
-    return float(out[0]) if xis.ndim == 2 else out
-
-
-def _eval_multiplier(expr: MultiplierExpr, X, mags, N: float, s: float):
-    """M at X of shape (count, arity, 3) whose magnitudes, mags = _norm3(X),
-    are given and above the singular guard."""
     spec = MultiplierSpec(N=N, s=s)
     for k, g in enumerate(expr.groups):
         block = slice(g[0], g[-1] + 1)
@@ -312,7 +294,6 @@ def sample_region(case: VerifyCase, N: float, count: int, seed: int, *, _mags=No
 @dataclass(frozen=True)
 class BoundReport:
     label: str
-    source: str
     max_ratio: float
     witness: tuple              # frequency tuple achieving the max
     per_N: dict                 # N -> max ratio
@@ -333,12 +314,12 @@ def verify_bound(case: VerifyCase, N_list=(4, 8, 16, 32),
         X, stats = sample_region(case, N, samples_per_N, seed=seed + 7919 * k,
                                  _mags=mags)
         bound = case.bound(case.sorted_mags(mags), N, s)
-        ratio = _eval_multiplier(case.expr, X, mags, N, s) / bound
+        ratio = eval_multiplier(case.expr, X, mags, N, s) / bound
         i = int(np.argmax(ratio))
         per_N[N], rejections[N] = float(ratio[i]), stats["rejected"]
         if ratio[i] > best[0]:
             best = (float(ratio[i]), tuple(map(tuple, X[i])))
         del X, mags, bound, ratio   # freed before the next draw, whose peak they raise
     slope = loglog_fit(list(N_list), [max(per_N[N], 1e-300) for N in N_list]).slope
-    return BoundReport(case.label, case.source, best[0], best[1], per_N, rejections,
+    return BoundReport(case.label, best[0], best[1], per_N, rejections,
                        slope, best[0] <= cap and slope <= slope_gate, case.flagged)

@@ -27,12 +27,12 @@ def test_free_flow_is_unitary_and_additive():
     g = Grid(dim=1, n=64, length=2 * np.pi)
     c = band_datum(g, 8.0, seed=0)
     flow = _FreeFlow(g, 1)
-    first = flow((c,), 0.3)
+    first = flow((c,), 0.3, (None,))
     u1 = first[0].copy()
     assert abs(lp_norm(Field(g, u1), 2) - np.linalg.norm(c)) < 1e-12
     # group property: flowing 0.2 then 0.1 equals flowing 0.3
-    mid = flow((c,), 0.2)[0].copy()
-    again = flow((forward_transform(Field(g, mid)),), 0.1)
+    mid = flow((c,), 0.2, (None,))[0].copy()
+    again = flow((forward_transform(Field(g, mid)),), 0.1, (None,))
     u2 = again[0]
     assert np.max(np.abs(u1 - u2)) < 1e-12
     # the kernel hands back its own buffers, overwritten by the next call
@@ -48,7 +48,7 @@ def _smooth_datum(g, amp=0.2):
 def test_free_flow_preserves_l2_exactly():
     g = Grid(dim=1, n=64, length=2 * np.pi)
     f = _smooth_datum(g)
-    out, = _FreeFlow(g, 1)((forward_transform(f),), 0.01)
+    out, = _FreeFlow(g, 1)((forward_transform(f),), 0.01, (None,))
     assert abs(lp_norm(Field(g, out), 2) - lp_norm(f, 2)) < 1e-13
 
 
@@ -56,7 +56,7 @@ def test_free_flow_matches_spectral_phase():
     g = Grid(dim=1, n=64, length=2 * np.pi)
     f = _smooth_datum(g)
     coef = forward_transform(f)
-    out, = _FreeFlow(g, 1)((coef,), 0.1)
+    out, = _FreeFlow(g, 1)((coef,), 0.1, (None,))
     exact = coef * np.exp(1j * g.xi_abs() ** 2 * 0.1)
     got = forward_transform(Field(g, out))
     assert np.max(np.abs(got - exact)) < 1e-12
@@ -89,7 +89,7 @@ def test_free_flow_matches_out_of_place_formula_bitwise():
     for t in (0.123, -0.37):
         phase = np.exp(1j * xi2 * t)
         want = np.fft.ifftn(c * phase) * scale
-        got, = flow((c,), t)
+        got, = flow((c,), t, (None,))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -193,6 +193,15 @@ def test_strichartz_sweep_small_is_flat():
 def test_bilinear_ratio_validates_input():
     with pytest.raises(ValueError):
         bilinear_ratio(16, 8, seeds=1, T=0.5)
+
+
+@pytest.mark.parametrize("N", [0, -4, math.nan])
+def test_band_rejects_nonpositive_and_nan_centers(N):
+    # no magnitude lies in [N/2, 2N) for N <= 0 or N = NaN, so the band's
+    # empty check rejects such a center
+    absxi = Grid(3, 16, 2 * np.pi).xi_abs()
+    with pytest.raises(ValueError, match="not resolvable"):
+        bench._band(absxi, N)
 
 
 def test_bilinear_ratio_rejects_empty_band():

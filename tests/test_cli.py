@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -301,7 +302,7 @@ def test_bilinear_uses_config_seed(tmp_path, monkeypatch):
 # resolution: the datum, case labels, the resolved manifest
 
 def key_line(path, key):
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     return next(i for i, line in enumerate(text.splitlines(), start=1)
                 if f'"{key}"' in line)
 
@@ -354,6 +355,19 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
     pytest.param("bilinear", {"seeds": 0}, "seeds", id="bilinear-no-seeds"),
     pytest.param("multiplier-verify", {"samples_per_N": 0}, "samples_per_N",
                  id="no-samples"),
+    pytest.param("simulate", {"dim": 1.9, "n": 32, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": 0.02, "datum": {"kind": "zero"}},
+                 "dim", id="fractional-dim"),
+    pytest.param("simulate", {"dim": 1, "n": 32.7, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": 0.02, "datum": {"kind": "zero"}},
+                 "n", id="fractional-n"),
+    pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
+                                         "s": 0.9, "N_list": "48", "window": 0.01},
+                 "N_list", id="N_list-string"),
+    pytest.param("multiplier-verify", {"N_list": "48"}, "N_list",
+                 id="multiplier-N_list-string"),
+    pytest.param("strichartz", {"q": 2, "r": 6, "T": 0.3, "centers": [4, "x"]},
+                 "centers", id="centers-not-numbers"),
 ])
 def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
     path = write_config(tmp_path, {"subcommand": sub, "params": params,

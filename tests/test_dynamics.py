@@ -251,7 +251,7 @@ def test_nonlinear_substep_is_the_exact_flow(monkeypatch):
     u0 = (rng.uniform(0.5, 1.5, 256) * np.exp(2j * np.pi * rng.uniform(size=256))) - 1
     dt = 1.5
 
-    def identity(a, out=None):
+    def identity(a, axes=None, out=None):
         if out is None:
             return a
         out[...] = a

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpilab.grid import (BandKind, Field, FrequencyBand, Grid, _box_cutoff, _fftn_box,
-                         _ifftn_box, band_project, forward_transform, inverse_transform,
-                         lp_norm, sobolev_norm)
+from gpilab.bench import _band
+from gpilab.grid import (Field, Grid, _box_cutoff, _fftn_box, _ifftn_box,
+                         forward_transform, inverse_transform, lp_norm, sobolev_norm)
 
 
 def random_field(grid, seed):
@@ -197,22 +197,19 @@ def test_norms_are_absolutely_homogeneous(scale, seed):
 
 def test_parseval_partition_over_bands():
     # each annulus [c/2, 2c) spans two octaves, so centers 4^k apart plus
-    # a small ball tile the lattice exactly: norms must add up
+    # the ball |xi| < 1 tile the lattice exactly: norms must add up
     g = Grid(dim=2, n=64, length=2 * np.pi)
     f = random_field(g, seed=5)
+    coef, absxi = forward_transform(f), g.xi_abs()
+
+    def piece(mask):
+        return lp_norm(inverse_transform(g, coef * mask), 2) ** 2
+
     total = lp_norm(f, 2) ** 2
-    pieces = lp_norm(band_project(f, FrequencyBand(1.0, BandKind.BALL)), 2) ** 2
+    pieces = piece(absxi < 1.0)
     c = 2.0
-    while c / 2 <= g.xi_abs().max():
-        pieces += lp_norm(band_project(f, FrequencyBand(c, BandKind.ANNULUS)), 2) ** 2
+    while c / 2 <= absxi.max():
+        pieces += piece(_band(absxi, c))
         c *= 4
     assert abs(pieces - total) < 1e-10 * total
-
-
-def test_empty_band_warns_and_zeroes():
-    g = Grid(dim=1, n=16, length=2 * np.pi)
-    f = random_field(g, seed=2)
-    with pytest.warns(UserWarning):
-        out = band_project(f, FrequencyBand(1e6))
-    assert np.all(out.values == 0)
 

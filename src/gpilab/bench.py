@@ -26,6 +26,8 @@ __all__ = [
     "BilinearStat", "bilinear_ratio", "bilinear_sweep",
 ]
 
+_GRID64 = Grid(dim=3, n=64, length=2 * np.pi)     # the benches' default grid
+
 
 class _FreeFlow:
     """The free Schroedinger flow e^{it Lap} of `count` data on one grid.
@@ -37,14 +39,15 @@ class _FreeFlow:
     `np.exp(1j * xi2 * t)`, so the phase is bitwise equal to it.
 
     The phase, one complex buffer per datum and the real `work` array are
-    allocated once.  `phase(t)` returns the phase buffer and a call returns
-    the data buffers, each of them overwritten by the next call: copy what
-    must outlive it.  A caller passes each datum's box once per datum: the
-    least K with the datum zero outside |k_j| <= K (`grid._box_cutoff`), or
-    None.  The inverse transform skips the lines that are zero, most of them
-    for band data at N <= 8 on 64^3, and its values are bitwise
-    np.fft.ifftn's.  Callers skip the time samples where the cutoff is
-    exactly 0: the term there is 0.0 times a finite number, exactly 0.
+    allocated once.  `samples(coefs, ts, wts)` is the one time loop of the
+    benches: it finds each datum's box once, the least integer K with the
+    datum zero outside |k_j| <= K (`grid._box_cutoff`), skips the samples
+    whose weight is exactly 0 (the term there is 0.0 times a finite number,
+    exactly 0), and at every other sample yields (i, wts[i], values).  The
+    inverse transform skips the lines that are zero, most of them for band
+    data at N <= 8 on 64^3, and its values are bitwise np.fft.ifftn's.
+    `phase(t)` returns the phase buffer and `values` are the data buffers,
+    each of them overwritten at the next sample: copy what must outlive it.
     """
 
     def __init__(self, grid: Grid, count: int):
@@ -61,15 +64,19 @@ class _FreeFlow:
         return np.take(np.exp(1j * self.levels * t), self.index,
                        out=self._phase, mode="clip")
 
-    def __call__(self, coefs, t: float, boxes) -> tuple:
-        """Physical values at time t of the unitary coefficient arrays coefs,
-        each zero outside its box in `boxes`."""
-        phase = self.phase(t)
-        for c, b, K in zip(coefs, self.out, boxes):
-            np.multiply(c, phase, out=b)
-            _ifftn_box(b, b.ndim, K)
-            b *= self.scale
-        return self.out
+    def samples(self, coefs, ts, wts):
+        """(i, wts[i], physical values at ts[i]) of the unitary coefficient
+        arrays coefs, for every i with wts[i] != 0."""
+        Ks = [_box_cutoff(c) for c in coefs]
+        for i, (t, wt) in enumerate(zip(ts, wts)):
+            if wt == 0.0:
+                continue
+            phase = self.phase(t)
+            for c, b, K in zip(coefs, self.out, Ks):
+                np.multiply(c, phase, out=b)
+                _ifftn_box(b, b.ndim, K)
+                b *= self.scale
+            yield i, wt, self.out
 
 
 def strichartz_admissible(q: float, r: float) -> bool:
@@ -116,7 +123,7 @@ def band_datum(grid: Grid, N: float, seed: int) -> np.ndarray:
 
 def strichartz_ratio_sweep(q: float, r: float, T: float,
                            centers=(4, 8, 16, 32), seeds: int = 4,
-                           grid: Grid = None, m: int = 24, seed0: int = 100) -> dict:
+                           grid: Grid = _GRID64, m: int = 24, seed0: int = 100) -> dict:
     """Ratio ||cutoff * e^{itLap} f||_{L^q L^r} / ||f||_{L^2} over band centers.
 
     Boundedness of the estimate shows up as a near-zero fitted slope of the
@@ -124,8 +131,6 @@ def strichartz_ratio_sweep(q: float, r: float, T: float,
     """
     if not strichartz_admissible(q, r):
         raise ValueError(f"(q, r) = ({q}, {r}) is not 3D-admissible")
-    if grid is None:
-        grid = Grid(dim=3, n=64, length=2 * np.pi)
     ts = np.linspace(0.0, T, m)
     wts = time_cutoff(ts, T)
     flow = _FreeFlow(grid, 1)
@@ -135,13 +140,9 @@ def strichartz_ratio_sweep(q: float, r: float, T: float,
         ratios = []
         for j in range(seeds):
             coef = band_datum(grid, N, seed0 + j)
-            box = (_box_cutoff(coef),)
             l2 = float(np.linalg.norm(coef))
             norms = np.zeros(m)
-            for i, (t, wt) in enumerate(zip(ts, wts)):
-                if wt == 0.0:
-                    continue
-                u, = flow((coef,), t, box)
+            for i, wt, (u,) in flow.samples((coef,), ts, wts):
                 work = np.abs(u, out=flow.work)
                 work **= r
                 norms[i] = wt * (np.sum(work) * w) ** (1.0 / r)
@@ -159,12 +160,11 @@ def strichartz_ratio_sweep(q: float, r: float, T: float,
 @dataclass(frozen=True)
 class BilinearStat:
     mean: float
-    max: float
     ratios: tuple
 
 
 def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
-                   grid: Grid = None, seed0: int = 1000) -> BilinearStat:
+                   grid: Grid = _GRID64, seed0: int = 1000) -> BilinearStat:
     """||u1 u2||_{L^2_{x,t}} / (||f1|| ||f2||) for colliding free wave packets.
 
     On a periodic box, generic band-limited data never separate, so the
@@ -178,8 +178,6 @@ def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
     """
     if N1 > N2:
         raise ValueError("bilinear bench expects N1 <= N2")
-    if grid is None:
-        grid = Grid(dim=3, n=64, length=2 * np.pi)
     absxi = grid.xi_abs()
     band2 = _band(absxi, N2)
     # smooth radial bump centered at N1, confined to its dyadic annulus
@@ -212,22 +210,16 @@ def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
         f2 = band2 * window * chirp * shift
         a, b = np.linalg.norm(f1), np.linalg.norm(f2)
         f1, f2 = f1 / a, f2 / b
-        boxes = (_box_cutoff(f1), _box_cutoff(f2))
         vals = np.zeros(ts.size)
-        for i, (t, wt) in enumerate(zip(ts, wts)):
-            if wt == 0.0:
-                continue
-            u1, u2 = flow((f1, f2), t, boxes)
+        for i, wt, (u1, u2) in flow.samples((f1, f2), ts, wts):
             work = np.abs(np.multiply(u1, u2, out=u1), out=flow.work)
             np.square(work, out=work)
             vals[i] = wt ** 2 * np.sum(work) * w
         ratios.append(float(np.sqrt(np.trapezoid(vals, ts))))
-    arr = np.array(ratios)
-    return BilinearStat(mean=float(arr.mean()), max=float(arr.max()),
-                        ratios=tuple(ratios))
+    return BilinearStat(mean=float(np.mean(ratios)), ratios=tuple(ratios))
 
 
-def bilinear_sweep(seeds: int = 20, T: float = 0.5, grid: Grid = None,
+def bilinear_sweep(seeds: int = 20, T: float = 0.5, grid: Grid = _GRID64,
                    seed0: int = 1000) -> dict:
     """Both slope fits of the refinement: N2 at fixed N1, N1 at fixed N2.
 

@@ -93,18 +93,25 @@ def _seed(v):
     return v
 
 
+def _real(v):   # type(), not isinstance(): a boolean is not a number here
+    if type(v) not in (int, float) or not math.isfinite(v):
+        raise ValueError(f"must be a finite JSON number, got {v!r}")
+    return float(v)
+
+
 def _parse_exponent(v):
     return math.inf if v in ("inf", "Infinity") else float(v)
 
 
-def _exponent(v):
-    _parse_exponent(v)   # checked here, parsed by the runner
+def _exponent(v):   # checked here, parsed by the runner
+    if v not in ("inf", "Infinity"):
+        _real(v)
     return v
 
 
-def _numbers(v):   # type(), not isinstance(): a boolean is not a number here
-    if not isinstance(v, list) or not all(type(x) in (int, float) for x in v):
-        raise ValueError(f"must be a JSON array of numbers, got {v!r}")
+def _numbers(v):   # the frequencies of a fit
+    if not isinstance(v, list) or len(v) < 2 or not all(_real(x) >= 1 for x in v):
+        raise ValueError(f"must be a JSON array of two or more numbers >= 1, got {v!r}")
     return v
 
 
@@ -206,8 +213,8 @@ def _build_datum(grid: Grid, datum: dict, seed: int) -> Field:
 
 def _datum_fields(datum, length: float) -> dict:
     """Fields of the simulate datum for its kind; a gaussian is L/8 wide by default."""
-    kinds = {"zero": {}, "rough": {"s": (float, 0.9)},
-             "gaussian": {"amplitude": (float, 0.1), "width": (float, length / 8)}}
+    kinds = {"zero": {}, "rough": {"s": (_real, 0.9)},
+             "gaussian": {"amplitude": (_real, 0.1), "width": (_real, length / 8)}}
     kind = datum.get("kind") if isinstance(datum, dict) else None
     # str(): a kind that is not a string gets no fields and fails the kind check
     return {"kind": (_one_of(kinds), REQUIRED), **kinds.get(str(kind), {})}
@@ -299,22 +306,22 @@ def _run_ledger(cfg: RunConfig):
 # subcommand -> (runner, params); a param is name -> (cast, default)
 _COMMANDS = {
     "simulate": (_run_simulate, {
-        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (float, REQUIRED),
-        "dt": (float, REQUIRED), "t_end": (float, REQUIRED),
+        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_real, REQUIRED),
+        "dt": (_real, REQUIRED), "t_end": (_real, REQUIRED),
         "datum": (None, REQUIRED), "diagnostics_every": (_count, 1),
-        "N": (float, None), "s": (float, None)}),
+        "N": (_real, None), "s": (_real, None)}),
     "almost-conservation": (_run_almost_conservation, {
-        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (float, REQUIRED),
-        "s": (float, REQUIRED), "window": (float, REQUIRED), "dt": (float, 2.5e-4),
+        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_real, REQUIRED),
+        "s": (_real, REQUIRED), "window": (_real, REQUIRED), "dt": (_real, 2.5e-4),
         "N_list": (lambda v: [float(N) for N in _numbers(v)], REQUIRED)}),
     "strichartz": (_run_strichartz, {
-        "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (float, REQUIRED),
+        "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (_real, REQUIRED),
         "centers": (_numbers, (4, 8, 16, 32)), "seeds": (_count, 4)}),
-    "bilinear": (_run_bilinear, {"seeds": (_count, 20), "T": (float, 0.5)}),
+    "bilinear": (_run_bilinear, {"seeds": (_count, 20), "T": (_real, 0.5)}),
     "multiplier-verify": (_run_multiplier_verify, {
         "cases": (_cases, "all"), "N_list": (_numbers, (4, 8, 16, 32)),
-        "samples_per_N": (_count, 10 ** 4), "cap": (float, 64.0),
-        "slope_gate": (float, 0.1), "s": (float, 0.75)}),
+        "samples_per_N": (_count, 10 ** 4), "cap": (_real, 64.0),
+        "slope_gate": (_real, 0.1), "s": (_real, 0.75)}),
     "ledger": (_run_ledger, {"s_grid": (_s_grid, REQUIRED)}),
 }
 

@@ -114,13 +114,13 @@ def _expm1_i(theta, e, s):
 def _step_raw(uh, half_phase, dt, box, work):
     """One Strang step on raw fftn coefficients, in place on uh.
 
-    box = (K_in, K): uh is zero outside the box |k_j| <= K_in (None: no
-    box), and the step ends with the 2/3 rule, which cuts the result to the
-    box |k_j| <= K (`Grid.dealias_cutoff`) by writing exact zeros past it;
-    the transforms skip the lines that the boxes make zero.  The nonlinear
-    substep is the exact flow u -> u + (1+u)(e^{i theta} - 1), theta =
-    (|u|^2 + 2 Re u) dt, with e^{i theta} - 1 from the half-angle sine
-    (`_expm1_i`), bitwise numpy's complex expm1.  work = (v, e, theta, s)
+    box = (K_in, K): uh is zero outside the box |k_j| <= K_in (n // 2 is the
+    whole grid), and the step ends with the 2/3 rule, which cuts the result
+    to the box |k_j| <= K (`Grid.dealias_cutoff`) by writing exact zeros
+    past it; the transforms skip the lines that the boxes make zero.  The
+    nonlinear substep is the exact flow u -> u + (1+u)(e^{i theta} - 1),
+    theta = (|u|^2 + 2 Re u) dt, with e^{i theta} - 1 from the half-angle
+    sine (`_expm1_i`), bitwise numpy's complex expm1.  work = (v, e, theta, s)
     holds two complex and two real arrays of uh's shape, overwritten; every
     product keeps its operand order, since numpy's complex product is not
     bitwise symmetric.
@@ -201,9 +201,9 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
         for sp, r in zip(specs, reports[1:]):
             traj.reports_I[sp].append(r)
 
-    record(0.0, None)
+    record(0.0, grid.n // 2)
     for i in range(1, cfg.n_steps + 1):
-        _step_raw(uh, half_phase, cfg.dt, (None if i == 1 else K, K), step_work)
+        _step_raw(uh, half_phase, cfg.dt, (grid.n // 2 if i == 1 else K, K), step_work)
         if i % cfg.diagnostics_every == 0:
             record(i * cfg.dt, K)
     del uh, real, step_work            # freed before `final` copies its state

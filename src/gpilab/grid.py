@@ -149,18 +149,18 @@ def inverse_transform(grid: Grid, coef: np.ndarray) -> Field:
 # skip and is one numpy call, given no `axes` when unbatched: at n = 1024 on
 # a 2-vCPU Xeon, numpy's axes handling adds 5-9 us to a call of 17-19 us.
 
-def _box_ranges(n: int, K):
+def _box_ranges(n: int, K: int):
     """Index ranges of |k| <= K on an axis of n points, FFT order, or None
-    for one whole transform: for K = None (no box) and for a box that keeps
-    more than 7/8 of the axis, where skipping lines saves less than the
-    extra calls cost (at 64^3 on a 2-vCPU Xeon, K = 31 took 9% longer by
-    lines than whole, and the two broke even near K = 27)."""
-    if K is None or 8 * (2 * K + 1) > 7 * n:
+    for one whole transform: for a box that keeps more than 7/8 of the axis,
+    the whole-grid box K = n // 2 among them, where skipping lines saves less
+    than the extra calls cost (at 64^3 on a 2-vCPU Xeon, K = 31 took 9%
+    longer by lines than whole, and the two broke even near K = 27)."""
+    if 8 * (2 * K + 1) > 7 * n:
         return None
     return (slice(0, K + 1), slice(n - K, n)) if K else (slice(0, 1),)
 
 
-def _ifftn_box(a: np.ndarray, dim: int, K) -> np.ndarray:
+def _ifftn_box(a: np.ndarray, dim: int, K: int) -> np.ndarray:
     """np.fft.ifftn of a in place, for a zero outside the box |k_j| <= K."""
     lead, ranges = a.ndim - dim, _box_ranges(a.shape[-1], K)
     if ranges is None or dim == 1:
@@ -172,7 +172,7 @@ def _ifftn_box(a: np.ndarray, dim: int, K) -> np.ndarray:
     return a
 
 
-def _fftn_box(a: np.ndarray, dim: int, K, out: np.ndarray) -> np.ndarray:
+def _fftn_box(a: np.ndarray, dim: int, K: int, out: np.ndarray) -> np.ndarray:
     """np.fft.fftn of a into out, cut to the box |k_j| <= K, with exact
     zeros outside it."""
     n = a.shape[-1]
@@ -185,7 +185,7 @@ def _fftn_box(a: np.ndarray, dim: int, K, out: np.ndarray) -> np.ndarray:
             for box in itertools.product(ranges, repeat=dim - 1 - j):
                 lines = out[(slice(None),) * (lead + j + 1) + box]
                 np.fft.fftn(lines, axes=(lead + j,), out=lines)
-    if K is not None and 2 * K + 1 < n:
+    if 2 * K + 1 < n:
         for j in range(lead, out.ndim):
             out[(slice(None),) * j + (slice(K + 1, n - K),)] = 0
     return out

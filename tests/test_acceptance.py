@@ -149,6 +149,7 @@ def test_acceptance_04_step_law_exact(capsys):
              f">= {control:.2f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_acceptance_05_bilinear_refinement(capsys):
     t0 = time.monotonic()
     res = bilinear_sweep(seeds=20, T=0.5)
@@ -169,6 +170,7 @@ def test_acceptance_06_strichartz(capsys):
              f"truth table {'ok' if table_ok else 'WRONG'}, slope {slope:+.3f}")
 
 
+@pytest.mark.slow
 def test_acceptance_07_multiplier_bounds(capsys):
     failures = []
     worst = (0.0, "")

@@ -368,6 +368,24 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
                  id="multiplier-N_list-string"),
     pytest.param("strichartz", {"q": 2, "r": 6, "T": 0.3, "centers": [4, "x"]},
                  "centers", id="centers-not-numbers"),
+    pytest.param("multiplier-verify", {"cases": ["lwp-cubic/case1"], "cap": "nan"},
+                 "cap", id="cap-string-nan"),
+    pytest.param("strichartz", {"q": 2, "r": 6, "T": "0.5"}, "T", id="T-string"),
+    pytest.param("strichartz", {"q": math.inf, "r": 2, "T": 0.3}, "q",
+                 id="q-Infinity-number"),
+    pytest.param("strichartz", {"q": 2, "r": "nan", "T": 0.3}, "r", id="r-string-nan"),
+    pytest.param("simulate", {"dim": 1, "n": 32, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": math.inf, "datum": {"kind": "zero"}},
+                 "t_end", id="t_end-infinity"),
+    pytest.param("multiplier-verify", {"slope_gate": math.nan}, "slope_gate",
+                 id="slope_gate-NaN"),
+    pytest.param("strichartz", {"q": 2, "r": 6, "T": 0.3, "centers": [8]},
+                 "centers", id="one-center"),
+    pytest.param("multiplier-verify", {"N_list": [0.5, 4]}, "N_list",
+                 id="N_list-below-1"),
+    pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
+                                         "s": 0.9, "N_list": [], "window": 0.01},
+                 "N_list", id="N_list-empty"),
 ])
 def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
     path = write_config(tmp_path, {"subcommand": sub, "params": params,
@@ -488,7 +506,7 @@ CSV_CASES = {
                                   delta=-3, gradI_norm=1e-300)],
             fit=FIT),
         {"dim": 1, "n": 16, "length": 6.283185307179586, "s": 0.9,
-         "N_list": [4], "window": 0.25},
+         "N_list": [4, 8], "window": 0.25},
         "increments.csv",
         "N,increment_window,increment_delta,delta,gradI_norm\n"
         "4,0.30000000000000004,1.2345678901234568e+17,-3,1e-300\n"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpilab.bench import _band
-from gpilab.grid import (Field, Grid, _box_cutoff, _fftn_box, _ifftn_box,
+from gpilab.grid import (Field, Grid, _box_cutoff, _box_ranges, _fftn_box, _ifftn_box,
                          forward_transform, inverse_transform, lp_norm, sobolev_norm)
 
 
@@ -71,9 +71,8 @@ def test_round_trip_is_identity(dim, n):
 # the dealiased box and the band-limited transforms
 
 def _box(n, dim, K):
-    # |k_j| <= K on every axis, k_j the integer wavenumber in FFT order;
-    # K = None is no box
-    keep = np.minimum(np.arange(n), n - np.arange(n)) <= (n if K is None else K)
+    # |k_j| <= K on every axis, k_j the integer wavenumber in FFT order
+    keep = np.minimum(np.arange(n), n - np.arange(n)) <= K
     return functools.reduce(np.logical_and, [keep.reshape((n,) + (1,) * j)
                                              for j in range(dim)])
 
@@ -93,11 +92,11 @@ def test_dealias_mask_is_the_box(n):
 
 # (shape, dim, K): 1D, 2D, 3D, batched leading axes, K = 0, the widest box
 # transformed by lines (13 of 16), a box transformed whole but still cut
-# (15 of 16), boxes that cover the axis, and no box
+# (15 of 16), boxes that cover the axis, and the whole-grid box n // 2
 BOX_CASES = [((64,), 1, 21), ((5, 64), 1, 21), ((32, 32), 2, 10), ((3, 32, 32), 2, 0),
              ((16, 16, 16), 3, 5), ((2, 16, 16, 16), 3, 5), ((16, 16, 16), 3, 0),
              ((16, 16, 16), 3, 6), ((16, 16, 16), 3, 7), ((16, 16, 16), 3, 8),
-             ((2, 8, 8, 8), 3, 40), ((8, 8, 8), 3, None)]
+             ((2, 8, 8, 8), 3, 40), ((8, 8, 8), 3, 4)]
 
 
 def _bits(a):
@@ -130,6 +129,12 @@ def test_band_limited_forward_is_masked_fftn_bitwise(shape, dim, K):
     assert np.array_equal(_bits(out[..., inside]), _bits(want[..., inside]))
     outside = _bits(out[..., ~inside])
     assert np.array_equal(outside, np.zeros_like(outside))
+
+
+def test_whole_grid_box_is_one_transform():
+    # evolve gives the datum's first record and step the box n // 2, which
+    # must go to one numpy call, as numpy's own transform of the datum does
+    assert all(_box_ranges(n, n // 2) is None for n in range(8, 1025))
 
 
 def test_box_cutoff_is_the_least_box():

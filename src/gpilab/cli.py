@@ -28,7 +28,7 @@ from .grid import Field, Grid
 from .ioperator import MultiplierSpec
 from .dynamics import (BlowUpError, EvolveConfig, almost_conservation_experiment,
                        evolve, l2_growth_audit, rough_datum)
-from .bench import bilinear_sweep, strichartz_ratio_sweep
+from .bench import _GRID64, _band, bilinear_sweep, strichartz_ratio_sweep
 from .multverify import CATALOG, catalog_by_label, verify_bound
 from .ledger import ledger_table
 
@@ -112,6 +112,12 @@ def _exponent(v):   # checked here, parsed by the runner
 def _numbers(v):   # the frequencies of a fit
     if not isinstance(v, list) or len(v) < 2 or not all(_real(x) >= 1 for x in v):
         raise ValueError(f"must be a JSON array of two or more numbers >= 1, got {v!r}")
+    return v
+
+
+def _centers(v):   # each band must hold a mode of the Strichartz bench's grid
+    for N in _numbers(v):
+        _band(_GRID64.xi_abs(), N)
     return v
 
 
@@ -316,7 +322,7 @@ _COMMANDS = {
         "N_list": (lambda v: [float(N) for N in _numbers(v)], REQUIRED)}),
     "strichartz": (_run_strichartz, {
         "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (_real, REQUIRED),
-        "centers": (_numbers, (4, 8, 16, 32)), "seeds": (_count, 4)}),
+        "centers": (_centers, (4, 8, 16, 32)), "seeds": (_count, 4)}),
     "bilinear": (_run_bilinear, {"seeds": (_count, 20), "T": (_real, 0.5)}),
     "multiplier-verify": (_run_multiplier_verify, {
         "cases": (_cases, "all"), "N_list": (_numbers, (4, 8, 16, 32)),

@@ -65,7 +65,7 @@ class Grid:
 
     def xi_mesh(self) -> list:
         ax = 2 * np.pi * np.fft.fftfreq(self.n, d=self.dx)   # 2 pi k/L, FFT order
-        return list(np.meshgrid(*([ax] * self.dim), indexing="ij"))
+        return list(np.meshgrid(*([ax] * self.dim), indexing="ij", sparse=True))
 
     def xi_abs(self) -> np.ndarray:
         """|xi| on the full lattice."""
@@ -85,10 +85,8 @@ class Grid:
         """The dealiased box |k_j| <= K as a full-grid mask."""
         keep1 = _wavenumbers(self.n) <= self.dealias_cutoff
         out = np.ones(self.shape, dtype=bool)
-        for j in range(self.dim):
-            shape = [1] * self.dim
-            shape[j] = self.n
-            out &= keep1.reshape(shape)
+        for keep in np.meshgrid(*([keep1] * self.dim), indexing="ij", sparse=True):
+            out &= keep
         return out
 
 

@@ -1,6 +1,7 @@
 """Strichartz and bilinear bench tests (desk scale)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,9 @@ def test_free_flow_phase_table_is_exact(grid):
         assert np.array_equal(flow.phase(t).view(np.uint64), want.view(np.uint64))
     want = np.exp(-1j * xi2 * 0.27)     # the bilinear chirp
     assert np.array_equal(flow.phase(-0.27).view(np.uint64), want.view(np.uint64))
+    # one read-only level table per grid, shared by every flow on it
+    assert _FreeFlow(grid, 2).index is flow.index
+    assert not flow.index.flags.writeable and flow.index.dtype == np.intp
 
 
 def test_free_flow_matches_out_of_place_formula_bitwise():
@@ -129,6 +133,23 @@ def test_dispersive_benches_pinned_bitwise():
     res = strichartz_ratio_sweep(2, 6, 0.3, centers=(4, 8), seeds=1, grid=g, m=16)
     assert res["means"] == [float.fromhex("0x1.c3c4ad565d86cp-4"),
                             float.fromhex("0x1.c4ae40617a0abp-4")]
+
+
+def test_bilinear_ratio_peak_memory():
+    # a warm call holds the flow's phase, its two output buffers and real
+    # work array, both data, the N1 profile and the N2 band: 6.8 complex
+    # grid arrays at its peak, where building the data out of place held
+    # 11.6.  tracemalloc counts numpy's buffers exactly; ru_maxrss moves
+    # with allocation order.
+    g = Grid(3, 32, 2 * np.pi)
+    bilinear_ratio(4, 8, 1, 0.5, grid=g)     # builds the grid's level table
+    tracemalloc.start()
+    try:
+        bilinear_ratio(4, 8, 1, 0.5, grid=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * g.n ** 3) < 7.5
 
 
 def _count_calls(monkeypatch, obj, name):

@@ -386,6 +386,8 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
     pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
                                          "s": 0.9, "N_list": [], "window": 0.01},
                  "N_list", id="N_list-empty"),
+    pytest.param("strichartz", {"q": 2, "r": 6, "T": 0.3, "centers": [4, 1e6]},
+                 "centers", id="center-not-resolvable"),
 ])
 def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
     path = write_config(tmp_path, {"subcommand": sub, "params": params,

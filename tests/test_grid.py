@@ -46,6 +46,23 @@ def test_field_shape_must_match_grid():
         Field(g, np.zeros(16, dtype=complex))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 64])
+def test_xi_abs_is_the_dense_mesh_formula_bitwise(dim, n):
+    # the sparse axes sum to the dense meshes' values element by element
+    g = Grid(dim, n, 3.7)
+    ax = 2 * np.pi * np.fft.fftfreq(n, d=g.dx)
+    dense = np.meshgrid(*([ax] * dim), indexing="ij")
+    want = np.sqrt(sum(k ** 2 for k in dense))
+    assert np.array_equal(g.xi_abs().view(np.uint64), want.view(np.uint64))
+    axes = g.xi_mesh()
+    assert np.broadcast_shapes(*(k.shape for k in axes)) == g.shape
+    assert sum(k.size for k in axes) == dim * n
+    for k, d in zip(axes, dense):
+        assert np.array_equal(np.broadcast_to(k, g.shape).view(np.uint64),
+                              d.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # transforms: unitarity and round trips
 

@@ -109,6 +109,12 @@ def _exponent(v):   # checked here, parsed by the runner
     return v
 
 
+def _time(v):   # a time span
+    if _real(v) <= 0:
+        raise ValueError(f"must be a positive number, got {v!r}")
+    return float(v)
+
+
 def _numbers(v):   # the frequencies of a fit
     if not isinstance(v, list) or len(v) < 2 or not all(_real(x) >= 1 for x in v):
         raise ValueError(f"must be a JSON array of two or more numbers >= 1, got {v!r}")
@@ -201,10 +207,10 @@ def _csv(header: str, rows) -> str:
 
 def _energy_csv(traj) -> str:
     """The E(u) rows of a trajectory, then each spec's E(Iu) rows."""
-    reports = [*traj.reports, *(r for rs in traj.reports_I.values() for r in rs)]
+    per_row = zip(traj.labels, traj.energies.transpose(1, 0, 2).tolist())
     return _csv("time,kinetic,potential,total,l2,N,s",
-                [(r.time, r.kinetic, r.potential, r.total, r.l2, r.N, r.s)
-                 for r in reports])
+                [(t, *e, *label) for label, rows in per_row
+                 for (t, _), e in zip(traj.snapshots.tolist(), rows)])
 
 
 def _build_datum(grid: Grid, datum: dict, seed: int) -> Field:
@@ -238,8 +244,8 @@ def _run_simulate(cfg: RunConfig):
     specs = () if p["N"] is None else (MultiplierSpec(N=p["N"], s=p["s"]),)
     traj = evolve(u0, ecfg, specs)
     audit = l2_growth_audit(traj)
-    summary = {"status": "ok", "final_l2": traj.reports[-1].l2,
-               "final_energy": traj.reports[-1].total,
+    total, l2 = traj.energies[-1, 0, 2:].tolist()
+    summary = {"status": "ok", "final_l2": l2, "final_energy": total,
                "l2_audit": {"differential_margin": audit.differential_margin,
                             "gronwall_margin": audit.gronwall_margin,
                             "violations": audit.violations}}
@@ -321,9 +327,9 @@ _COMMANDS = {
         "s": (_real, REQUIRED), "window": (_real, REQUIRED), "dt": (_real, 2.5e-4),
         "N_list": (lambda v: [float(N) for N in _numbers(v)], REQUIRED)}),
     "strichartz": (_run_strichartz, {
-        "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (_real, REQUIRED),
+        "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (_time, REQUIRED),
         "centers": (_centers, (4, 8, 16, 32)), "seeds": (_count, 4)}),
-    "bilinear": (_run_bilinear, {"seeds": (_count, 20), "T": (_real, 0.5)}),
+    "bilinear": (_run_bilinear, {"seeds": (_count, 20), "T": (_time, 0.5)}),
     "multiplier-verify": (_run_multiplier_verify, {
         "cases": (_cases, "all"), "N_list": (_numbers, (4, 8, 16, 32)),
         "samples_per_N": (_count, 10 ** 4), "cap": (_real, 64.0),

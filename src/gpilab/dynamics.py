@@ -17,9 +17,9 @@ makes zero.  The half-steps are unitary, so finite data turn non-finite
 only by overflow, and the first record with a non-finite number ends the
 run.  `evolve` is the one stepper.  It allocates its arrays once: the
 step works in place, and each record is one pass over a stack of u and
-every Iu, with one batched inverse FFT.  Records keep scalars only, so a
-trajectory holds one state, the final one, however many records it
-makes.  Also here: the L^2 growth audits, the step-size law, the
+every Iu, with one batched inverse FFT, into one row of the record table
+that `evolve` sizes before the first step.  A trajectory keeps one state,
+the final one.  Also here: the L^2 growth audits, the step-size law, the
 almost-conservation sweep, and the segment-iterated global run.
 """
 
@@ -33,11 +33,13 @@ import numpy as np
 
 from .grid import (Field, Grid, _fftn_box, _hs_norm, _ifftn_box, _spectral_scale,
                    inverse_transform)
-from .ioperator import (MultiplierSpec, _potential_sums, _reports, _spectral_sums,
+from .ioperator import (MultiplierSpec, _potential_sums, _spectral_sums,
                         modified_energy, multiplier_value)
 from .fitting import ExponentFit, loglog_fit
 
 log = logging.getLogger(__name__)
+_PAD = 0.01         # rough_datum's spectral decay past the H^s edge
+_DT_HINT = 1e-3     # iterate_global's largest substep
 
 __all__ = [
     "BlowUpError", "EvolveConfig", "Trajectory",
@@ -48,9 +50,8 @@ __all__ = [
 
 class BlowUpError(RuntimeError):
     """Raised at the first record whose E(u), any E(Iu) or ||u||_{L^3} is
-    not finite; carries that record's time and the trajectory of the records
-    before it, which is empty when the datum itself overflows and has no
-    final state."""
+    not finite; carries that record's time and the records before it (none
+    if the datum overflows) as a trajectory whose final state is None."""
 
     def __init__(self, time: float, trajectory: "Trajectory"):
         super().__init__(f"non-finite record at t = {time:.6g}")
@@ -81,14 +82,11 @@ class EvolveConfig:
 
 @dataclass
 class Trajectory:
-    snapshots: list                 # [(time, ||u||_{L^3})], one per record
-    reports: list                   # EnergyReport for u
-    reports_I: dict                 # MultiplierSpec -> [EnergyReport]
-    final: Field                    # physical state at t_end; None on blow-up
+    snapshots: np.ndarray   # (records, 2): time, ||u||_{L^3}
+    energies: np.ndarray    # (records, rows, 4): kinetic, potential, total, l2
+    labels: list            # (N, s) per row: (inf, 1.0) for u, then each spec's Iu
+    final: Field            # physical state at t_end; None on blow-up
     cfg: EvolveConfig
-
-    def times(self):
-        return [t for t, _ in self.snapshots]
 
 
 def _expm1_i(theta, e, s):
@@ -151,8 +149,8 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     step's workspace.  The datum may hold modes past the dealiased box
     (`rough_datum` does in 2D and 3D), so the first record and step 1
     transform every line; every later state lies in the box, and its
-    transforms skip the lines that are zero.  Records keep scalars only;
-    the state of the last record, at t_end, is kept as `final`.
+    transforms skip the lines that are zero.  Record k fills row k of the
+    trajectory's tables; the last record's state, at t_end, is `final`.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum lives on a different grid")
@@ -176,36 +174,34 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     step_work = (stack[0], stack[1], real[0, 0], real[1, 0])
     ws = stack[:rows]
     K = grid.dealias_cutoff
-
-    traj = Trajectory(snapshots=[], reports=[], reports_I={sp: [] for sp in specs},
-                      final=None, cfg=cfg)
+    records = cfg.n_steps // cfg.diagnostics_every + 1
+    traj = Trajectory(np.empty((records, 2)), np.empty((records, rows, 4)), labels,
+                      None, cfg)
 
     def fill():
         ws[0] = uh
         np.multiply(uh, m_N, out=ws[1:])
 
-    def record(t, box):
+    def record(k, t, box):
+        snap, e = traj.snapshots[k], traj.energies[k]
         fill()
         np.multiply(ws, scale, out=ws)
-        kin, l2 = _spectral_sums(ws, xi2, real)
+        e[:, 0], e[:, 3] = _spectral_sums(ws, xi2, real)
         fill()
         _ifftn_box(ws, grid.dim, box)
         absu = np.abs(ws, out=real[0])
-        l3 = float((np.sum(np.power(absu[0], 3, out=real[1, 0])) * w) ** (1.0 / 3))
-        pot = _potential_sums(ws, absu, w, real[1])
-        reports = _reports(t, kin, pot, l2, labels)
-        if not all(map(math.isfinite, [l3, *(r.total for r in reports)])):
-            raise BlowUpError(t, trajectory=traj)
-        traj.snapshots.append((t, l3))
-        traj.reports.append(reports[0])
-        for sp, r in zip(specs, reports[1:]):
-            traj.reports_I[sp].append(r)
+        snap[:] = t, (np.sum(np.power(absu[0], 3, out=real[1, 0])) * w) ** (1.0 / 3)
+        e[:, 1] = _potential_sums(ws, absu, w, real[1])
+        np.add(e[:, 0], e[:, 1], out=e[:, 2])
+        if not (np.isfinite(snap[1]) and np.isfinite(e[:, 2]).all()):
+            raise BlowUpError(t, Trajectory(traj.snapshots[:k], traj.energies[:k],
+                                            labels, None, cfg))
 
-    record(0.0, grid.n // 2)
+    record(0, 0.0, grid.n // 2)
     for i in range(1, cfg.n_steps + 1):
         _step_raw(uh, half_phase, cfg.dt, (grid.n // 2 if i == 1 else K, K), step_work)
         if i % cfg.diagnostics_every == 0:
-            record(i * cfg.dt, K)
+            record(i // cfg.diagnostics_every, i * cfg.dt, K)
     del uh, real, step_work            # freed before `final` copies its state
     traj.final = Field(grid, ws[0])    # the last record's physical u
     return traj
@@ -230,10 +226,11 @@ def l2_growth_audit(traj: Trajectory) -> GrowthAudit:
     """Check d/dt ||u||^2 <= 2 int (|u|^3 + 2|u|^2) and the closed bound."""
     if len(traj.snapshots) < 3:
         raise ValueError("audit needs at least three snapshots")
-    ts = np.array(traj.times())
-    l2 = np.array([r.l2 for r in traj.reports])
-    rhs = np.array([2.0 * (l3 ** 3 + 2.0 * r.l2 ** 2)
-                    for (_, l3), r in zip(traj.snapshots, traj.reports)])
+    ts = traj.snapshots[:, 0]
+    l2 = traj.energies[:, 0, 3]
+    # float arithmetic, not numpy's power loops, which may round differently
+    rhs = np.array([2.0 * (a ** 3 + 2.0 * b ** 2)
+                    for a, b in zip(traj.snapshots[:, 1].tolist(), l2.tolist())])
     scale = float(rhs.max()) if rhs.max() > 0 else 1.0
     tol = 10.0 * traj.cfg.dt * scale
 
@@ -242,7 +239,7 @@ def l2_growth_audit(traj: Trajectory) -> GrowthAudit:
     diff_margins = rhs[1:-1] + tol - d
     worst_diff = float(diff_margins.min())
 
-    e0 = traj.reports[0].total
+    e0 = traj.energies[0, 0, 2]
     bound = l2[0] + math.sqrt(2.0 * e0) * ts + 10.0 * traj.cfg.dt ** 2
     gron_margins = bound - l2
     worst_gron = float(gron_margins.min())
@@ -284,10 +281,10 @@ def delta_step(N, s, g):
 # ---------------------------------------------------------------------------
 # rough data and the almost-conservation sweep
 
-def rough_datum(grid: Grid, s: float, seed: int, pad: float = 0.01) -> Field:
+def rough_datum(grid: Grid, s: float, seed: int) -> Field:
     """Synthetic H^s-but-not-better datum, normalized to ||u||_{H^s} = 1.
 
-    Spectral profile <xi>^{-s - d/2 - pad} with uniform random phases, cut
+    Spectral profile <xi>^{-s - d/2 - 0.01} with uniform random phases, cut
     radially at |xi| <= (2/3) max|xi|.  In 1D that is the stepper's 2/3-rule
     mask, so no datum mass is truncated.  In 2D and 3D the radial cut reaches
     past the per-axis mask: at 64^3 (seed 1) 0.17% of the L^2 mass lies
@@ -295,7 +292,7 @@ def rough_datum(grid: Grid, s: float, seed: int, pad: float = 0.01) -> Field:
     """
     rng = np.random.default_rng(seed)
     absxi = grid.xi_abs()
-    amp = (1.0 + absxi ** 2) ** (-(s + grid.dim / 2 + pad) / 2)
+    amp = (1.0 + absxi ** 2) ** (-(s + grid.dim / 2 + _PAD) / 2)
     phase = np.exp(2j * np.pi * rng.uniform(size=grid.shape))
     cut = absxi <= (2.0 / 3.0) * absxi.max()
     coef = amp * phase * cut
@@ -327,17 +324,17 @@ def almost_conservation_experiment(u0: Field, s: float, N_list, window: float,
                        diagnostics_every=1)
     specs = [MultiplierSpec(N=N, s=s) for N in N_list]
     traj = evolve(u0, cfg, specs)
-    ts = np.array(traj.times())
+    ts = traj.snapshots[:, 0]
     rows = []
-    for sp in specs:
-        series = traj.reports_I[sp]
-        e0 = series[0].total
-        inc_window = abs(series[-1].total - e0)
-        gnorm = math.sqrt(series[0].kinetic)
+    columns = traj.energies.transpose(1, 2, 0)[1:].tolist()   # spec, column, record
+    for sp, (kinetic, _, total, _) in zip(specs, columns):
+        e0 = total[0]
+        inc_window = abs(total[-1] - e0)
+        gnorm = math.sqrt(kinetic[0])
         delta = delta_step(sp.N, s, gnorm ** 2)
         t_delta = min(delta, window)
         idx = int(np.argmin(np.abs(ts - t_delta)))
-        inc_delta = abs(series[idx].total - e0)
+        inc_delta = abs(total[idx] - e0)
         rows.append(AlmostConservationRow(
             N=sp.N, increment_window=inc_window, increment_delta=inc_delta,
             delta=delta, gradI_norm=gnorm))
@@ -365,9 +362,8 @@ class GlobalRunLedger:
     violated: bool              # ratio crossed 2
 
 
-def iterate_global(u0: Field, s: float, N: float, T: float,
-                   dt_hint: float = 1e-3):
-    """Advance to time T in delta_step-sized segments, auditing E(Iu).
+def iterate_global(u0: Field, s: float, N: float, T: float):
+    """Advance to T in delta_step-sized segments of substeps <= 1e-3, auditing E(Iu).
 
     Returns (final field, GlobalRunLedger).  A ledger violation (drift past
     twice the initial modified energy) is flagged and the run continues.
@@ -385,7 +381,7 @@ def iterate_global(u0: Field, s: float, N: float, T: float,
                                       modified_energy=rep.total, gradI_sq=g))
         if done:
             break
-        n_sub = max(1, int(math.ceil(delta / dt_hint)))
+        n_sub = max(1, int(math.ceil(delta / _DT_HINT)))
         traj = evolve(u, EvolveConfig(grid=u.grid, dt=delta / n_sub, t_end=delta,
                                       diagnostics_every=n_sub))
         u = traj.final

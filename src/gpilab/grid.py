@@ -73,7 +73,7 @@ class Grid:
 
     def x_mesh(self) -> list:
         ax = np.arange(self.n) * self.dx
-        return list(np.meshgrid(*([ax] * self.dim), indexing="ij"))
+        return list(np.meshgrid(*([ax] * self.dim), indexing="ij", sparse=True))
 
     @property
     def dealias_cutoff(self) -> int:

@@ -58,15 +58,12 @@ def multiplier_value(spec: MultiplierSpec, xi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energy split at one time stamp, for u or Iu as labeled by (N, s)."""
+    """Energy split of one field, u or Iu."""
 
-    time: float
     kinetic: float
     potential: float
     total: float
     l2: float
-    N: float = np.inf      # inf marks the unmodified energy (I = identity)
-    s: float = 1.0
 
     def __post_init__(self):
         if self.kinetic < 0 or self.potential < 0:
@@ -98,30 +95,23 @@ def _potential_sums(u, absu, w, tmp):
     return 0.5 * _row_sums(absu) * w
 
 
-def _reports(time, kin, pot, l2, labels) -> list:
-    """One EnergyReport per row of the sums, labeled by its (N, s)."""
-    return [EnergyReport(time=time, kinetic=float(k), potential=float(p),
-                         total=float(k) + float(p), l2=float(l), N=N, s=s)
-            for k, p, l, (N, s) in zip(kin, pot, l2, labels)]
-
-
-def _one_row(coef, u, xi2, w, time, label) -> EnergyReport:
+def _one_row(coef, u, xi2, w) -> EnergyReport:
     # energy and modified_energy: the one-row case of the record reduction
     coef, u = coef[None], u[None]
     work = np.empty((2,) + coef.shape)
-    kin, l2 = _spectral_sums(coef, xi2, work)
-    pot = _potential_sums(u, np.abs(u, out=work[0]), w, work[1])
-    return _reports(time, kin, pot, l2, [label])[0]
+    (kin,), (l2,) = _spectral_sums(coef, xi2, work)
+    (pot,) = _potential_sums(u, np.abs(u, out=work[0]), w, work[1])
+    return EnergyReport(float(kin), float(pot), float(kin) + float(pot), float(l2))
 
 
-def energy(f: Field, time: float = 0.0) -> EnergyReport:
+def energy(f: Field) -> EnergyReport:
     """E(u) = int |grad u|^2 + 1/2 int (|u|^2 + 2 Re u)^2."""
     grid = f.grid
     return _one_row(forward_transform(f), f.values, grid.xi_abs() ** 2,
-                    grid.dx ** grid.dim, time, (np.inf, 1.0))
+                    grid.dx ** grid.dim)
 
 
-def modified_energy(f: Field, spec: MultiplierSpec, time: float = 0.0) -> EnergyReport:
+def modified_energy(f: Field, spec: MultiplierSpec) -> EnergyReport:
     """E(Iu): the energy functional evaluated on the smoothed field.
 
     Its kinetic part is ||grad Iu||_{L^2}^2.
@@ -130,4 +120,4 @@ def modified_energy(f: Field, spec: MultiplierSpec, time: float = 0.0) -> Energy
     absxi = grid.xi_abs()
     coef = forward_transform(f) * multiplier_value(spec, absxi)
     return _one_row(coef, inverse_transform(grid, coef).values, absxi ** 2,
-                    grid.dx ** grid.dim, time, (spec.N, spec.s))
+                    grid.dx ** grid.dim)

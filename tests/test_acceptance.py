@@ -97,7 +97,7 @@ def test_acceptance_02_energy_richardson(capsys, smooth_run):
         cfg = EvolveConfig(grid=g, dt=dt, t_end=1.0,
                            diagnostics_every=int(round(1.0 / dt)))
         traj = evolve(u0, cfg)
-        e = [r.total for r in traj.reports]
+        e = traj.energies[:, 0, 2]
         drifts.append(abs(e[-1] - e[0]) / e[0])
     ratio = drifts[0] / drifts[1]
     control = _lie_drift(u0, 1e-3) / _lie_drift(u0, 5e-4)

@@ -7,12 +7,12 @@ import os
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gpilab.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK,
                         ConfigError, load_config, main)
 from gpilab.dynamics import Trajectory
-from gpilab.ioperator import EnergyReport
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -206,33 +206,56 @@ def test_simulate_overflow_blows_up_at_t0_with_no_record(tmp_path):
 
 
 def test_simulate_artifacts_pinned(tmp_path):
-    # sha256 of a small 3D rough run with an I-spec and of a small 1D
-    # almost-conservation sweep; any change to the stepper, the records,
-    # the audit, the ||grad Iu0|| column or the CSV format shows here.
+    # sha256 of a small 3D rough run and a small 1D gaussian run, each with
+    # an I-spec, and of a small 1D almost-conservation sweep; any change to
+    # the stepper, the record table, the audit, the ||grad Iu0|| column or
+    # the CSV format shows here.  The 1D simulate was pinned when the record
+    # table replaced per-record report objects, from the code before it.
     # Taken with numpy 2.4.6 on x86-64: another FFT or libm build may move them
-    runs = {
-        "simulate": ({"dim": 3, "n": 16, "length": 6.283185307179586, "dt": 0.01,
+    runs = [
+        ("simulate", {"dim": 3, "n": 16, "length": 6.283185307179586, "dt": 0.01,
                       "t_end": 0.05, "datum": {"kind": "rough", "s": 0.9},
                       "N": 4, "s": 0.9}, {
             "summary.json":
                 "d3d922eb4d471a5f522b8ab3530879c2f1f8e7472cc8b4edebd76c0e98665822",
             "energy.csv":
                 "778c713861ada048c76417ebdcf5fdef751695f5457819305b98411267cf374c"}),
-        "almost-conservation": ({"dim": 1, "n": 256, "length": 50.26548245743669,
+        ("simulate", {"dim": 1, "n": 128, "length": 6.283185307179586, "dt": 0.005,
+                      "t_end": 0.1, "datum": {"kind": "gaussian", "amplitude": 0.5},
+                      "diagnostics_every": 2, "N": 4, "s": 0.8}, {
+            "summary.json":
+                "29102c027b11222975dbbc3e1940c1cfb2388242c2b97d1cc31db14812ef4ada",
+            "energy.csv":
+                "6029836ea8b6062607cb57620d1dedb681a58e86f2ca10ac918422b8c45e6e76"}),
+        ("almost-conservation", {"dim": 1, "n": 256, "length": 50.26548245743669,
                                  "s": 0.9, "N_list": [4, 8, 16], "window": 0.05}, {
             "summary.json":
                 "84e9fe30a78e400d370d34e1b183d6dc2371db02ec1cacdbd232d4a3f0b94bda",
             "increments.csv":
                 "62f6c20407521f325a3083a8220a8093fc5ba0f03cce6440e21ec150fc6564f6"}),
-    }
-    for sub, (params, want) in runs.items():
-        out = tmp_path / sub
+    ]
+    for i, (sub, params, want) in enumerate(runs):
+        out = tmp_path / f"{sub}-{i}"
         path = write_config(tmp_path, {"subcommand": sub, "params": params,
                                        "seed": 1, "out_dir": str(out)})
         assert main(["--config", path]) == EXIT_OK
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in want}
-        assert digests == want, sub
+        assert digests == want, (sub, params["dim"])
+
+
+def test_gaussian_datum_is_the_dense_mesh_formula_bitwise():
+    # x_mesh gives sparse axes; their broadcast sum adds the same numbers in
+    # the same order as the dense meshes did, element by element
+    from gpilab.cli import _build_datum
+    from gpilab.grid import Grid
+    g = Grid(3, 16, 6.283185307179586)
+    assert [x.shape for x in g.x_mesh()] == [(16, 1, 1), (1, 16, 1), (1, 1, 16)]
+    ax = np.arange(g.n) * g.dx
+    r2 = sum((x - g.length / 2) ** 2 for x in np.meshgrid(ax, ax, ax, indexing="ij"))
+    want = 0.7 * np.exp(-r2 / (2 * 0.9 ** 2)).astype(complex)
+    got = _build_datum(g, {"kind": "gaussian", "amplitude": 0.7, "width": 0.9}, 0)
+    assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
 
 
 def test_multiplier_verify_gate_failure_exit(tmp_path):
@@ -388,6 +411,8 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
                  "N_list", id="N_list-empty"),
     pytest.param("strichartz", {"q": 2, "r": 6, "T": 0.3, "centers": [4, 1e6]},
                  "centers", id="center-not-resolvable"),
+    pytest.param("strichartz", {"q": 2, "r": 6, "T": 0}, "T", id="T-zero"),
+    pytest.param("bilinear", {"T": -0.5}, "T", id="bilinear-T-negative"),
 ])
 def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
     path = write_config(tmp_path, {"subcommand": sub, "params": params,
@@ -472,13 +497,10 @@ def _report(case, **kwargs):
 
 
 def _trajectory(u0, cfg, specs):
-    def reports(**spec):
-        return [EnergyReport(time=t, kinetic=THIRD, potential=BIG, total=2.5, l2=1.0,
-                             **spec) for t in (0.0, 0.5, 1.0)]
-    return Trajectory(snapshots=[(t, 1.0) for t in (0.0, 0.5, 1.0)],
-                      reports=reports(),
-                      reports_I={sp: reports(N=sp.N, s=sp.s) for sp in specs},
-                      final=u0, cfg=cfg)
+    labels = [(math.inf, 1.0)] + [(sp.N, sp.s) for sp in specs]
+    energies = np.tile([THIRD, BIG, 2.5, 1.0], (3, len(labels), 1))
+    return Trajectory(snapshots=np.array([(t, 1.0) for t in (0.0, 0.5, 1.0)]),
+                      energies=energies, labels=labels, final=u0, cfg=cfg)
 
 
 def _ledger_rows(s_grid):

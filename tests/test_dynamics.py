@@ -47,25 +47,58 @@ def test_records_match_field_energies():
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.1, diagnostics_every=5)
     u0 = rough_datum(g, 0.8, seed=2)
     traj = evolve(u0, cfg, specs)
-    assert traj.times() == [0.0, 0.05, 0.1]
-    for k, t in enumerate(traj.times()):
+    assert traj.snapshots[:, 0].tolist() == [0.0, 0.05, 0.1]
+    assert traj.labels == [(np.inf, 1.0), (2.0, 0.8), (4.0, 0.6)]
+    for k, t in enumerate(traj.snapshots[:, 0].tolist()):
         f = u0 if t == 0 else evolve(u0, dataclasses.replace(cfg, t_end=t)).final
-        reps = [(traj.reports[k], energy(f, time=t))]
-        reps += [(traj.reports_I[sp][k], modified_energy(f, sp, time=t))
-                 for sp in specs]
-        for got, want in reps:
-            assert (got.time, got.N, got.s) == (want.time, want.N, want.s)
-            for name in ("kinetic", "potential", "total", "l2"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert abs(a - b) <= 1e-13 * abs(b)
+        wants = [energy(f)] + [modified_energy(f, sp) for sp in specs]
+        for got, want in zip(traj.energies[k], wants):
+            b = np.array([want.kinetic, want.potential, want.total, want.l2])
+            assert np.all(np.abs(got - b) <= 1e-13 * np.abs(b))
 
 
-def test_records_keep_scalars_and_the_final_state():
+def _fftn_nan_from(monkeypatch, k):
+    # no finite datum short of overflow blows up, so a fault is injected:
+    # fftn returns NaN from its k-th call; in 1D, call 1 is the datum's and
+    # call i + 1 is step i's
+    real, calls = np.fft.fftn, []
+
+    def faulty(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        if len(calls) >= k:
+            out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(np.fft, "fftn", faulty)
+
+
+def test_record_table_contract(monkeypatch):
+    # one row per record: (time, ||u||_{L^3}) and, per row u, Iu..., the
+    # columns (kinetic, potential, total, l2), total the float sum of the
+    # first two; a blow-up keeps exactly the records finished before it
     g = Grid(dim=1, n=64, length=2 * np.pi)
-    cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.05, diagnostics_every=1)
-    traj = evolve(smooth_datum(g), cfg)
-    assert all(type(t) is float and type(l3) is float for t, l3 in traj.snapshots)
-    assert traj.snapshots[-1][1] == lp_norm(traj.final, 3)
+    specs = (MultiplierSpec(N=2.0, s=0.8), MultiplierSpec(N=4.0, s=0.6))
+    cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.06, diagnostics_every=2)
+    traj = evolve(smooth_datum(g), cfg, specs)
+    assert traj.snapshots.shape == (4, 2) and len(traj.snapshots) == 4
+    assert traj.energies.shape == (4, 3, 4)
+    assert traj.labels == [(np.inf, 1.0), (2.0, 0.8), (4.0, 0.6)]
+    kin, pot, total = (traj.energies[..., j] for j in range(3))
+    assert np.array_equal((kin + pot).view(np.uint64), total.view(np.uint64))
+    assert traj.snapshots[-1, 1] == lp_norm(traj.final, 3)
+
+    # NaN from step 3 on: the records at steps 0 and 2 are finished, the
+    # one at step 4 is not
+    _fftn_nan_from(monkeypatch, 4)
+    with pytest.raises(BlowUpError) as err, np.errstate(all="ignore"):
+        evolve(smooth_datum(g), cfg, specs)
+    kept = err.value.trajectory
+    assert err.value.time == 0.04 and kept.final is None
+    assert kept.labels == traj.labels
+    for got, want in ((kept.snapshots, traj.snapshots[:2]),
+                      (kept.energies, traj.energies[:2])):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_record_memory_does_not_grow_with_record_count():
@@ -107,7 +140,7 @@ def test_record_transform_count(monkeypatch):
     for name in ("fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
     traj = evolve(u0, cfg, specs)
-    steps, records = cfg.n_steps, len(traj.reports)
+    steps, records = cfg.n_steps, len(traj.energies)
     assert records == steps + 1
     assert len(calls) == 1 + 2 * steps + records
 
@@ -170,11 +203,7 @@ def test_evolve_matches_out_of_place_formulas_bitwise(grid, Ns):
             vals, u = _out_of_place_record(uh, m_N, scale, xi2, w)
             want += vals
 
-    got = []
-    for k, (_, l3) in enumerate(traj.snapshots):
-        got.append(l3)
-        for r in [traj.reports[k]] + [traj.reports_I[sp][k] for sp in specs]:
-            got += [r.kinetic, r.potential, r.total, r.l2]
+    got = np.hstack([traj.snapshots[:, 1:], traj.energies.reshape(4, -1)]).ravel()
     assert len(got) == len(want) == 4 * (1 + 4 * (1 + len(specs)))
     assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
     assert np.array_equal(traj.final.values.view(np.uint64), u.view(np.uint64))
@@ -215,31 +244,21 @@ def test_zero_datum_stays_zero():
     g = Grid(dim=1, n=32, length=2 * np.pi)
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.1)
     traj = evolve(Field.zero(g), cfg)
-    assert all(r.total == 0.0 for r in traj.reports)
+    assert np.all(traj.energies == 0.0)
 
 
 def test_blow_up_carries_partial_trajectory(monkeypatch):
-    # no finite datum short of overflow blows up, so a fault is injected:
-    # fftn returns NaN from its 4th call, the one of step 3
     g = Grid(dim=1, n=64, length=2 * np.pi)
-    real, calls = np.fft.fftn, []
-
-    def faulty(*args, **kwargs):
-        calls.append(None)
-        out = real(*args, **kwargs)
-        if len(calls) >= 4:
-            out[...] = np.nan
-        return out
-
-    monkeypatch.setattr(np.fft, "fftn", faulty)
+    _fftn_nan_from(monkeypatch, 4)      # NaN from step 3 on
     with pytest.raises(BlowUpError) as err, np.errstate(all="ignore"):
         evolve(smooth_datum(g), EvolveConfig(grid=g, dt=0.1, t_end=1.0))
     assert err.value.time > 0
-    assert err.value.trajectory is not None
-    assert len(err.value.trajectory.reports) >= 1
+    traj = err.value.trajectory
+    assert traj is not None and traj.final is None
     # the records before step 3 are kept, the non-finite one at t = 0.3 is not
     assert err.value.time == pytest.approx(0.3)
-    assert err.value.trajectory.times() == pytest.approx([0.0, 0.1, 0.2])
+    assert traj.snapshots[:, 0] == pytest.approx([0.0, 0.1, 0.2])
+    assert traj.energies.shape == (3, 1, 4) and np.all(np.isfinite(traj.energies))
 
 
 def test_nonlinear_substep_is_the_exact_flow(monkeypatch):
@@ -285,7 +304,7 @@ def test_energy_drift_shrinks_with_dt():
         cfg = EvolveConfig(grid=g, dt=dt, t_end=0.2,
                            diagnostics_every=int(round(0.2 / dt)))
         traj = evolve(u0, cfg)
-        e = [r.total for r in traj.reports]
+        e = traj.energies[:, 0, 2]
         drifts.append(abs(e[-1] - e[0]) / e[0])
     assert drifts[1] < drifts[0]
     assert 2.5 < drifts[0] / drifts[1] < 6.0     # second-order splitting

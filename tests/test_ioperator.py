@@ -92,14 +92,6 @@ def test_modified_energy_reduces_to_energy_below_N():
     assert abs(modified_energy(f, spec).total - energy(f).total) < 1e-12
 
 
-def test_modified_energy_labels_spec():
-    g = Grid(dim=1, n=32, length=2 * np.pi)
-    spec = MultiplierSpec(N=4.0, s=0.8)
-    rep = modified_energy(Field.zero(g), spec)
-    assert rep.N == 4.0 and rep.s == 0.8
-    assert energy(Field.zero(g)).N == np.inf
-
-
 def test_gradient_I_norm_comparator():
     g = Grid(dim=1, n=256, length=2 * np.pi)
     rng = np.random.default_rng(2)
@@ -119,4 +111,4 @@ def test_gradient_I_norm_comparator():
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        EnergyReport(time=0.0, kinetic=-1.0, potential=0.0, total=0.0, l2=0.0)
+        EnergyReport(kinetic=-1.0, potential=0.0, total=0.0, l2=0.0)

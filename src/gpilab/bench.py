@@ -8,7 +8,10 @@ advance their data through one free-flow kernel, `_FreeFlow`, built once
 per bench call: its phase is one `exp` per distinct |xi|^2 level, and its
 time loop transforms and reduces in preallocated buffers.  Time samples
 where the cutoff is exactly 0 (t = 0 and t = T) contribute exactly 0 and
-are skipped.
+are skipped.  The bilinear bench works in collision coordinates: its data
+carry no common shift or chirp, so they are real and evolve over the
+offsets from the collision time t*, and the product's grid sum is even in
+that offset, so each mirrored pair of collision samples takes one flow.
 """
 
 from __future__ import annotations
@@ -40,15 +43,15 @@ class _FreeFlow:
     the same floats as `np.exp(1j * xi2 * t)`, so the phase is bitwise equal.
 
     The phase, one complex buffer per datum and the real `work` array are
-    allocated once; a caller may use them as scratch before the one time
-    loop, `samples(coefs, ts, wts)`.  It finds each datum's box once, the
-    least integer K with the datum zero outside |k_j| <= K
-    (`grid._box_cutoff`), skips the samples whose weight is exactly 0 (its
-    term is 0.0 times a finite number), and at every other sample yields (i,
-    wts[i], values).  The inverse transform skips the zero lines, most of
-    them for band data at N <= 8 on 64^3, and its values are bitwise
-    np.fft.ifftn's.  `phase(t)` returns the phase buffer and `values` the
-    data buffers, overwritten at the next sample: copy what must outlive it.
+    allocated once.  The one time loop, `samples(coefs, ts, wts)`, finds
+    each datum's box once, the least integer K with the datum zero outside
+    |k_j| <= K (`grid._box_cutoff`), skips the samples whose weight is
+    exactly 0 (its term is 0.0 times a finite number), and at every other
+    sample yields (i, wts[i], values).  The inverse transform skips the
+    zero lines, most of them for band data at N <= 8 on 64^3, and its
+    values are bitwise np.fft.ifftn's.  `phase(t)` returns the phase buffer
+    and `values` the data buffers, overwritten at the next sample: copy
+    what must outlive it.
     """
 
     def __init__(self, grid: Grid, count: int):
@@ -178,54 +181,73 @@ def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
     On a periodic box, generic band-limited data never separate, so the
     time-independent overlap floor hides the dispersive gain of the
     estimate.  The bench therefore uses the extremal configuration the
-    estimate is sharp for: a focusing (backward-chirped) low-frequency
-    annulus pulse and a high-frequency packet confined to a cube of side
-    ~ min(N1, N2) riding across it.  Both focus near a common random time
-    t*; time quadrature is densified around the collision.  Raises
-    ValueError when either dyadic band holds no lattice mode.
+    estimate is sharp for: a low-frequency annulus pulse and a
+    high-frequency packet confined to a cube of side ~ min(N1, N2) riding
+    across it, both focusing at a random time t*; time quadrature is
+    densified around the collision.  Raises ValueError when either dyadic
+    band holds no lattice mode.
+
+    The data are built in collision coordinates.  A backward chirp
+    e^{-i|xi|^2 t*} on both data only moves the time origin to t*, so the
+    data are evolved over the offsets tau = t - t*; and a common
+    translation leaves ||u1 u2||_{L^2} unchanged (on the grid exactly when
+    |u1 u2|^2 is not aliased), so no shift is applied.  Both data are then
+    real coefficient arrays, f1 the radial profile, the same for every
+    seed, and f2 the band times the packet's window.  For real
+    coefficients v(-tau)(x) = conj(v(tau)(-x)), and x -> -x permutes the
+    grid, so S(tau) = sum_x |v1 v2|^2 is even in tau: the 48 collision
+    offsets are 24 positive ones and their exact negatives, and S is
+    evaluated once per |tau| there and once per coarse sample of nonzero
+    weight, 24 + 18 free flows per seed.  Each seed still draws the shift
+    x1 it no longer applies: the draw keeps the random stream, and with it
+    each seed's packet direction and the gate's printed slopes, as they
+    were with the shift.
     """
     if N1 > N2:
         raise ValueError("bilinear bench expects N1 <= N2")
     absxi = grid.xi_abs()
     band2 = _band(absxi, N2)
     # smooth radial bump centered at N1, confined to its dyadic annulus
-    profile = np.exp(-((absxi - N1) / (N1 / 3.0)) ** 2) * _band(absxi, N1)
+    f1 = np.exp(-((absxi - N1) / (N1 / 3.0)) ** 2) * _band(absxi, N1)
     del absxi      # freed before the flow's buffers: 2 MB less peak RSS at 64^3
+    f1 /= np.linalg.norm(f1)
     # collision duration: packet group-velocity ~ 2 N2 crossing ~1/N scales
-    tau = (1.0 / N1 + 1.0 / N2) / (2 * N2)
-    half = min(0.2 * T, 6 * tau)
+    duration = (1.0 / N1 + 1.0 / N2) / (2 * N2)
+    half = min(0.2 * T, 6 * duration)
+    dense = np.linspace(-half, half, 48)[24:]      # the positive collision offsets
+    coarse = np.linspace(0.0, T, 20)
+    # t* - half and t* + half lie in [0.2T, 0.8T], where the cutoff is
+    # positive: every dense offset is evaluated
+    keep = np.concatenate((np.ones(dense.size), time_cutoff(coarse, T)))
     side = min(N1, N2)
     flow = _FreeFlow(grid, 2)
-    f1, f2 = np.empty((2,) + grid.shape, dtype=complex)
+    f2 = np.empty(grid.shape)
     ks = grid.xi_mesh()
     w = grid.dx ** grid.dim
     ratios = []
     for j in range(seeds):
         rng = np.random.default_rng(seed0 + j)
         tstar = T * rng.uniform(0.4, 0.6)
-        ts = np.union1d(np.linspace(0.0, T, 20),
-                        np.linspace(max(0.0, tstar - half),
-                                    min(T, tstar + half), 48))
-        wts = time_cutoff(ts, T)
-        x1 = rng.uniform(0.0, grid.length, grid.dim)
-        chirp = flow.phase(-tstar)   # in place; complex a*b is not b*a bitwise
-        shift = np.exp(np.multiply(-1j, sum(k * x1[i] for i, k in enumerate(ks)),
-                                   out=flow.out[0]), out=flow.out[0])
-        np.multiply(np.multiply(profile, chirp, out=f1), shift, out=f1)
+        rng.uniform(0.0, grid.length, grid.dim)     # the unused shift x1
         direction = rng.standard_normal(grid.dim)
         direction /= np.linalg.norm(direction)
         center = N2 * direction
-        window = np.exp(-sum(((ks[i] - center[i]) / (side / 3.0)) ** 2
-                             for i in range(grid.dim)), out=flow.work)
-        np.multiply(band2, window, out=window)
-        np.multiply(np.multiply(window, chirp, out=f2), shift, out=f2)
-        for f in (f1, f2):
-            f /= np.linalg.norm(f)
-        vals = np.zeros(ts.size)
-        for i, wt, (u1, u2) in flow.samples((f1, f2), ts, wts):
-            work = np.abs(np.multiply(u1, u2, out=u1), out=flow.work)
+        np.exp(-sum(((ks[i] - center[i]) / (side / 3.0)) ** 2
+                    for i in range(grid.dim)), out=f2)
+        np.multiply(band2, f2, out=f2)
+        f2 /= np.linalg.norm(f2)
+        offsets = np.concatenate((dense, coarse - tstar))
+        S = np.zeros(offsets.size)
+        for i, _, (v1, v2) in flow.samples((f1, f2), offsets, keep):
+            work = np.abs(np.multiply(v1, v2, out=v1), out=flow.work)
             np.square(work, out=work)
-            vals[i] = wt ** 2 * np.sum(work) * w
+            S[i] = np.sum(work) * w
+        # t* - dense and t* + dense share S; the union is sorted as np.union1d's
+        ts, at = np.unique(np.concatenate((tstar - dense, tstar + dense, coarse)),
+                           return_inverse=True)
+        vals = np.zeros(ts.size)
+        vals[at] = np.concatenate((S[:dense.size], S))
+        vals *= time_cutoff(ts, T) ** 2
         ratios.append(float(np.sqrt(np.trapezoid(vals, ts))))
     return BilinearStat(mean=float(np.mean(ratios)), ratios=tuple(ratios))
 

@@ -109,7 +109,7 @@ def _exponent(v):   # checked here, parsed by the runner
     return v
 
 
-def _time(v):   # a time span
+def _positive(v):   # a length, a time span or a width
     if _real(v) <= 0:
         raise ValueError(f"must be a positive number, got {v!r}")
     return float(v)
@@ -226,7 +226,7 @@ def _build_datum(grid: Grid, datum: dict, seed: int) -> Field:
 def _datum_fields(datum, length: float) -> dict:
     """Fields of the simulate datum for its kind; a gaussian is L/8 wide by default."""
     kinds = {"zero": {}, "rough": {"s": (_real, 0.9)},
-             "gaussian": {"amplitude": (_real, 0.1), "width": (_real, length / 8)}}
+             "gaussian": {"amplitude": (_real, 0.1), "width": (_positive, length / 8)}}
     kind = datum.get("kind") if isinstance(datum, dict) else None
     # str(): a kind that is not a string gets no fields and fails the kind check
     return {"kind": (_one_of(kinds), REQUIRED), **kinds.get(str(kind), {})}
@@ -318,18 +318,18 @@ def _run_ledger(cfg: RunConfig):
 # subcommand -> (runner, params); a param is name -> (cast, default)
 _COMMANDS = {
     "simulate": (_run_simulate, {
-        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_real, REQUIRED),
-        "dt": (_real, REQUIRED), "t_end": (_real, REQUIRED),
+        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_positive, REQUIRED),
+        "dt": (_positive, REQUIRED), "t_end": (_positive, REQUIRED),
         "datum": (None, REQUIRED), "diagnostics_every": (_count, 1),
         "N": (_real, None), "s": (_real, None)}),
     "almost-conservation": (_run_almost_conservation, {
-        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_real, REQUIRED),
-        "s": (_real, REQUIRED), "window": (_real, REQUIRED), "dt": (_real, 2.5e-4),
+        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_positive, REQUIRED),
+        "s": (_real, REQUIRED), "window": (_positive, REQUIRED), "dt": (_positive, 2.5e-4),
         "N_list": (lambda v: [float(N) for N in _numbers(v)], REQUIRED)}),
     "strichartz": (_run_strichartz, {
-        "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (_time, REQUIRED),
+        "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (_positive, REQUIRED),
         "centers": (_centers, (4, 8, 16, 32)), "seeds": (_count, 4)}),
-    "bilinear": (_run_bilinear, {"seeds": (_count, 20), "T": (_time, 0.5)}),
+    "bilinear": (_run_bilinear, {"seeds": (_count, 20), "T": (_positive, 0.5)}),
     "multiplier-verify": (_run_multiplier_verify, {
         "cases": (_cases, "all"), "N_list": (_numbers, (4, 8, 16, 32)),
         "samples_per_N": (_count, 10 ** 4), "cap": (_real, 64.0),

@@ -413,6 +413,22 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
                  "centers", id="center-not-resolvable"),
     pytest.param("strichartz", {"q": 2, "r": 6, "T": 0}, "T", id="T-zero"),
     pytest.param("bilinear", {"T": -0.5}, "T", id="bilinear-T-negative"),
+    pytest.param("simulate", {"dim": 1, "n": 32, "length": 6.283185307179586,
+                              "dt": 0, "t_end": 0.02, "datum": {"kind": "zero"}},
+                 "dt", id="dt-zero"),
+    pytest.param("simulate", {"dim": 1, "n": 32, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": -1.0, "datum": {"kind": "zero"}},
+                 "t_end", id="t_end-negative"),
+    pytest.param("simulate", {"dim": 1, "n": 32, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": 0.02,
+                              "datum": {"kind": "gaussian", "width": 0}},
+                 "width", id="gaussian-width-zero"),
+    pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": -6.0, "s": 0.9,
+                                         "N_list": [4, 8], "window": 0.01},
+                 "length", id="length-negative"),
+    pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
+                                         "s": 0.9, "N_list": [4, 8], "window": 0},
+                 "window", id="window-zero"),
 ])
 def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
     path = write_config(tmp_path, {"subcommand": sub, "params": params,

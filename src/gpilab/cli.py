@@ -29,7 +29,7 @@ from .ioperator import MultiplierSpec
 from .dynamics import (BlowUpError, EvolveConfig, almost_conservation_experiment,
                        evolve, l2_growth_audit, rough_datum)
 from .bench import _GRID64, _band, bilinear_sweep, strichartz_ratio_sweep
-from .multverify import CATALOG, catalog_by_label, verify_bound
+from .multverify import CATALOG, catalog_by_label, verify_bounds
 from .ledger import ledger_table
 
 EXIT_OK = 0
@@ -291,10 +291,9 @@ def _run_multiplier_verify(cfg: RunConfig):
     p = cfg.params
     cases = (CATALOG if p["cases"] == "all"
              else [catalog_by_label(label) for label in p["cases"]])
-    reports = [verify_bound(c, N_list=p["N_list"], samples_per_N=p["samples_per_N"],
+    reports = verify_bounds(cases, N_list=p["N_list"], samples_per_N=p["samples_per_N"],
                             seed=cfg.seed, s=p["s"], cap=p["cap"],
                             slope_gate=p["slope_gate"])
-               for c in cases]
     csv = _csv("case,max_ratio,slope,passed",
                [(r.label, r.max_ratio, r.slope, r.passed) for r in reports])
     failed = [r.label for r in reports if not r.passed]

@@ -72,13 +72,14 @@ def dominant_increment(s) -> tuple:
 
 
 def gwp_condition(s) -> tuple:
-    """Whether -1 + 8(1-s) < 2(1-s) holds; returns (verdict, slack).
+    """Whether the dominant increment plus the step exponent stays below the
+    energy exponent of ExponentLedger.at(s); returns (verdict, slack).
 
-    slack = 2(1-s) - (-1 + 8(1-s)) = 1 - 6(1-s); positive iff s > 5/6.
+    slack = 2(1-s) - (-1 + 4(1-s) + 4(1-s)) = 1 - 6(1-s); positive iff s > 5/6.
     """
-    s = _check_s(s)
-    eps = _ONE - s
-    slack = _ONE - 6 * eps
+    ledger = ExponentLedger.at(s)
+    slack = ledger.energy_exponent - (max(ledger.increment_exponents)
+                                      + ledger.step_exponent)
     return slack > 0, slack
 
 

@@ -3,6 +3,11 @@
 Each catalog row pairs a closed-form multiplier M (built from the smoothing
 symbol m), a dyadic case region and the bound claimed for M there, checked by
 dense sampling against a cap (default 64) and a slope gate (default 0.1).
+`verify_bounds` checks many rows N by N: the sampler's seed depends on N
+only, so at one N every row reads prefixes of one first-round stream, drawn
+once and shared, and each row's later rounds resume that stream after its
+own free frequencies.  The sampler evaluates candidates in fixed chunks, so
+no row holds a full round of candidate tuples.
 """
 
 from dataclasses import dataclass
@@ -13,7 +18,8 @@ from .ioperator import MultiplierSpec, multiplier_value
 from .fitting import loglog_fit
 
 __all__ = ["MultiplierExpr", "VerifyCase", "InfeasibleRegionError", "eval_multiplier",
-           "sample_region", "verify_bound", "CATALOG", "catalog_by_label"]
+           "sample_region", "verify_bound", "verify_bounds", "CATALOG",
+           "catalog_by_label"]
 
 SINGULAR_EPS = 1e-9
 WINDOWS = {"H": (1, 64), "L": (1 / 64, 1), "T": (1 / 64, 1 / 8), "A": (1 / 64, 64)}
@@ -243,47 +249,81 @@ def catalog_by_label(label: str) -> VerifyCase:
     return {case.label: case for case in CATALOG}[label]
 
 
-def sample_region(case: VerifyCase, N: float, count: int, seed: int, *, _mags=None):
+_CHUNK = 2048           # candidates evaluated at once, which bounds the sampler's peak
+
+
+class _Draws:
+    """One round of `c` candidates of a sampler stream, drawn lazily.  Block j
+    holds what the j-th free frequency reads: uniform variates u of its
+    log-magnitude and unit directions d, in stream order, so every row at one
+    seed reads the same first round.  `resume(f)` continues the stream after f
+    blocks, where a row's next round starts."""
+
+    def __init__(self, rng, c: int):
+        self.rng, self.c, self.blocks = np.random.default_rng(rng), c, []
+        self.states = [self.rng.bit_generator.state]
+
+    def block(self, j: int):
+        while len(self.blocks) <= j:
+            u = self.rng.random(self.c)
+            d = self.rng.standard_normal((self.c, 3))
+            d /= _norm3(d)[:, None]
+            self.blocks.append((u, d))
+            self.states.append(self.rng.bit_generator.state)
+        return self.blocks[j]
+
+    def resume(self, f: int):   # unannotated: np.random would load on import
+        self.block(f - 1)
+        bits = type(self.rng.bit_generator)()
+        bits.state = self.states[f]
+        return np.random.Generator(bits)
+
+
+def sample_region(case: VerifyCase, N: float, count: int, seed: int, *, _mags=None,
+                  _draws=None):
     """Draw `count` tuples in the case region, log-uniform magnitudes and uniform
-    directions.  Each round draws 4x the shortfall, at least 2000 candidates, and
-    keeps its first admissible ones in draw order; the counts of rejected and
-    singular candidates cover every candidate drawn.  Raise InfeasibleRegionError
-    if 200 rounds yield fewer than `count`.  `_mags`, if given, is a (count,
-    arity) array that receives the magnitudes of the kept tuples, bitwise
-    `_norm3` of them."""
+    directions.  Each round draws 4x the shortfall, at least 2000 candidates,
+    evaluates them in chunks of _CHUNK in draw order and keeps the first
+    admissible ones; the counts of rejected and singular candidates cover every
+    candidate drawn.  Raise InfeasibleRegionError if 200 rounds yield fewer
+    than `count`.  `_mags`, if given, is a (count, arity) array that receives
+    the magnitudes of the kept tuples, bitwise `_norm3` of them.  `_draws`, if
+    given, is the first round of `seed`'s stream, shared with other rows."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
     arity, solve = case.expr.arity, case.expr.solve
     free = [i for i in range(arity) if i != solve]
+    logs = [(np.log(WINDOWS[code][0] * N), np.log(WINDOWS[code][1] * N))
+            for code in case.free_ranges]
+    draws = _Draws(seed, max(4 * count, 2000)) if _draws is None else _draws
     out, have, rejected, singular = np.empty((count, arity, 3)), 0, 0, 0
+    F = np.empty((arity, _CHUNK, 3))    # F[i]: frequency i of a chunk of candidates
     for _ in range(200):
+        blocks = [draws.block(j) for j in range(len(free))]
+        for start in range(0, draws.c, _CHUNK):
+            part = slice(start, min(start + _CHUNK, draws.c))
+            Fc = F[:, :part.stop - start]
+            for i, (a, b), (u, d) in zip(free, logs, blocks, strict=True):
+                np.multiply(d[part], np.exp(a + (b - a) * u[part])[:, None], out=Fc[i])
+            if solve >= 0:      # minus the sum of the free ones, added in order
+                np.copyto(Fc[solve], Fc[free[0]])
+                for i in free[1:]:
+                    Fc[solve] += Fc[i]
+                np.negative(Fc[solve], out=Fc[solve])
+            mags = _norm3(Fc)
+            sing = (mags < SINGULAR_EPS).any(axis=0)
+            ok = case.holds(case.sorted_mags(mags.T), N) & ~sing
+            n_sing, n_ok = int(sing.sum()), int(ok.sum())
+            singular += n_sing
+            rejected += Fc.shape[1] - n_ok - n_sing
+            take = np.flatnonzero(ok)[:count - have]
+            out[have:have + len(take)] = Fc[:, take].transpose(1, 0, 2)
+            if _mags is not None:
+                _mags[have:have + len(take)] = mags[:, take].T
+            have += len(take)
         if have >= count:
             break
-        c = max(4 * (count - have), 2000)
-        F = np.empty((arity, c, 3))     # F[i]: frequency i of every candidate
-        for code, i in zip(case.free_ranges, free, strict=True):
-            lo, hi = WINDOWS[code]
-            mag = rng.uniform(np.log(lo * N), np.log(hi * N), size=c)
-            rng.standard_normal((c, 3), out=F[i])
-            F[i] /= _norm3(F[i])[:, None]
-            F[i] *= np.exp(mag, out=mag)[:, None]
-        if solve >= 0:          # minus the sum of the free ones, added in order
-            np.copyto(F[solve], F[free[0]])
-            for i in free[1:]:
-                F[solve] += F[i]
-            np.negative(F[solve], out=F[solve])
-        mags = _norm3(F)
-        sing = (mags < SINGULAR_EPS).any(axis=0)
-        ok = case.holds(case.sorted_mags(mags.T), N) & ~sing
-        n_sing, n_ok = int(sing.sum()), int(ok.sum())
-        singular += n_sing
-        rejected += c - n_ok - n_sing
-        take = np.flatnonzero(ok)[:count - have]
-        out[have:have + len(take)] = F[:, take].transpose(1, 0, 2)
-        if _mags is not None:
-            _mags[have:have + len(take)] = mags[:, take].T
-        have += len(take)
+        draws = _Draws(draws.resume(len(free)), max(4 * (count - have), 2000))
     if have < count:
         raise InfeasibleRegionError(
             f"region {case.label} gave {have} of {count} samples at N={N}, "
@@ -303,23 +343,38 @@ class BoundReport:
     flagged: str = ""
 
 
+def verify_bounds(cases, N_list=(4, 8, 16, 32), samples_per_N: int = 10 ** 5,
+                  seed: int = 0, s: float = 0.75, cap: float = 64.0,
+                  slope_gate: float = 0.1) -> list:
+    """Sample every case's region at every N and compare M against the claimed
+    bound; the quarter-power bounds are stated at s = 3/4 and hold for any
+    s >= 3/4.  N is the outer loop: the cases at one N read one shared first
+    round of the sampler stream, and only that N's draws are held."""
+    per_N, rejections = [{} for _ in cases], [{} for _ in cases]
+    best = [(-np.inf, None)] * len(cases)
+    for k, N in enumerate(N_list):
+        draws = _Draws(seed + 7919 * k, max(4 * samples_per_N, 2000))
+        for r, case in enumerate(cases):
+            mags = np.empty((samples_per_N, case.expr.arity))
+            X, stats = sample_region(case, N, samples_per_N, seed=seed + 7919 * k,
+                                     _mags=mags, _draws=draws)
+            bound = case.bound(case.sorted_mags(mags), N, s)
+            ratio = eval_multiplier(case.expr, X, mags, N, s) / bound
+            i = int(np.argmax(ratio))
+            per_N[r][N], rejections[r][N] = float(ratio[i]), stats["rejected"]
+            if ratio[i] > best[r][0]:
+                best[r] = (float(ratio[i]), tuple(map(tuple, X[i])))
+            del X, mags, bound, ratio   # freed before the next row's draw
+    reports = []
+    for case, case_N, rejected, (top, witness) in zip(cases, per_N, rejections, best):
+        slope = loglog_fit(list(N_list), [max(case_N[N], 1e-300) for N in N_list]).slope
+        reports.append(BoundReport(case.label, top, witness, case_N, rejected, slope,
+                                   top <= cap and slope <= slope_gate, case.flagged))
+    return reports
+
+
 def verify_bound(case: VerifyCase, N_list=(4, 8, 16, 32),
                  samples_per_N: int = 10 ** 5, seed: int = 0, s: float = 0.75,
                  cap: float = 64.0, slope_gate: float = 0.1) -> BoundReport:
-    """Sample the region at every N and compare M against the claimed bound; the
-    quarter-power bounds are stated at s = 3/4 and hold for any s >= 3/4."""
-    per_N, rejections, best = {}, {}, (-np.inf, None)
-    for k, N in enumerate(N_list):
-        mags = np.empty((samples_per_N, case.expr.arity))
-        X, stats = sample_region(case, N, samples_per_N, seed=seed + 7919 * k,
-                                 _mags=mags)
-        bound = case.bound(case.sorted_mags(mags), N, s)
-        ratio = eval_multiplier(case.expr, X, mags, N, s) / bound
-        i = int(np.argmax(ratio))
-        per_N[N], rejections[N] = float(ratio[i]), stats["rejected"]
-        if ratio[i] > best[0]:
-            best = (float(ratio[i]), tuple(map(tuple, X[i])))
-        del X, mags, bound, ratio   # freed before the next draw, whose peak they raise
-    slope = loglog_fit(list(N_list), [max(per_N[N], 1e-300) for N in N_list]).slope
-    return BoundReport(case.label, best[0], best[1], per_N, rejections,
-                       slope, best[0] <= cap and slope <= slope_gate, case.flagged)
+    """verify_bounds for one case."""
+    return verify_bounds((case,), N_list, samples_per_N, seed, s, cap, slope_gate)[0]

@@ -18,7 +18,7 @@ from gpilab.ioperator import MultiplierSpec, energy
 from gpilab.dynamics import (EvolveConfig, almost_conservation_experiment, delta_step,
                              evolve, l2_growth_audit, rough_datum)
 from gpilab.bench import bilinear_sweep, strichartz_admissible, strichartz_ratio_sweep
-from gpilab.multverify import CATALOG, verify_bound
+from gpilab.multverify import CATALOG, verify_bounds
 from gpilab import ledger
 from gpilab.ledger import (ExponentLedger, dominant_increment, gwp_threshold,
                            step_law_exponent)
@@ -174,9 +174,7 @@ def test_acceptance_06_strichartz(capsys):
 def test_acceptance_07_multiplier_bounds(capsys):
     failures = []
     worst = (0.0, "")
-    for case in CATALOG:
-        rep = verify_bound(case, N_list=(4, 8, 16, 32), samples_per_N=10 ** 5,
-                           seed=2024)
+    for rep in verify_bounds(CATALOG, (4, 8, 16, 32), 10 ** 5, seed=2024):
         if rep.max_ratio > worst[0]:
             worst = (rep.max_ratio, rep.label)
         if not rep.passed:

@@ -205,6 +205,7 @@ def test_simulate_overflow_blows_up_at_t0_with_no_record(tmp_path):
     assert (out / "energy.csv").read_text() == "time,kinetic,potential,total,l2,N,s\n"
 
 
+@pytest.mark.pinned
 def test_simulate_artifacts_pinned(tmp_path):
     # sha256 of a small 3D rough run and a small 1D gaussian run, each with
     # an I-spec, and of a small 1D almost-conservation sweep; any change to
@@ -469,7 +470,7 @@ def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
     def stub(*args, **kwargs):
         raise KeyError("internal")
 
-    monkeypatch.setattr(cli, "verify_bound", stub)
+    monkeypatch.setattr(cli, "verify_bounds", stub)
     path = write_config(tmp_path, {"subcommand": "multiplier-verify",
                                    "params": {"cases": ["cubic-pair/case2"]},
                                    "seed": 0, "out_dir": str(tmp_path / "mv")})
@@ -506,7 +507,7 @@ THIRD = 0.1 + 0.2          # a float that needs all 17 digits
 FIT = SimpleNamespace(slope=0.5, residual=0.0)
 
 
-def _report(case, **kwargs):
+def _report(case):
     passed = case.label == "lwp-cubic/case1"
     return SimpleNamespace(label=case.label, max_ratio=BIG if passed else THIRD,
                            slope=-2, per_N={4: 1.0}, passed=passed, flagged=False)
@@ -566,7 +567,7 @@ CSV_CASES = {
         "axis,value,mean_ratio\nN2,8,0.30000000000000004\n"
         "N2,1.2345678901234568e+17,1\nN1,4,0.5\n"),
     "multiplier-verify": (
-        "verify_bound", _report,
+        "verify_bounds", lambda cases, **kwargs: [_report(c) for c in cases],
         {"cases": ["cubic-pair/case2", "lwp-cubic/case1"]},
         "bounds.csv",
         "case,max_ratio,slope,passed\ncubic-pair/case2,0.30000000000000004,-2,0\n"
@@ -581,6 +582,7 @@ CSV_CASES = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("sub", sorted(CSV_CASES))
 def test_csv_format_pinned(tmp_path, monkeypatch, sub):
     import gpilab.cli as cli

@@ -53,6 +53,15 @@ def test_gwp_condition_examples():
     assert gwp_condition(Fraction(3, 4)) == (False, Fraction(-1, 2))
 
 
+def test_threshold_follows_the_increment_table(monkeypatch):
+    # a first increment of -1 + 5(1-s) still dominates, and the condition
+    # -1 + 9(1-s) < 2(1-s) flips at s = 6/7: the verdict reads the table
+    import gpilab.ledger as ledger
+    terms = ((Fraction(-1), Fraction(5)),) + ledger._INCREMENT_TERMS[1:]
+    monkeypatch.setattr(ledger, "_INCREMENT_TERMS", terms)
+    assert gwp_threshold() == Fraction(6, 7)
+
+
 def test_gwp_condition_monotone_on_grid():
     verdicts = [gwp_condition(s)[0] for s in rational_grid(2000)]
     # once true, stays true

@@ -1,6 +1,7 @@
 """Tests of the multiplier expressions, region sampler, and bound checks."""
 
 import hashlib
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 from gpilab.ioperator import MultiplierSpec, multiplier_value
 from gpilab.multverify import (CATALOG, InfeasibleRegionError, MultiplierExpr,
                                VerifyCase, LWP_CUBIC, LWP_QUADRATIC, COMM_CUBIC,
-                               _norm3, catalog_by_label, eval_multiplier,
-                               sample_region, verify_bound)
+                               _Draws, _norm3, catalog_by_label, eval_multiplier,
+                               sample_region, verify_bound, verify_bounds)
 
 
 def test_catalog_labels_are_unique():
@@ -191,7 +192,10 @@ def test_sampled_magnitudes_are_norm3_bitwise():
 
 # sha256 of the samples and the exact (rejected, singular) at N = 4 and 32,
 # 2000 samples, seed 3, then verify_bound's per-N maxima on the same draws,
-# recorded before the sampler worked in place, which must keep every bit
+# recorded before the sampler worked in place, which must keep every bit;
+# commutator-quadratic/case3a, recorded before the rows shared their first
+# round, admits under a quarter of its 8000 first candidates and draws a
+# second round of 2000 from where its first left the stream
 PINNED_SAMPLES = {
     "lwp-cubic/case2": (
         {4: ("706ebca5f4b3d1958363accb36ac8abe2acc1ef84595a98e1667f729a7bfbc13", 0, 0),
@@ -205,9 +209,14 @@ PINNED_SAMPLES = {
         {4: ("b1436981fa13b4dc789edaf35f5692b44977ed139355e0d25c7c9e29d051d3d5", 93, 0),
          32: ("802a8eccd6ea79a0387e5c2e28df3f2ad35dcdbb0f8bee38d8fa9b014d384060", 93, 0)},
         {4: "0x1.c01fee0fc8e81p-1", 32: "0x1.bfebc554e3ae5p-1"}),
+    "commutator-quadratic/case3a": (
+        {4: ("6262039b2ce58d273e280231ff5be4c3b573a2b9912e883cb2123cd39558d2c5", 7532, 0),
+         32: ("7f4469c267d24bef6886debf1f04da0d16919d058ae2a9eecc45e0aa8334c02a", 7532, 0)},
+        {4: "0x1.a704ff95d28d7p-2", 32: "0x1.a6d81e4d24446p-2"}),
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("label", list(PINNED_SAMPLES))
 def test_sampler_pinned_bitwise(label):
     case = catalog_by_label(label)
@@ -219,6 +228,36 @@ def test_sampler_pinned_bitwise(label):
         assert (stats["rejected"], stats["singular"]) == (rejected, singular)
     rep = verify_bound(case, N_list=(4, 32), samples_per_N=2000, seed=3)
     assert rep.per_N == {N: float.fromhex(v) for N, v in per_N.items()}
+
+
+def test_shared_draws_match_rows_sampled_alone():
+    # every row at one N reads one shared first round: its samples, magnitudes
+    # and counts must be what sampling the row alone gives, bit for bit
+    for N in (4.0, 32.0):
+        shared = _Draws(3, 8000)
+        for case in CATALOG:
+            mags, alone = (np.empty((2000, case.expr.arity)) for _ in range(2))
+            X, stats = sample_region(case, N, 2000, seed=3, _mags=mags, _draws=shared)
+            X1, stats1 = sample_region(case, N, 2000, seed=3, _mags=alone)
+            assert np.array_equal(X.view(np.uint64), X1.view(np.uint64)), case.label
+            assert np.array_equal(mags.view(np.uint64), alone.view(np.uint64))
+            assert stats == stats1, case.label
+
+
+def test_sampler_peak_memory():
+    # one shared stream at 2000 samples holds 5 free blocks of 8000 uniform
+    # variates and unit directions; a warm catalog run peaks at 1.89 of it
+    # when candidates are evaluated in chunks, and at 2.96 with full
+    # (arity, candidates, 3) arrays.  tracemalloc counts numpy's buffers.
+    stream = 5 * 8000 * 4 * 8
+    verify_bounds(CATALOG, (4, 8), 2000, seed=3)
+    tracemalloc.start()
+    try:
+        verify_bounds(CATALOG, (4, 8), 2000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / stream < 2.25
 
 
 def test_sample_region_count_validation():
@@ -322,6 +361,7 @@ PINNED_MAX_RATIO = {
 }
 
 
+@pytest.mark.pinned
 def test_catalog_rows_match_pinned_ratios():
     assert [c.label for c in CATALOG] == list(PINNED_MAX_RATIO)
     for case in CATALOG:

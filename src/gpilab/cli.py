@@ -118,7 +118,15 @@ def _positive(v):   # a length, a time span or a width
 def _numbers(v):   # the frequencies of a fit
     if not isinstance(v, list) or len(v) < 2 or not all(_real(x) >= 1 for x in v):
         raise ValueError(f"must be a JSON array of two or more numbers >= 1, got {v!r}")
+    if len(set(v)) < len(v):
+        raise ValueError(f"must not repeat a value, got {v!r}")
     return v
+
+
+def _s(v):   # the regularity of the I-method, in (1/2, 1)
+    if not 0.5 < _real(v) < 1:
+        raise ValueError(f"must lie in (1/2, 1), got {v!r}")
+    return float(v)
 
 
 def _centers(v):   # each band must hold a mode of the Strichartz bench's grid
@@ -320,10 +328,10 @@ _COMMANDS = {
         "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_positive, REQUIRED),
         "dt": (_positive, REQUIRED), "t_end": (_positive, REQUIRED),
         "datum": (None, REQUIRED), "diagnostics_every": (_count, 1),
-        "N": (_real, None), "s": (_real, None)}),
+        "N": (_real, None), "s": (_s, None)}),
     "almost-conservation": (_run_almost_conservation, {
         "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_positive, REQUIRED),
-        "s": (_real, REQUIRED), "window": (_positive, REQUIRED), "dt": (_positive, 2.5e-4),
+        "s": (_s, REQUIRED), "window": (_positive, REQUIRED), "dt": (_positive, 2.5e-4),
         "N_list": (lambda v: [float(N) for N in _numbers(v)], REQUIRED)}),
     "strichartz": (_run_strichartz, {
         "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (_positive, REQUIRED),
@@ -332,7 +340,7 @@ _COMMANDS = {
     "multiplier-verify": (_run_multiplier_verify, {
         "cases": (_cases, "all"), "N_list": (_numbers, (4, 8, 16, 32)),
         "samples_per_N": (_count, 10 ** 4), "cap": (_real, 64.0),
-        "slope_gate": (_real, 0.1), "s": (_real, 0.75)}),
+        "slope_gate": (_real, 0.1), "s": (_s, 0.75)}),
     "ledger": (_run_ledger, {"s_grid": (_s_grid, REQUIRED)}),
 }
 

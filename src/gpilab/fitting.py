@@ -24,8 +24,8 @@ def loglog_fit(xs, ys) -> ExponentFit:
     """Least-squares fit of log y against log x."""
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
-    if lx.size < 2:
-        raise ValueError("need at least two points for a fit")
+    if lx.size < 2 or (lx == lx[0]).all():
+        raise ValueError("need at least two distinct x for a fit")
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
     return ExponentFit(slope=float(slope), intercept=float(intercept), residual=resid)

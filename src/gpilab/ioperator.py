@@ -43,14 +43,17 @@ def multiplier_value(spec: MultiplierSpec, xi) -> np.ndarray:
     """m_N evaluated at |xi|; accepts scalars or arrays of magnitudes.
 
     The input is read as |xi| directly: reduce frequency vectors to their
-    magnitudes first.
+    magnitudes first.  Entries with |xi| <= N are 1.0 and cost no
+    transcendental; the rest, NaN included, take the join or outer branch, so
+    NaN stays NaN and +inf gives 0.  A scalar or 0-d input returns a float.
     """
     absxi = np.abs(np.asarray(xi, dtype=float))
-    safe = np.maximum(absxi, 1e-300)
-    t = np.log2(safe / spec.N)
-    sig = np.clip(t, 0.0, 1.0)
+    out = np.ones_like(absxi)
+    high = ~(absxi <= spec.N)
+    x = absxi[high]
+    sig = np.clip(np.log2(x / spec.N), 0.0, 1.0)
     sig = 3 * sig ** 2 - 2 * sig ** 3
-    out = np.where(absxi <= spec.N, 1.0, (spec.N / safe) ** ((1 - spec.s) * sig))
+    out[high] = (spec.N / x) ** ((1 - spec.s) * sig)
     if np.isscalar(xi) or out.ndim == 0:
         return float(out)
     return out

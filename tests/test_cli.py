@@ -430,6 +430,21 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
     pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
                                          "s": 0.9, "N_list": [4, 8], "window": 0},
                  "window", id="window-zero"),
+    pytest.param("multiplier-verify", {"cases": ["cubic-pair/case2"], "N_list": [4, 4]},
+                 "N_list", id="N_list-repeated"),
+    pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
+                                         "s": 0.9, "N_list": [4, 4], "window": 0.01},
+                 "N_list", id="conservation-N_list-repeated"),
+    pytest.param("strichartz", {"q": 2, "r": 6, "T": 0.3, "centers": [8, 4, 8.0]},
+                 "centers", id="centers-repeated"),
+    pytest.param("multiplier-verify", {"cases": ["cubic-pair/case2"], "s": 1.5}, "s",
+                 id="multiplier-s-above-1"),
+    pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
+                                         "s": 1.5, "N_list": [4, 8], "window": 0.01},
+                 "s", id="conservation-s-above-1"),
+    pytest.param("simulate", {"dim": 1, "n": 32, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": 0.02, "datum": {"kind": "zero"},
+                              "N": 4, "s": 0.5}, "s", id="simulate-s-at-half"),
 ])
 def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
     path = write_config(tmp_path, {"subcommand": sub, "params": params,

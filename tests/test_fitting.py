@@ -29,6 +29,15 @@ def test_needs_two_points():
         loglog_fit([1.0], [1.0])
 
 
+def test_needs_two_distinct_x():
+    # a repeated frequency leaves one point to fit: no slope, not a verdict
+    with pytest.raises(ValueError, match="two distinct x"):
+        loglog_fit([4, 4], [0.3, 0.4])
+    with pytest.raises(ValueError, match="two distinct x"):
+        loglog_fit([4.0, 4, 4.0], [1.0, 2.0, 3.0])
+    assert loglog_fit([4, 4, 8], [1.0, 1.0, 2.0]).slope > 0
+
+
 def test_fit_validation():
     with pytest.raises(ValueError):
         ExponentFit(slope=1.0, intercept=0.0, residual=-1.0)

@@ -62,6 +62,32 @@ def test_multiplier_accepts_arrays():
     assert vals[0, 0] == 1.0
 
 
+def test_multiplier_edge_values():
+    spec = MultiplierSpec(N=8.0, s=0.75)
+    assert math.isnan(multiplier_value(spec, math.nan))
+    assert multiplier_value(spec, math.inf) == 0.0
+    for x in (0.0, 1e-300, 8.0):
+        assert multiplier_value(spec, x) == 1.0
+    for x in (3, 20.0, np.float64(20.0), np.array(20.0)):
+        assert type(multiplier_value(spec, x)) is float
+    vals = multiplier_value(spec, np.array([math.nan, math.inf, -math.inf, 0.0, 8.0]))
+    assert math.isnan(vals[0]) and list(vals[1:]) == [0.0, 0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("s", [0.6, 0.75, 0.9])
+def test_multiplier_matches_where_formula_bitwise(s):
+    # the formula that evaluated both branches everywhere, guarded at 1e-300
+    spec = MultiplierSpec(N=8.0, s=s)
+    xs = np.unique(np.concatenate([np.geomspace(8e-3, 8e4, 4001), [8.0, 16.0]]))
+    safe = np.maximum(xs, 1e-300)
+    sig = np.clip(np.log2(safe / spec.N), 0.0, 1.0)
+    sig = 3 * sig ** 2 - 2 * sig ** 3
+    want = np.where(xs <= spec.N, 1.0, (spec.N / safe) ** ((1 - s) * sig))
+    got = multiplier_value(spec, xs)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(multiplier_value(spec, xs.reshape(-1, 1)).ravel(), got)
+
+
 def test_energy_of_plane_wave_matches_analytic():
     # u = a e^{i xi x}: E = |xi|^2 a^2 V + (a^4 V + 2 a^2 V) / 2
     g = Grid(dim=1, n=64, length=2 * np.pi)

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gpilab.ioperator import MultiplierSpec, multiplier_value
-from gpilab.multverify import (CATALOG, InfeasibleRegionError, MultiplierExpr,
-                               VerifyCase, LWP_CUBIC, LWP_QUADRATIC, COMM_CUBIC,
-                               _Draws, _norm3, catalog_by_label, eval_multiplier,
-                               sample_region, verify_bound, verify_bounds)
+from gpilab.multverify import (CATALOG, SINGULAR_EPS, WINDOWS, InfeasibleRegionError,
+                               MultiplierExpr, VerifyCase, LWP_CUBIC, LWP_QUADRATIC,
+                               COMM_CUBIC, _CHUNK, _Draws, _cols, _norm3,
+                               catalog_by_label, eval_multiplier, sample_region,
+                               verify_bound, verify_bounds)
 
 
 def test_catalog_labels_are_unique():
@@ -103,6 +104,54 @@ def test_norm3_is_bitwise_linalg_norm(seed, edges):
         got, got_rows = _norm3(X), _norm3(X[0])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(got_rows.view(np.uint64), want[0].view(np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), edges=st.lists(
+    st.tuples(st.integers(0, 6 * 32 * 3 - 1), st.sampled_from(_EDGE_VALUES)),
+    max_size=24))
+def test_cols_is_bitwise_numpy_reduction(seed, edges):
+    # the evaluator's and the bound's reductions run over axes of 1 to 6
+    # entries: sums of frequency blocks cut from (count, arity, 3) tuples, and
+    # products of (count, k) magnitudes and motifs, signs and scales mixed.
+    # numpy sums negative zeros to +0.0 where the column loop keeps -0.0, so
+    # sums are compared after + 0.0, and their norms, all the evaluator
+    # reads, bitwise
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((32, 6, 3)) * 10.0 ** rng.integers(-300, 150, (32, 6, 1))
+    for pos, value in edges:
+        X.flat[pos] = value
+    mags = np.abs(X[:, :, 0]) + 0.0    # + 0.0: no negative zero in a magnitude
+    with np.errstate(over="ignore", under="ignore"):
+        for k in range(1, 7):
+            for start in range(7 - k):
+                block = slice(start, start + k)
+                got, want = _cols(np.add, X[:, block]), X[:, block].sum(axis=1)
+                assert np.array_equal((got + 0.0).view(np.uint64),
+                                      (want + 0.0).view(np.uint64))
+                assert np.array_equal(_norm3(got).view(np.uint64),
+                                      _norm3(want).view(np.uint64))
+                for P in (mags[:, block], mags[:, block].copy()):
+                    got, want = _cols(np.multiply, P), P.prod(axis=1)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_bound_matches_axis_products_bitwise():
+    # each row's bound against the motifs multiplied by np.prod over axis 1
+    rng = np.random.default_rng(5)
+    for case in CATALOG:
+        mags = np.exp(rng.uniform(np.log(0.05), np.log(500.0), (400, case.expr.arity)))
+        Q = case.sorted_mags(mags)
+
+        def col(idx):
+            return Q[:, [i - 1 for i in idx]]
+        want = (np.prod((col(case.quarter) / 8.0) ** 0.25, axis=1)
+                * np.prod((col(case.lwp) / 8.0) ** (1 - 0.75), axis=1))
+        if case.mean_value:
+            want = want * (Q[:, 1] / Q[:, 0])
+        want = want / np.prod(Q if case.denom is None else col(case.denom), axis=1)
+        got = case.bound(Q, 8.0, 0.75)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case.label
 
 
 _BLOCKS = VerifyCase(MultiplierExpr("blocks", ((0,), (1, 2), (3, 4, 5))), "all",
@@ -195,19 +244,21 @@ def test_sampled_magnitudes_are_norm3_bitwise():
 # recorded before the sampler worked in place, which must keep every bit;
 # commutator-quadratic/case3a, recorded before the rows shared their first
 # round, admits under a quarter of its 8000 first candidates and draws a
-# second round of 2000 from where its first left the stream
+# second round of 2000 from where its first left the stream.  The counts
+# cover the chunks evaluated: sextic/case3c-meanvalue read 132 and
+# quintic-cubic-pair/case3b 93 while every candidate drawn was counted
 PINNED_SAMPLES = {
     "lwp-cubic/case2": (
         {4: ("706ebca5f4b3d1958363accb36ac8abe2acc1ef84595a98e1667f729a7bfbc13", 0, 0),
          32: ("954d21195a2743213e268afdcc98461917accd4adfc1f634a699560a046c9a31", 0, 0)},
         {4: "0x1.a8103baab9815p+0", 32: "0x1.a32189735df73p+0"}),
     "sextic/case3c-meanvalue": (
-        {4: ("4a63e8d6bb9114a16038003a66ca04ff8064f62857cf8095c0267b30bb8b963f", 132, 0),
-         32: ("1d3246c89a47a6cdd6e5fa37a00463555e70a50fcedc20b3ddc36636b34ff127", 132, 0)},
+        {4: ("4a63e8d6bb9114a16038003a66ca04ff8064f62857cf8095c0267b30bb8b963f", 32, 0),
+         32: ("1d3246c89a47a6cdd6e5fa37a00463555e70a50fcedc20b3ddc36636b34ff127", 32, 0)},
         {4: "0x1.245a896d91608p-1", 32: "0x1.4b688068445dep-1"}),
     "quintic-cubic-pair/case3b": (
-        {4: ("b1436981fa13b4dc789edaf35f5692b44977ed139355e0d25c7c9e29d051d3d5", 93, 0),
-         32: ("802a8eccd6ea79a0387e5c2e28df3f2ad35dcdbb0f8bee38d8fa9b014d384060", 93, 0)},
+        {4: ("b1436981fa13b4dc789edaf35f5692b44977ed139355e0d25c7c9e29d051d3d5", 20, 0),
+         32: ("802a8eccd6ea79a0387e5c2e28df3f2ad35dcdbb0f8bee38d8fa9b014d384060", 20, 0)},
         {4: "0x1.c01fee0fc8e81p-1", 32: "0x1.bfebc554e3ae5p-1"}),
     "commutator-quadratic/case3a": (
         {4: ("6262039b2ce58d273e280231ff5be4c3b573a2b9912e883cb2123cd39558d2c5", 7532, 0),
@@ -228,6 +279,56 @@ def test_sampler_pinned_bitwise(label):
         assert (stats["rejected"], stats["singular"]) == (rejected, singular)
     rep = verify_bound(case, N_list=(4, 32), samples_per_N=2000, seed=3)
     assert rep.per_N == {N: float.fromhex(v) for N, v in per_N.items()}
+
+
+def _recount(case, N, count, seed):
+    """(rejected, singular, rounds) of a row recounted from its stream: every
+    candidate of a round is built at once from the `_Draws` blocks in draw
+    order, and the count stops at the end of the _CHUNK-candidate chunk that
+    holds the count-th admissible candidate, the last chunk evaluated."""
+    arity, solve = case.expr.arity, case.expr.solve
+    free = [i for i in range(arity) if i != solve]
+    draws, have, rejected, singular = _Draws(seed, max(4 * count, 2000)), 0, 0, 0
+    for rounds in range(1, 201):
+        F = np.empty((draws.c, arity, 3))
+        for j, (i, code) in enumerate(zip(free, case.free_ranges)):
+            u, d = draws.block(j)
+            a, b = (np.log(w * N) for w in WINDOWS[code])
+            F[:, i] = d * np.exp(a + (b - a) * u)[:, None]
+        if solve >= 0:
+            total = F[:, free[0]].copy()
+            for i in free[1:]:
+                total += F[:, i]
+            F[:, solve] = -total
+        mags = np.linalg.norm(F, axis=2)
+        sing = (mags < SINGULAR_EPS).any(axis=1)
+        ok = case.holds(case.sorted_mags(mags), N) & ~sing
+        admissible = np.flatnonzero(ok)
+        seen = draws.c
+        if have + len(admissible) >= count:
+            last = admissible[count - have - 1]
+            seen = min((last // _CHUNK + 1) * _CHUNK, draws.c)
+        singular += int(sing[:seen].sum())
+        rejected += seen - int(ok[:seen].sum()) - int(sing[:seen].sum())
+        have += len(admissible)
+        if have >= count:
+            return rejected, singular, rounds
+        draws = _Draws(draws.resume(len(free)), max(4 * (count - have), 2000))
+    raise AssertionError("the recount never reached the count")
+
+
+def test_counts_cover_only_the_chunks_evaluated():
+    # the sampler stops at the chunk that completes the count; its counts
+    # must be what a recount of the stream up to that chunk gives
+    for label, rounds in (("sextic/case3c-meanvalue", 1),
+                          ("commutator-quadratic/case3a", 2)):
+        case = catalog_by_label(label)
+        for N in (4.0, 32.0):
+            rejected, singular, used = _recount(case, N, 2000, 3)
+            assert used == rounds, label
+            _, stats = sample_region(case, N, 2000, seed=3)
+            assert (stats["rejected"], stats["singular"]) == (rejected, singular)
+            assert PINNED_SAMPLES[label][0][int(N)][1:] == (rejected, singular)
 
 
 def test_shared_draws_match_rows_sampled_alone():

@@ -3,13 +3,16 @@ Gross-Pitaevskii equation on periodic boxes.
 
 Modules
 -------
-grid        periodic grids, physical fields, unitary FFTs, norms
+grid        periodic grids, physical fields, unitary FFTs
 ioperator   the smoothing multiplier m_N, I_N, energy functionals
 dynamics    split-step integrator, growth audits, step law, sweeps
 bench       Strichartz / bilinear benches on dyadic bands
 multverify  randomized checks of the pointwise multiplier bounds
 ledger      exact rational exponent bookkeeping
 cli         batch entry point
+
+The tests' reference formulas (the L^p and H^s norms of a Field, the
+dealiased box as a full-grid mask) live in tests/oracles.py.
 """
 
 __version__ = "0.1.0"

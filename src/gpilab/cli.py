@@ -115,6 +115,12 @@ def _positive(v):   # a length, a time span or a width
     return float(v)
 
 
+def _frequency(v):   # the N of the smoothing multiplier m_N
+    if _real(v) < 1:
+        raise ValueError(f"must be a number >= 1, got {v!r}")
+    return float(v)
+
+
 def _numbers(v):   # the frequencies of a fit
     if not isinstance(v, list) or len(v) < 2 or not all(_real(x) >= 1 for x in v):
         raise ValueError(f"must be a JSON array of two or more numbers >= 1, got {v!r}")
@@ -328,7 +334,7 @@ _COMMANDS = {
         "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_positive, REQUIRED),
         "dt": (_positive, REQUIRED), "t_end": (_positive, REQUIRED),
         "datum": (None, REQUIRED), "diagnostics_every": (_count, 1),
-        "N": (_real, None), "s": (_s, None)}),
+        "N": (_frequency, None), "s": (_s, None)}),
     "almost-conservation": (_run_almost_conservation, {
         "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_positive, REQUIRED),
         "s": (_s, REQUIRED), "window": (_positive, REQUIRED), "dt": (_positive, 2.5e-4),

@@ -19,13 +19,12 @@ run.  `evolve` is the one stepper.  It allocates its arrays once: the
 step works in place, and each record is one pass over a stack of u and
 every Iu, with one batched inverse FFT, into one row of the record table
 that `evolve` sizes before the first step.  A trajectory keeps one state,
-the final one.  Also here: the L^2 growth audits, the step-size law, the
-almost-conservation sweep, and the segment-iterated global run.
+the final one.  Also here: the L^2 growth audits, the step-size law and the
+almost-conservation sweep.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -33,18 +32,15 @@ import numpy as np
 
 from .grid import (Field, Grid, _fftn_box, _hs_norm, _ifftn_box, _spectral_scale,
                    inverse_transform)
-from .ioperator import (MultiplierSpec, _potential_sums, _spectral_sums,
-                        modified_energy, multiplier_value)
+from .ioperator import MultiplierSpec, _potential_sums, _spectral_sums, multiplier_value
 from .fitting import ExponentFit, loglog_fit
 
-log = logging.getLogger(__name__)
 _PAD = 0.01         # rough_datum's spectral decay past the H^s edge
-_DT_HINT = 1e-3     # iterate_global's largest substep
 
 __all__ = [
     "BlowUpError", "EvolveConfig", "Trajectory",
     "evolve", "l2_growth_audit", "delta_step",
-    "rough_datum", "almost_conservation_experiment", "iterate_global",
+    "rough_datum", "almost_conservation_experiment",
 ]
 
 
@@ -341,58 +337,3 @@ def almost_conservation_experiment(u0: Field, s: float, N_list, window: float,
     fit = loglog_fit([r.N for r in rows],
                      [max(r.increment_window, 1e-300) for r in rows])
     return AlmostConservationResult(rows=tuple(rows), fit=fit)
-
-
-# ---------------------------------------------------------------------------
-# iterated global run
-
-@dataclass(frozen=True)
-class SegmentRecord:
-    t_start: float
-    delta: float
-    modified_energy: float
-    gradI_sq: float
-
-
-@dataclass(frozen=True)
-class GlobalRunLedger:
-    segments: tuple             # SegmentRecord at every boundary
-    e0: float
-    max_ratio: float            # max E(Iu)/E(Iu0) over boundaries
-    violated: bool              # ratio crossed 2
-
-
-def iterate_global(u0: Field, s: float, N: float, T: float):
-    """Advance to T in delta_step-sized segments of substeps <= 1e-3, auditing E(Iu).
-
-    Returns (final field, GlobalRunLedger).  A ledger violation (drift past
-    twice the initial modified energy) is flagged and the run continues.
-    """
-    spec = MultiplierSpec(N=N, s=s)
-    u = u0
-    t = 0.0
-    segments = []
-    while True:
-        rep = modified_energy(u, spec)
-        g = rep.kinetic                 # ||grad Iu||^2
-        done = t >= T - 1e-12
-        delta = 0.0 if done else min(delta_step(N, s, g), T - t)
-        segments.append(SegmentRecord(t_start=t, delta=delta,
-                                      modified_energy=rep.total, gradI_sq=g))
-        if done:
-            break
-        n_sub = max(1, int(math.ceil(delta / _DT_HINT)))
-        traj = evolve(u, EvolveConfig(grid=u.grid, dt=delta / n_sub, t_end=delta,
-                                      diagnostics_every=n_sub))
-        u = traj.final
-        t += delta
-    e0 = segments[0].modified_energy
-    if e0 <= 0:
-        e0 = 1.0
-    max_ratio = max(seg.modified_energy / e0 for seg in segments)
-    violated = max_ratio >= 2.0
-    if violated:
-        log.warning("modified-energy ledger violated: max ratio %.3f", max_ratio)
-    ledger = GlobalRunLedger(segments=tuple(segments), e0=e0,
-                             max_ratio=max_ratio, violated=violated)
-    return u, ledger

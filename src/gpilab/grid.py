@@ -1,4 +1,4 @@
-"""Periodic grids, unitary FFTs, and norms.
+"""Periodic grids, unitary FFTs, and the H^s norm of coefficients.
 
 A `Field` is complex physical values on a `Grid`; spectral coefficients are
 plain arrays that live only inside a computation.  Everything downstream
@@ -20,10 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Grid", "Field", "forward_transform", "inverse_transform", "sobolev_norm",
-    "lp_norm",
-]
+__all__ = ["Grid", "Field", "forward_transform", "inverse_transform"]
 
 
 def _is_pow2(n: int) -> bool:
@@ -80,14 +77,6 @@ class Grid:
         """2/3-rule cutoff K = floor((2/3)(n/2)): the dealiased box is
         |k_j| <= K on every axis, k_j the integer wavenumber."""
         return 2 * (self.n // 2) // 3
-
-    def dealias_mask(self) -> np.ndarray:
-        """The dealiased box |k_j| <= K as a full-grid mask."""
-        keep1 = _wavenumbers(self.n) <= self.dealias_cutoff
-        out = np.ones(self.shape, dtype=bool)
-        for keep in np.meshgrid(*([keep1] * self.dim), indexing="ij", sparse=True):
-            out &= keep
-        return out
 
 
 @dataclass(frozen=True)
@@ -205,20 +194,3 @@ def _hs_norm(absxi: np.ndarray, coef: np.ndarray, s: float) -> float:
     # the one H^s formula, on unitary coefficients at magnitudes absxi
     w = (1.0 + absxi ** 2) ** s
     return float(np.sqrt(np.sum(w * np.abs(coef) ** 2)))
-
-
-def sobolev_norm(f: Field, s: float) -> float:
-    """H^s norm, (sum <xi>^{2s} |f_hat|^2)^{1/2}."""
-    return _hs_norm(f.grid.xi_abs(), forward_transform(f), s)
-
-
-def lp_norm(f: Field, p) -> float:
-    """Quadrature L^p norm on the physical grid; p = inf gives the max norm."""
-    if p != np.inf and p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    vals = np.abs(f.values)
-    if p == np.inf:
-        return float(vals.max())
-    w = f.grid.dx ** f.grid.dim
-    return float((np.sum(vals ** p) * w) ** (1.0 / p))
-

@@ -19,8 +19,7 @@ from .ioperator import MultiplierSpec, multiplier_value
 from .fitting import loglog_fit
 
 __all__ = ["MultiplierExpr", "VerifyCase", "InfeasibleRegionError", "eval_multiplier",
-           "sample_region", "verify_bound", "verify_bounds", "CATALOG",
-           "catalog_by_label"]
+           "sample_region", "verify_bounds", "CATALOG", "catalog_by_label"]
 
 SINGULAR_EPS = 1e-9
 WINDOWS = {"H": (1, 64), "L": (1 / 64, 1), "T": (1 / 64, 1 / 8), "A": (1 / 64, 64)}
@@ -354,7 +353,6 @@ class BoundReport:
     max_ratio: float
     witness: tuple              # frequency tuple achieving the max
     per_N: dict                 # N -> max ratio
-    rejections: dict            # N -> rejected count
     slope: float
     passed: bool
     flagged: str = ""
@@ -367,31 +365,24 @@ def verify_bounds(cases, N_list=(4, 8, 16, 32), samples_per_N: int = 10 ** 5,
     bound; the quarter-power bounds are stated at s = 3/4 and hold for any
     s >= 3/4.  N is the outer loop: the cases at one N read one shared first
     round of the sampler stream, and only that N's draws are held."""
-    per_N, rejections = [{} for _ in cases], [{} for _ in cases]
+    per_N = [{} for _ in cases]
     best = [(-np.inf, None)] * len(cases)
     for k, N in enumerate(N_list):
         draws = _Draws(seed + 7919 * k, max(4 * samples_per_N, 2000))
         for r, case in enumerate(cases):
             mags = np.empty((samples_per_N, case.expr.arity))
-            X, stats = sample_region(case, N, samples_per_N, seed=seed + 7919 * k,
-                                     _mags=mags, _draws=draws)
+            X, _ = sample_region(case, N, samples_per_N, seed=seed + 7919 * k,
+                                 _mags=mags, _draws=draws)
             bound = case.bound(case.sorted_mags(mags), N, s)
             ratio = eval_multiplier(case.expr, X, mags, N, s) / bound
             i = int(np.argmax(ratio))
-            per_N[r][N], rejections[r][N] = float(ratio[i]), stats["rejected"]
+            per_N[r][N] = float(ratio[i])
             if ratio[i] > best[r][0]:
                 best[r] = (float(ratio[i]), tuple(map(tuple, X[i])))
             del X, mags, bound, ratio   # freed before the next row's draw
     reports = []
-    for case, case_N, rejected, (top, witness) in zip(cases, per_N, rejections, best):
+    for case, case_N, (top, witness) in zip(cases, per_N, best):
         slope = loglog_fit(list(N_list), [max(case_N[N], 1e-300) for N in N_list]).slope
-        reports.append(BoundReport(case.label, top, witness, case_N, rejected, slope,
+        reports.append(BoundReport(case.label, top, witness, case_N, slope,
                                    top <= cap and slope <= slope_gate, case.flagged))
     return reports
-
-
-def verify_bound(case: VerifyCase, N_list=(4, 8, 16, 32),
-                 samples_per_N: int = 10 ** 5, seed: int = 0, s: float = 0.75,
-                 cap: float = 64.0, slope_gate: float = 0.1) -> BoundReport:
-    """verify_bounds for one case."""
-    return verify_bounds((case,), N_list, samples_per_N, seed, s, cap, slope_gate)[0]

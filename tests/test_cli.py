@@ -445,6 +445,9 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
     pytest.param("simulate", {"dim": 1, "n": 32, "length": 6.283185307179586,
                               "dt": 0.01, "t_end": 0.02, "datum": {"kind": "zero"},
                               "N": 4, "s": 0.5}, "s", id="simulate-s-at-half"),
+    pytest.param("simulate", {"dim": 1, "n": 32, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": 0.02, "datum": {"kind": "zero"},
+                              "N": 0.5, "s": 0.9}, "N", id="simulate-N-below-1"),
 ])
 def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
     path = write_config(tmp_path, {"subcommand": sub, "params": params,

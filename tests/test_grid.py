@@ -1,6 +1,5 @@
 """Oracles and properties for grids, transforms, norms, and projections."""
 
-import functools
 import math
 
 import numpy as np
@@ -10,7 +9,8 @@ from hypothesis import strategies as st
 
 from gpilab.bench import _band
 from gpilab.grid import (Field, Grid, _box_cutoff, _box_ranges, _fftn_box, _ifftn_box,
-                         forward_transform, inverse_transform, lp_norm, sobolev_norm)
+                         forward_transform, inverse_transform)
+from oracles import box, lp_norm, sobolev_norm
 
 
 def random_field(grid, seed):
@@ -87,23 +87,12 @@ def test_round_trip_is_identity(dim, n):
 # ---------------------------------------------------------------------------
 # the dealiased box and the band-limited transforms
 
-def _box(n, dim, K):
-    # |k_j| <= K on every axis, k_j the integer wavenumber in FFT order
-    keep = np.minimum(np.arange(n), n - np.arange(n)) <= K
-    return functools.reduce(np.logical_and, [keep.reshape((n,) + (1,) * j)
-                                             for j in range(dim)])
-
-
 @pytest.mark.parametrize("n", [2 ** p for p in range(3, 11)])
 def test_dealias_mask_is_the_box(n):
-    # K is the integer part of the 2/3 rule's (2/3)(n/2), and the mask is
-    # the box it bounds; a 3D mask is built up to 128^3 (1024^3 bools are
-    # 1 GB), and every mask is the product of the same per-axis rule
+    # K is the integer part of the 2/3 rule's (2/3)(n/2); the stepper's box
+    # |k_j| <= K is checked bitwise by test_dynamics' out-of-place step
     K = Grid(1, n, 1.0).dealias_cutoff
     assert K <= (2.0 / 3.0) * (n // 2) < K + 1
-    for dim in (1, 2, 3):
-        if n ** dim <= 2 ** 21:
-            assert np.array_equal(Grid(dim, n, 1.0).dealias_mask(), _box(n, dim, K))
     assert Grid(3, 64, 1.0).dealias_cutoff == 21
 
 
@@ -127,7 +116,7 @@ def _random(shape, seed):
 
 @pytest.mark.parametrize("shape, dim, K", BOX_CASES)
 def test_band_limited_inverse_is_ifftn_bitwise(shape, dim, K):
-    a = _random(shape, 1) * _box(shape[-1], dim, K)
+    a = _random(shape, 1) * box(shape[-1], dim, K)
     want = np.fft.ifftn(a, axes=tuple(range(len(shape) - dim, len(shape))))
     got = _ifftn_box(a, dim, K)
     assert got is a
@@ -139,7 +128,7 @@ def test_band_limited_forward_is_masked_fftn_bitwise(shape, dim, K):
     # inside the box, bitwise fftn's values; outside, exact +0.0 written
     # over whatever was there (the mask's product could leave -0.0)
     a = _random(shape, 2)
-    inside = _box(shape[-1], dim, K)
+    inside = box(shape[-1], dim, K)
     want = np.fft.fftn(a, axes=tuple(range(len(shape) - dim, len(shape))))
     out = np.full_like(a, np.nan)
     assert _fftn_box(a, dim, K, out) is out
@@ -157,7 +146,7 @@ def test_whole_grid_box_is_one_transform():
 def test_box_cutoff_is_the_least_box():
     n = 32
     for dim, K in [(1, 11), (2, 5), (3, 9), (3, 16)]:
-        a = _random((n,) * dim, K) * _box(n, dim, K)
+        a = _random((n,) * dim, K) * box(n, dim, K)
         assert _box_cutoff(a) == K
         a[..., K] = a[..., -K] = 0      # in 2D and 3D, K is reached on other axes
         assert _box_cutoff(a) == (K if dim > 1 else K - 1)

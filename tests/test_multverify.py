@@ -15,7 +15,7 @@ from gpilab.multverify import (CATALOG, SINGULAR_EPS, WINDOWS, InfeasibleRegionE
                                MultiplierExpr, VerifyCase, LWP_CUBIC, LWP_QUADRATIC,
                                COMM_CUBIC, _CHUNK, _Draws, _cols, _norm3,
                                catalog_by_label, eval_multiplier, sample_region,
-                               verify_bound, verify_bounds)
+                               verify_bounds)
 
 
 def test_catalog_labels_are_unique():
@@ -227,7 +227,7 @@ def test_sample_region_raises_on_under_delivery():
 
 
 def test_sampled_magnitudes_are_norm3_bitwise():
-    # verify_bound reads the kept tuples' magnitudes from the sampler and
+    # verify_bounds reads the kept tuples' magnitudes from the sampler and
     # hands them to the evaluator; they must be what recomputing gives, and
     # the stream and the counts must not move
     for label in ("lwp-cubic/case2", "sextic/case3c-meanvalue", "cubic-pair/case2"):
@@ -240,7 +240,7 @@ def test_sampled_magnitudes_are_norm3_bitwise():
 
 
 # sha256 of the samples and the exact (rejected, singular) at N = 4 and 32,
-# 2000 samples, seed 3, then verify_bound's per-N maxima on the same draws,
+# 2000 samples, seed 3, then verify_bounds' per-N maxima on the same draws,
 # recorded before the sampler worked in place, which must keep every bit;
 # commutator-quadratic/case3a, recorded before the rows shared their first
 # round, admits under a quarter of its 8000 first candidates and draws a
@@ -277,7 +277,7 @@ def test_sampler_pinned_bitwise(label):
         assert X.shape == (2000, case.expr.arity, 3)
         assert hashlib.sha256(X.tobytes()).hexdigest() == digest
         assert (stats["rejected"], stats["singular"]) == (rejected, singular)
-    rep = verify_bound(case, N_list=(4, 32), samples_per_N=2000, seed=3)
+    rep, = verify_bounds((case,), N_list=(4, 32), samples_per_N=2000, seed=3)
     assert rep.per_N == {N: float.fromhex(v) for N, v in per_N.items()}
 
 
@@ -373,8 +373,8 @@ def test_sample_region_count_validation():
 def test_verify_bound_passes_on_reference_cases():
     for label in ("lwp-cubic/case1", "commutator-quadratic/case3a",
                   "cubic-pair/case2"):
-        rep = verify_bound(catalog_by_label(label), N_list=(4, 16),
-                           samples_per_N=2000, seed=5)
+        rep, = verify_bounds((catalog_by_label(label),), N_list=(4, 16),
+                             samples_per_N=2000, seed=5)
         assert rep.passed, f"{label}: max={rep.max_ratio}, slope={rep.slope}"
         assert rep.max_ratio > 0
         assert rep.witness is not None and len(rep.witness) >= 2
@@ -382,15 +382,15 @@ def test_verify_bound_passes_on_reference_cases():
 
 
 def test_verify_bound_flags_impossible_cap():
-    rep = verify_bound(catalog_by_label("lwp-cubic/case1"), N_list=(4, 8),
-                       samples_per_N=500, seed=0, cap=1e-9)
+    rep, = verify_bounds((catalog_by_label("lwp-cubic/case1"),), N_list=(4, 8),
+                         samples_per_N=500, seed=0, cap=1e-9)
     assert not rep.passed
 
 
 def test_separated_quadratic_case_obeys_tight_cap():
     # the well-separated quadratic region has an explicit small constant
-    rep = verify_bound(catalog_by_label("lwp-quadratic/case2-separated"),
-                       N_list=(4, 8, 16, 32), samples_per_N=5000, seed=1)
+    rep, = verify_bounds((catalog_by_label("lwp-quadratic/case2-separated"),),
+                         N_list=(4, 8, 16, 32), samples_per_N=5000, seed=1)
     assert rep.max_ratio <= 8.0
 
 
@@ -406,9 +406,9 @@ def test_slope_gate_rejects_mistranscribed_bound():
 
     bad = Mistranscribed(**{f.name: getattr(true, f.name) for f in fields(true)})
     for seed in (0, 1, 2, 99, 2024):
-        rep = verify_bound(bad, N_list=(4, 8, 16, 32), samples_per_N=2000, seed=seed)
+        rep, ref = verify_bounds((bad, true), N_list=(4, 8, 16, 32), samples_per_N=2000,
+                                 seed=seed)
         assert rep.max_ratio <= 64.0 and rep.slope > 0.2 and not rep.passed
-        ref = verify_bound(true, N_list=(4, 8, 16, 32), samples_per_N=2000, seed=seed)
         assert ref.passed and abs(ref.slope) < 0.05
 
 
@@ -466,12 +466,12 @@ PINNED_MAX_RATIO = {
 def test_catalog_rows_match_pinned_ratios():
     assert [c.label for c in CATALOG] == list(PINNED_MAX_RATIO)
     for case in CATALOG:
-        rep = verify_bound(case, N_list=(4, 8), samples_per_N=500, seed=0)
+        rep, = verify_bounds((case,), N_list=(4, 8), samples_per_N=500, seed=0)
         pinned = PINNED_MAX_RATIO[case.label]
         assert abs(rep.max_ratio - pinned) <= 1e-12 * pinned, case.label
 
 
 def test_transcription_flag_is_reported():
-    rep = verify_bound(catalog_by_label("quintic-pair-cubic/case2b-meanvalue"),
-                       N_list=(4, 8), samples_per_N=1000, seed=0)
+    rep, = verify_bounds((catalog_by_label("quintic-pair-cubic/case2b-meanvalue"),),
+                         N_list=(4, 8), samples_per_N=1000, seed=0)
     assert "N1 >= N2 >> N2" in rep.flagged

@@ -5,13 +5,17 @@ L^2 norm of the datum stands in for the space-time norm on the right of
 each estimate, so only the frequency scaling (the content of the
 estimates) is fitted, never absolute constants.  Both dispersive benches
 advance their data through one free-flow kernel, `_FreeFlow`, built once
-per bench call: its phase is one `exp` per distinct |xi|^2 level, and its
-time loop transforms and reduces in preallocated buffers.  Time samples
-where the cutoff is exactly 0 (t = 0 and t = T) contribute exactly 0 and
-are skipped.  The bilinear bench works in collision coordinates: its data
-carry no common shift or chirp, so they are real and evolve over the
-offsets from the collision time t*, and the product's grid sum is even in
-that offset, so each mirrored pair of collision samples takes one flow.
+per bench call, which owns one complex buffer per datum and nothing else:
+its phase is one `exp` per distinct |xi|^2 level, gathered into the first
+datum's buffer, and its time loop transforms in those buffers in place.
+Each bench reduces in one real grid array, the Strichartz sweep's own and
+the bilinear bench's in its second datum's buffer, and builds each datum
+in place in one array.  Time samples where the cutoff is exactly 0 (t = 0
+and t = T) contribute exactly 0 and are skipped.  The bilinear bench works
+in collision coordinates: its data carry no common shift or chirp, so they
+are real and evolve over the offsets from the collision time t*, and the
+product's grid sum is even in that offset, so each mirrored pair of
+collision samples takes one flow.
 """
 
 from __future__ import annotations
@@ -37,45 +41,44 @@ class _FreeFlow:
     """The free Schroedinger flow e^{it Lap} of `count` data on one grid.
 
     On a periodic lattice |xi|^2 takes few distinct values (2780 at 64^3),
-    so `phase(t)` computes e^{i |xi|^2 t} as one `exp` per level, gathered
-    onto the grid through the inverse index of `np.unique`, one read-only
-    table per grid per process.  That is the same elementwise arithmetic on
-    the same floats as `np.exp(1j * xi2 * t)`, so the phase is bitwise equal.
+    so `phase(t, out)` computes e^{i |xi|^2 t} as one `exp` per level,
+    gathered into out through the inverse index of `np.unique`, one
+    read-only table per grid per process.  That is the same elementwise
+    arithmetic on the same floats as `np.exp(1j * xi2 * t)`, so the phase
+    is bitwise equal.
 
-    The phase, one complex buffer per datum and the real `work` array are
-    allocated once.  The one time loop, `samples(coefs, ts, wts)`, finds
-    each datum's box once, the least integer K with the datum zero outside
-    |k_j| <= K (`grid._box_cutoff`), skips the samples whose weight is
-    exactly 0 (its term is 0.0 times a finite number), and at every other
-    sample yields (i, wts[i], values).  The inverse transform skips the
+    The flow owns one complex buffer per datum and nothing else.  The one
+    time loop, `samples(coefs, ts, wts)`, finds each datum's box once, the
+    least integer K with the datum zero outside |k_j| <= K
+    (`grid._box_cutoff`), skips the samples whose weight is exactly 0 (its
+    term is 0.0 times a finite number), and at every other sample yields
+    (i, wts[i], values).  The phase is gathered into the first datum's
+    buffer and multiplied into the data last datum first, so the first
+    datum's product overwrites it last.  The inverse transform skips the
     zero lines, most of them for band data at N <= 8 on 64^3, and its
-    values are bitwise np.fft.ifftn's.  `phase(t)` returns the phase buffer
-    and `values` the data buffers, overwritten at the next sample: copy
-    what must outlive it.
+    values are bitwise np.fft.ifftn's.  `values` are the data buffers,
+    overwritten at the next sample: copy what must outlive it.
     """
 
     def __init__(self, grid: Grid, count: int):
         self.levels, self.index = _level_table(grid)
         self.scale = 1 / _spectral_scale(grid)
-        self._phase = np.empty(grid.shape, dtype=complex)
         self.out = tuple(np.empty(grid.shape, dtype=complex) for _ in range(count))
-        self.work = np.empty(grid.shape)
 
-    def phase(self, t: float) -> np.ndarray:
-        """e^{i |xi|^2 t} on the grid, in the shared phase buffer."""
+    def phase(self, t: float, out: np.ndarray) -> np.ndarray:
+        """e^{i |xi|^2 t} on the grid, written into out."""
         # mode "clip" writes straight into out; the default "raise" buffers
-        return np.take(np.exp(1j * self.levels * t), self.index,
-                       out=self._phase, mode="clip")
+        return np.take(np.exp(1j * self.levels * t), self.index, out=out, mode="clip")
 
     def samples(self, coefs, ts, wts):
         """(i, wts[i], physical values at ts[i]) of the unitary coefficient
         arrays coefs, for every i with wts[i] != 0."""
-        Ks = [_box_cutoff(c) for c in coefs]
+        data = list(zip(coefs, self.out, [_box_cutoff(c) for c in coefs]))[::-1]
         for i, (t, wt) in enumerate(zip(ts, wts)):
             if wt == 0.0:
                 continue
-            phase = self.phase(t)
-            for c, b, K in zip(coefs, self.out, Ks):
+            phase = self.phase(t, self.out[0])
+            for c, b, K in data:
                 np.multiply(c, phase, out=b)
                 _ifftn_box(b, b.ndim, K)
                 b *= self.scale
@@ -126,8 +129,10 @@ def band_datum(grid: Grid, N: float, seed: int) -> np.ndarray:
     """Unitary coefficients of a random datum on the annulus |xi| ~ N, unit L^2."""
     rng = np.random.default_rng(seed)
     mask = _band(grid.xi_abs(), N)
-    coef = (rng.standard_normal(grid.shape)
-            + 1j * rng.standard_normal(grid.shape)) * mask
+    coef = np.empty(grid.shape, dtype=complex)
+    coef.real = rng.standard_normal(grid.shape)
+    coef.imag = rng.standard_normal(grid.shape)
+    coef *= mask
     coef /= np.linalg.norm(coef)
     return coef
 
@@ -145,6 +150,7 @@ def strichartz_ratio_sweep(q: float, r: float, T: float,
     ts = np.linspace(0.0, T, m)
     wts = time_cutoff(ts, T)
     flow = _FreeFlow(grid, 1)
+    work = np.empty(grid.shape)
     w = grid.dx ** grid.dim
     means = []
     for N in centers:
@@ -154,12 +160,13 @@ def strichartz_ratio_sweep(q: float, r: float, T: float,
             l2 = float(np.linalg.norm(coef))
             norms = np.zeros(m)
             for i, wt, (u,) in flow.samples((coef,), ts, wts):
-                work = np.abs(u, out=flow.work)
+                np.abs(u, out=work)
                 work **= r
                 norms[i] = wt * (np.sum(work) * w) ** (1.0 / r)
             num = float(norms.max() if q == math.inf
                         else np.trapezoid(norms ** q, ts) ** (1.0 / q))
             ratios.append(num / l2)
+            del coef        # freed before the next datum is drawn
         means.append(float(np.mean(ratios)))
     fit = loglog_fit(list(centers), means)
     return {"fit": fit, "means": means, "centers": list(centers)}
@@ -221,6 +228,9 @@ def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
     keep = np.concatenate((np.ones(dense.size), time_cutoff(coarse, T)))
     side = min(N1, N2)
     flow = _FreeFlow(grid, 2)
+    # |v1 v2|^2 goes into v2's buffer as a contiguous real array, in the
+    # layout and so the summation order of a real grid array
+    sq = flow.out[1].reshape(-1).view(float)[:f1.size].reshape(grid.shape)
     f2 = np.empty(grid.shape)
     ks = grid.xi_mesh()
     w = grid.dx ** grid.dim
@@ -232,16 +242,20 @@ def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
         direction = rng.standard_normal(grid.dim)
         direction /= np.linalg.norm(direction)
         center = N2 * direction
-        np.exp(-sum(((ks[i] - center[i]) / (side / 3.0)) ** 2
-                    for i in range(grid.dim)), out=f2)
+        # the window exp(-sum_i ((k_i - c_i) / (side/3))^2), built in f2:
+        # the sparse axes' terms add up small until the last one
+        terms = [((ks[i] - center[i]) / (side / 3.0)) ** 2 for i in range(grid.dim)]
+        np.add(sum(terms[:-1]), terms[-1], out=f2)
+        np.negative(f2, out=f2)
+        np.exp(f2, out=f2)
         np.multiply(band2, f2, out=f2)
         f2 /= np.linalg.norm(f2)
         offsets = np.concatenate((dense, coarse - tstar))
         S = np.zeros(offsets.size)
         for i, _, (v1, v2) in flow.samples((f1, f2), offsets, keep):
-            work = np.abs(np.multiply(v1, v2, out=v1), out=flow.work)
-            np.square(work, out=work)
-            S[i] = np.sum(work) * w
+            np.abs(np.multiply(v1, v2, out=v1), out=sq)
+            np.square(sq, out=sq)
+            S[i] = np.sum(sq) * w
         # t* - dense and t* + dense share S; the union is sorted as np.union1d's
         ts, at = np.unique(np.concatenate((tstar - dense, tstar + dense, coarse)),
                            return_inverse=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gpilab.grid import Field, Grid, forward_transform, inverse_transform
-from gpilab.ioperator import MultiplierSpec, energy
+from gpilab.ioperator import energy
 from gpilab.dynamics import (EvolveConfig, almost_conservation_experiment, delta_step,
                              evolve, l2_growth_audit, rough_datum)
 from gpilab.bench import bilinear_sweep, strichartz_admissible, strichartz_ratio_sweep

@@ -72,13 +72,15 @@ def test_free_flow_matches_spectral_phase():
 @pytest.mark.parametrize("grid", [Grid(1, 1024, 16 * np.pi), Grid(2, 64, 3.7),
                                   Grid(3, 32, 2 * np.pi)])
 def test_free_flow_phase_table_is_exact(grid):
-    # one exp per |xi|^2 level, gathered onto the grid, is bitwise the
-    # full-grid phase
+    # one exp per |xi|^2 level, gathered into the given buffer, is bitwise
+    # the full-grid phase
     xi2 = grid.xi_abs() ** 2
     flow = _FreeFlow(grid, 0)
+    out = np.empty(grid.shape, dtype=complex)
     for t in (0.0, 0.123, -0.37, 5.5):
         want = np.exp(1j * xi2 * t)
-        assert np.array_equal(flow.phase(t).view(np.uint64), want.view(np.uint64))
+        assert flow.phase(t, out) is out
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     # one read-only level table per grid, shared by every flow on it
     assert _FreeFlow(grid, 2).index is flow.index
     assert not flow.index.flags.writeable and flow.index.dtype == np.intp
@@ -135,22 +137,40 @@ def test_dispersive_benches_pinned_bitwise():
                             float.fromhex("0x1.c4ae40617a0abp-4")]
 
 
-def test_bilinear_ratio_peak_memory():
-    # a warm call in collision coordinates holds the flow's phase, its two
-    # complex output buffers and real work array, the real data f1 and f2
-    # and the boolean N2 band: 5.34 complex grid arrays at its peak with the
-    # inverse transform's temporaries, where the lab-frame bench, whose data
-    # were complex, held 6.8.  tracemalloc counts numpy's buffers exactly;
-    # ru_maxrss moves with allocation order.
-    g = Grid(3, 32, 2 * np.pi)
-    bilinear_ratio(4, 8, 1, 0.5, grid=g)     # builds the grid's level table
+def _warm_peak(g, run):
+    # tracemalloc's peak of a second call, in complex arrays of grid g: the
+    # first builds the grid's level table.  tracemalloc counts numpy's
+    # buffers exactly; ru_maxrss moves with allocation order.
+    run()
     tracemalloc.start()
     try:
-        bilinear_ratio(4, 8, 1, 0.5, grid=g)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (16 * g.n ** 3) < 6.0
+    return peak / (16 * g.n ** 3)
+
+
+def test_bilinear_ratio_peak_memory():
+    # a warm call in collision coordinates holds the flow's two complex
+    # buffers, the real data f1 and f2 and the boolean N2 band; |v1 v2|^2
+    # is reduced in v2's buffer.  3.60 complex grid arrays at its peak with
+    # the inverse transform's temporaries, where a flow with its own phase
+    # buffer and real work array held 5.34 and the lab-frame bench, whose
+    # data were complex, 6.8.
+    g = Grid(3, 32, 2 * np.pi)
+    assert _warm_peak(g, lambda: bilinear_ratio(4, 8, 1, 0.5, grid=g)) < 3.7
+
+
+def test_strichartz_sweep_peak_memory():
+    # the sweep holds the flow's one buffer, its real work array and one
+    # datum at a time, built in place: 3.07 complex grid arrays at its
+    # peak, where a flow with its own phase buffer and a datum built out of
+    # place next to the previous one held 5.82
+    g = Grid(3, 32, 2 * np.pi)
+    peak = _warm_peak(g, lambda: strichartz_ratio_sweep(
+        2, 6, 0.3, centers=(4, 8), seeds=2, grid=g, m=16))
+    assert peak < 3.2
 
 
 def _count_calls(monkeypatch, obj, name):

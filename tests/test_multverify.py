@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gpilab.ioperator import MultiplierSpec, multiplier_value
 from gpilab.multverify import (CATALOG, SINGULAR_EPS, WINDOWS, InfeasibleRegionError,
                                MultiplierExpr, VerifyCase, LWP_CUBIC, LWP_QUADRATIC,
                                COMM_CUBIC, _CHUNK, _Draws, _cols, _norm3,

@@ -93,6 +93,19 @@ def _level_table(grid: Grid):
     return levels, index.reshape(grid.shape)
 
 
+def _l2(a: np.ndarray) -> float:
+    """sqrt(sum |a|^2) of a contiguous array, in one pass over its floats.
+
+    np.linalg.norm sums through BLAS `ddot`, whose summation order moves
+    with the BLAS thread count; einsum's own loop does not, and it reads
+    the array in place, with no grid-sized temporary.
+    """
+    x = a.reshape(-1)
+    if np.iscomplexobj(x):
+        x = x.view(float)
+    return math.sqrt(np.einsum("i,i->", x, x))
+
+
 def strichartz_admissible(q: float, r: float) -> bool:
     """3D admissibility: 1/q + 3/(2r) = 3/4 with q, r >= 2."""
     if q < 2 or r < 2:
@@ -133,7 +146,7 @@ def band_datum(grid: Grid, N: float, seed: int) -> np.ndarray:
     coef.real = rng.standard_normal(grid.shape)
     coef.imag = rng.standard_normal(grid.shape)
     coef *= mask
-    coef /= np.linalg.norm(coef)
+    coef /= _l2(coef)
     return coef
 
 
@@ -157,7 +170,7 @@ def strichartz_ratio_sweep(q: float, r: float, T: float,
         ratios = []
         for j in range(seeds):
             coef = band_datum(grid, N, seed0 + j)
-            l2 = float(np.linalg.norm(coef))
+            l2 = _l2(coef)
             norms = np.zeros(m)
             for i, wt, (u,) in flow.samples((coef,), ts, wts):
                 np.abs(u, out=work)
@@ -217,7 +230,7 @@ def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
     # smooth radial bump centered at N1, confined to its dyadic annulus
     f1 = np.exp(-((absxi - N1) / (N1 / 3.0)) ** 2) * _band(absxi, N1)
     del absxi      # freed before the flow's buffers: 2 MB less peak RSS at 64^3
-    f1 /= np.linalg.norm(f1)
+    f1 /= _l2(f1)
     # collision duration: packet group-velocity ~ 2 N2 crossing ~1/N scales
     duration = (1.0 / N1 + 1.0 / N2) / (2 * N2)
     half = min(0.2 * T, 6 * duration)
@@ -249,7 +262,7 @@ def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
         np.negative(f2, out=f2)
         np.exp(f2, out=f2)
         np.multiply(band2, f2, out=f2)
-        f2 /= np.linalg.norm(f2)
+        f2 /= _l2(f2)
         offsets = np.concatenate((dense, coarse - tstar))
         S = np.zeros(offsets.size)
         for i, _, (v1, v2) in flow.samples((f1, f2), offsets, keep):

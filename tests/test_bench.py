@@ -1,6 +1,10 @@
 """Strichartz and bilinear bench tests (desk scale)."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -127,14 +131,36 @@ def test_free_flow_samples_skip_zero_weights():
 @pytest.mark.pinned
 def test_dispersive_benches_pinned_bitwise():
     # values of the full-grid-phase kernel, which the level table and the
-    # in-place transforms must reproduce exactly
+    # in-place transforms must reproduce exactly, with the norms summed by
+    # einsum
     g = Grid(3, 32, 2 * np.pi)
     stat = bilinear_ratio(4, 8, seeds=2, T=0.5, grid=g)
-    assert stat.ratios == (float.fromhex("0x1.e109f334e02d3p-4"),
-                           float.fromhex("0x1.e10ba376327fdp-4"))
+    assert stat.ratios == (float.fromhex("0x1.e109f334e02dep-4"),
+                           float.fromhex("0x1.e10ba37632805p-4"))
     res = strichartz_ratio_sweep(2, 6, 0.3, centers=(4, 8), seeds=1, grid=g, m=16)
-    assert res["means"] == [float.fromhex("0x1.c3c4ad565d86cp-4"),
-                            float.fromhex("0x1.c4ae40617a0abp-4")]
+    assert res["means"] == [float.fromhex("0x1.c3c4ad565d86ap-4"),
+                            float.fromhex("0x1.c4ae40617a0a9p-4")]
+
+
+def _pinned_values():
+    # every 32^3 value the two pins record
+    g = Grid(3, 32, 2 * np.pi)
+    sweep = bilinear_sweep(seeds=1, T=0.5, grid=g)
+    return [list(bilinear_ratio(4, 8, seeds=2, T=0.5, grid=g).ratios),
+            strichartz_ratio_sweep(2, 6, 0.3, centers=(4, 8), seeds=1, grid=g, m=16)["means"],
+            sweep["N2_means"], sweep["N1_means"]]
+
+
+def test_pinned_values_do_not_depend_on_blas_threads():
+    # np.linalg.norm sums through BLAS ddot, in an order that moves with
+    # the BLAS thread count; the benches' norms must not, or the pins hold
+    # at one thread count only.  JSON round-trips a float exactly.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        (os.path.dirname(__file__), os.path.dirname(os.path.dirname(bench.__file__)))))
+    code = "import json, test_bench; print(json.dumps(test_bench._pinned_values()))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True)
+    assert json.loads(child.stdout) == _pinned_values()
 
 
 def _warm_peak(g, run):
@@ -385,9 +411,9 @@ def test_bilinear_sweep_evaluates_each_pair_once(monkeypatch):
     res = bilinear_sweep(seeds=1, T=0.5, grid=Grid(3, 32, 2 * np.pi))
     assert sorted(calls) == [(4, 16), (8, 8), (8, 16), (8, 32), (16, 16)]
     assert res["N2_means"] == [float.fromhex(h) for h in (
-        "0x1.cb4d3e7e65eb8p-3", "0x1.4e18d5bbfaa62p-3", "0x1.ce18263755ff4p-4")]
+        "0x1.cb4d3e7e65ebap-3", "0x1.4e18d5bbfaa63p-3", "0x1.ce18263755ff0p-4")]
     assert res["N1_means"] == [float.fromhex(h) for h in (
-        "0x1.8e3a547a86fe4p-4", "0x1.4e18d5bbfaa62p-3", "0x1.3d511961f18edp-2")]
+        "0x1.8e3a547a86febp-4", "0x1.4e18d5bbfaa63p-3", "0x1.3d511961f18ebp-2")]
 
 
 @pytest.mark.slow

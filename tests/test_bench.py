@@ -181,18 +181,19 @@ def test_bilinear_ratio_peak_memory():
     # a warm call in collision coordinates holds the flow's two complex
     # buffers, the real data f1 and f2 and the boolean N2 band; |v1 v2|^2
     # is reduced in v2's buffer.  3.60 complex grid arrays at its peak with
-    # the inverse transform's temporaries, where a flow with its own phase
-    # buffer and real work array held 5.34 and the lab-frame bench, whose
-    # data were complex, 6.8.
+    # the copy np.take makes of the read-only level index, where a flow with
+    # its own phase buffer and real work array held 5.34 and the lab-frame
+    # bench, whose data were complex, 6.8.
     g = Grid(3, 32, 2 * np.pi)
     assert _warm_peak(g, lambda: bilinear_ratio(4, 8, 1, 0.5, grid=g)) < 3.7
 
 
 def test_strichartz_sweep_peak_memory():
     # the sweep holds the flow's one buffer, its real work array and one
-    # datum at a time, built in place: 3.07 complex grid arrays at its
-    # peak, where a flow with its own phase buffer and a datum built out of
-    # place next to the previous one held 5.82
+    # datum at a time, built in place: 3.07 complex grid arrays at its peak
+    # with np.take's copy of the level index, where a flow with its own
+    # phase buffer and a datum built out of place next to the previous one
+    # held 5.82
     g = Grid(3, 32, 2 * np.pi)
     peak = _warm_peak(g, lambda: strichartz_ratio_sweep(
         2, 6, 0.3, centers=(4, 8), seeds=2, grid=g, m=16))

@@ -87,6 +87,14 @@ def _count(v):   # a float with an integral value is taken as that integer
     return int(v)
 
 
+def _grid_dim(v):   # Grid's own rule, checked with the other fields valid
+    return Grid(dim=_count(v), n=8, length=1.0).dim
+
+
+def _grid_n(v):
+    return Grid(dim=1, n=_count(v), length=1.0).n
+
+
 def _seed(v):
     if not isinstance(v, int) or not 0 <= v < 2 ** 64:
         raise ValueError("seed must be an integer in [0, 2^64)")
@@ -331,12 +339,14 @@ def _run_ledger(cfg: RunConfig):
 # subcommand -> (runner, params); a param is name -> (cast, default)
 _COMMANDS = {
     "simulate": (_run_simulate, {
-        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_positive, REQUIRED),
+        "dim": (_grid_dim, REQUIRED), "n": (_grid_n, REQUIRED),
+        "length": (_positive, REQUIRED),
         "dt": (_positive, REQUIRED), "t_end": (_positive, REQUIRED),
         "datum": (None, REQUIRED), "diagnostics_every": (_count, 1),
         "N": (_frequency, None), "s": (_s, None)}),
     "almost-conservation": (_run_almost_conservation, {
-        "dim": (_count, REQUIRED), "n": (_count, REQUIRED), "length": (_positive, REQUIRED),
+        "dim": (_grid_dim, REQUIRED), "n": (_grid_n, REQUIRED),
+        "length": (_positive, REQUIRED),
         "s": (_s, REQUIRED), "window": (_positive, REQUIRED), "dt": (_positive, 2.5e-4),
         "N_list": (lambda v: [float(N) for N in _numbers(v)], REQUIRED)}),
     "strichartz": (_run_strichartz, {

@@ -18,7 +18,8 @@ only by overflow, and the first record with a non-finite number ends the
 run.  `evolve` is the one stepper.  It allocates its arrays once: the
 step works in place, and each record is one pass over a stack of u and
 every Iu, with one batched inverse FFT, into one row of the record table
-that `evolve` sizes before the first step.  A trajectory keeps one state,
+that `evolve` sizes before the first step; that record is the package's
+one discretization of E(u) and E(Iu).  A trajectory keeps one state,
 the final one.  Also here: the L^2 growth audits, the step-size law and the
 almost-conservation sweep.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from .grid import (Field, Grid, _fftn_box, _hs_norm, _ifftn_box, _spectral_scale,
                    inverse_transform)
-from .ioperator import MultiplierSpec, _potential_sums, _spectral_sums, multiplier_value
+from .ioperator import MultiplierSpec, multiplier_value
 from .fitting import ExponentFit, loglog_fit
 
 _PAD = 0.01         # rough_datum's spectral decay past the H^s edge
@@ -135,6 +136,11 @@ def _step_raw(uh, half_phase, dt, box, work):
     return uh
 
 
+def _row_sums(a) -> np.ndarray:
+    # the sum of each row of a stack, rounded as np.sum of that row alone
+    return np.sum(a.reshape(len(a), -1), axis=1)
+
+
 def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     """Integrate u0 to t_end, reporting E(u) and E(Iu) at the cadence.
 
@@ -181,13 +187,18 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     def record(k, t, box):
         snap, e = traj.snapshots[k], traj.energies[k]
         fill()
-        np.multiply(ws, scale, out=ws)
-        e[:, 0], e[:, 3] = _spectral_sums(ws, xi2, real)
+        np.multiply(ws, scale, out=ws)      # unitary coefficients
+        c2, p = real
+        np.square(np.abs(ws, out=c2), out=c2)
+        e[:, 0] = _row_sums(np.multiply(xi2, c2, out=p))    # int |grad u|^2
+        e[:, 3] = np.sqrt(_row_sums(c2))
         fill()
         _ifftn_box(ws, grid.dim, box)
         absu = np.abs(ws, out=real[0])
         snap[:] = t, (np.sum(np.power(absu[0], 3, out=real[1, 0])) * w) ** (1.0 / 3)
-        e[:, 1] = _potential_sums(ws, absu, w, real[1])
+        np.square(absu, out=absu)           # 1/2 int (|u|^2 + 2 Re u)^2
+        absu += np.multiply(2, ws.real, out=real[1])
+        e[:, 1] = 0.5 * _row_sums(np.square(absu, out=absu)) * w
         np.add(e[:, 0], e[:, 1], out=e[:, 2])
         if not (np.isfinite(snap[1]) and np.isfinite(e[:, 2]).all()):
             raise BlowUpError(t, Trajectory(traj.snapshots[:k], traj.energies[:k],

@@ -1,4 +1,4 @@
-"""Smoothing multiplier m_N, the operator I_N, and energy functionals.
+"""The smoothing multiplier m_N of the I-method; I_N is its Fourier multiplier.
 
 m_N is 1 below frequency N and (N/|xi|)^{1-s} above 2N.  On the join
 (N, 2N) we interpolate the exponent with the C^1 smoothstep
@@ -8,7 +8,8 @@ m_N is 1 below frequency N and (N/|xi|)^{1-s} above 2N.  On the join
 
 which matches both branch values and the outer branch derivative at 2N,
 stays radial, and is nonincreasing (d/dt [t sigma(t)] = 9t^2 - 8t^3 >= 0
-on [0, 1]).
+on [0, 1]).  This module holds m_N only: E(u) and E(Iu) come from one
+place, the record table of `dynamics.evolve`.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, forward_transform, inverse_transform
-
-__all__ = [
-    "MultiplierSpec", "EnergyReport", "multiplier_value", "energy",
-    "modified_energy",
-]
+__all__ = ["MultiplierSpec", "multiplier_value"]
 
 
 @dataclass(frozen=True)
@@ -57,70 +53,3 @@ def multiplier_value(spec: MultiplierSpec, xi) -> np.ndarray:
     if np.isscalar(xi) or out.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy split of one field, u or Iu."""
-
-    kinetic: float
-    potential: float
-    total: float
-    l2: float
-
-    def __post_init__(self):
-        if self.kinetic < 0 or self.potential < 0:
-            raise ValueError("energy parts must be nonnegative")
-
-
-def _row_sums(a) -> np.ndarray:
-    # the sum of each row of a stack, rounded as np.sum of that row alone
-    return np.sum(a.reshape(len(a), -1), axis=1)
-
-
-def _spectral_sums(coef, xi2, work):
-    """Kinetic sum |xi|^2 |c|^2 and l2 of each row of a stack of unitary
-    coefficients, no transform; work is two real arrays of coef's shape,
-    overwritten."""
-    c2, p = work
-    np.square(np.abs(coef, out=c2), out=c2)
-    np.multiply(xi2, c2, out=p)
-    return _row_sums(p), np.sqrt(_row_sums(c2))
-
-
-def _potential_sums(u, absu, w, tmp):
-    """1/2 int (|u|^2 + 2 Re u)^2 of each row of a stack of physical values
-    under the quadrature weight w; absu holds |u| and is overwritten, as is
-    the real array tmp."""
-    np.square(absu, out=absu)
-    absu += np.multiply(2, u.real, out=tmp)
-    np.square(absu, out=absu)
-    return 0.5 * _row_sums(absu) * w
-
-
-def _one_row(coef, u, xi2, w) -> EnergyReport:
-    # energy and modified_energy: the one-row case of the record reduction
-    coef, u = coef[None], u[None]
-    work = np.empty((2,) + coef.shape)
-    (kin,), (l2,) = _spectral_sums(coef, xi2, work)
-    (pot,) = _potential_sums(u, np.abs(u, out=work[0]), w, work[1])
-    return EnergyReport(float(kin), float(pot), float(kin) + float(pot), float(l2))
-
-
-def energy(f: Field) -> EnergyReport:
-    """E(u) = int |grad u|^2 + 1/2 int (|u|^2 + 2 Re u)^2."""
-    grid = f.grid
-    return _one_row(forward_transform(f), f.values, grid.xi_abs() ** 2,
-                    grid.dx ** grid.dim)
-
-
-def modified_energy(f: Field, spec: MultiplierSpec) -> EnergyReport:
-    """E(Iu): the energy functional evaluated on the smoothed field.
-
-    Its kinetic part is ||grad Iu||_{L^2}^2.
-    """
-    grid = f.grid
-    absxi = grid.xi_abs()
-    coef = forward_transform(f) * multiplier_value(spec, absxi)
-    return _one_row(coef, inverse_transform(grid, coef).values, absxi ** 2,
-                    grid.dx ** grid.dim)

@@ -63,12 +63,7 @@ def dominant_increment(s) -> tuple:
     The first term always wins on (1/2, 1): the pairwise gaps are
     2(1-s), 1 - 2(1-s) and 3/2 - (1-s), each positive there.
     """
-    ledger = ExponentLedger.at(s)
-    best_i, best = 0, ledger.increment_exponents[0]
-    for i, e in enumerate(ledger.increment_exponents):
-        if e > best:
-            best_i, best = i, e
-    return best_i, best
+    return max(enumerate(ExponentLedger.at(s).increment_exponents), key=lambda ie: ie[1])
 
 
 def gwp_condition(s) -> tuple:

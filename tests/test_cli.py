@@ -385,6 +385,12 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
     pytest.param("simulate", {"dim": 1, "n": 32.7, "length": 6.283185307179586,
                               "dt": 0.01, "t_end": 0.02, "datum": {"kind": "zero"}},
                  "n", id="fractional-n"),
+    pytest.param("simulate", {"dim": 4, "n": 32, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": 0.02, "datum": {"kind": "zero"}},
+                 "dim", id="dim-4"),
+    pytest.param("almost-conservation", {"dim": 1, "n": 100, "length": 6.283185307179586,
+                                         "s": 0.9, "N_list": [4, 8], "window": 0.01},
+                 "n", id="n-not-power-of-two"),
     pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
                                          "s": 0.9, "N_list": "48", "window": 0.01},
                  "N_list", id="N_list-string"),

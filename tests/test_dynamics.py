@@ -1,7 +1,6 @@
 """Integrator, growth audits, step law, and the conservation sweeps."""
 
 import dataclasses
-import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -13,9 +12,9 @@ from gpilab.grid import Field, Grid, _spectral_scale, forward_transform
 from gpilab.dynamics import (BlowUpError, EvolveConfig, _expm1_i, _step_raw,
                              almost_conservation_experiment, delta_step, evolve,
                              l2_growth_audit, rough_datum)
-from gpilab.ioperator import MultiplierSpec, energy, modified_energy, multiplier_value
+from gpilab.ioperator import MultiplierSpec, multiplier_value
 from gpilab.ledger import step_law_exponent
-from oracles import box, lp_norm, sobolev_norm
+from oracles import box, lp_norm, out_of_place_record, out_of_place_step, sobolev_norm
 
 
 def smooth_datum(grid, amp=0.2):
@@ -40,8 +39,8 @@ def test_evolve_config_rejects_bad_input():
 # records
 
 def test_records_match_field_energies():
-    # the coefficient-side records agree with energy/modified_energy on the
-    # state at each record time, taken as the final state of a run to it
+    # each record agrees with the fresh-array record formula applied to the
+    # state at its time, taken as the final state of a run to that time
     g = Grid(dim=2, n=32, length=2 * np.pi)
     specs = (MultiplierSpec(N=2.0, s=0.8), MultiplierSpec(N=4.0, s=0.6))
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.1, diagnostics_every=5)
@@ -49,12 +48,14 @@ def test_records_match_field_energies():
     traj = evolve(u0, cfg, specs)
     assert traj.snapshots[:, 0].tolist() == [0.0, 0.05, 0.1]
     assert traj.labels == [(np.inf, 1.0), (2.0, 0.8), (4.0, 0.6)]
+    absxi = g.xi_abs()
+    m_N = [multiplier_value(sp, absxi) for sp in specs]
+    scale, w = _spectral_scale(g), g.dx ** g.dim
     for k, t in enumerate(traj.snapshots[:, 0].tolist()):
         f = u0 if t == 0 else evolve(u0, dataclasses.replace(cfg, t_end=t)).final
-        wants = [energy(f)] + [modified_energy(f, sp) for sp in specs]
-        for got, want in zip(traj.energies[k], wants):
-            b = np.array([want.kinetic, want.potential, want.total, want.l2])
-            assert np.all(np.abs(got - b) <= 1e-13 * np.abs(b))
+        want, _ = out_of_place_record(np.fft.fftn(f.values), m_N, scale, absxi ** 2, w)
+        got = np.concatenate([traj.snapshots[k, 1:], traj.energies[k].ravel()])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def _fftn_nan_from(monkeypatch, k):
@@ -145,34 +146,6 @@ def test_record_transform_count(monkeypatch):
     assert len(calls) == 1 + 2 * steps + records
 
 
-def _out_of_place_step(uh, half_phase, dt, mask):
-    # the Strang step as fresh arrays, with the operand order of evolve's
-    uh = uh * half_phase
-    u = np.fft.ifftn(uh)
-    theta = (np.abs(u) ** 2 + 2 * u.real) * dt
-    uh = np.fft.fftn(u + (1 + u) * np.expm1(1j * theta)) * mask
-    return uh * half_phase
-
-
-def _out_of_place_record(uh, m_N, scale, xi2, w):
-    # ||u||_{L^3}, then kinetic, potential, total and l2 of u and of each
-    # I_N u, one inverse transform per row; and the physical u
-    u = np.fft.ifftn(uh)
-    vals = [float((np.sum(np.abs(u) ** 3) * w) ** (1.0 / 3))]
-    rows = [(uh * scale, u)]
-    for m in m_N:
-        ch = uh * m
-        v = np.fft.ifftn(ch)
-        ch *= scale
-        rows.append((ch, v))
-    for coef, v in rows:
-        c2 = np.abs(coef) ** 2
-        kin = float(np.sum(xi2 * c2))
-        pot = 0.5 * float(np.sum((np.abs(v) ** 2 + 2 * v.real) ** 2)) * w
-        vals += [kin, pot, kin + pot, math.sqrt(float(np.sum(c2)))]
-    return vals, u
-
-
 @pytest.mark.parametrize("grid, Ns", [(Grid(1, 1024, 16 * np.pi), (4, 8, 16, 32)),
                                       (Grid(3, 32, 2 * np.pi), (8,)),
                                       (Grid(2, 64, 2 * np.pi), (4, 8))])
@@ -197,11 +170,11 @@ def test_evolve_matches_out_of_place_formulas_bitwise(grid, Ns):
     m_N = [multiplier_value(sp, absxi) for sp in specs]
     scale, w = _spectral_scale(grid), grid.dx ** grid.dim
     uh = np.fft.fftn(u0.values)
-    want, u = _out_of_place_record(uh, m_N, scale, xi2, w)
+    want, u = out_of_place_record(uh, m_N, scale, xi2, w)
     for i in range(1, cfg.n_steps + 1):
-        uh = _out_of_place_step(uh, half_phase, cfg.dt, mask)
+        uh = out_of_place_step(uh, half_phase, cfg.dt, mask)
         if i % cfg.diagnostics_every == 0:
-            vals, u = _out_of_place_record(uh, m_N, scale, xi2, w)
+            vals, u = out_of_place_record(uh, m_N, scale, xi2, w)
             want += vals
 
     got = np.hstack([traj.snapshots[:, 1:], traj.energies.reshape(4, -1)]).ravel()

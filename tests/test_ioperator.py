@@ -1,4 +1,5 @@
-"""Tests for the smoothing multiplier, I operator, and energy functionals."""
+"""Tests for the smoothing multiplier m_N, and for E(u) and E(Iu) as record 0
+of `evolve`, the one place the package computes them."""
 
 import math
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpilab.grid import Field, Grid, forward_transform, inverse_transform
-from gpilab.ioperator import (EnergyReport, MultiplierSpec, energy, modified_energy,
-                              multiplier_value)
+from gpilab.dynamics import EvolveConfig, evolve
+from gpilab.ioperator import MultiplierSpec, multiplier_value
 
 
 def test_spec_validation():
@@ -88,23 +89,31 @@ def test_multiplier_matches_where_formula_bitwise(s):
     assert np.array_equal(multiplier_value(spec, xs.reshape(-1, 1)).ravel(), got)
 
 
+def _record0(f, specs=()):
+    # E(u), then E(Iu) per spec, of the field f: record 0 of evolve, rows of
+    # (kinetic, potential, total, l2)
+    cfg = EvolveConfig(grid=f.grid, dt=1e-3, t_end=1e-3)
+    return evolve(f, cfg, specs).energies[0]
+
+
 def test_energy_of_plane_wave_matches_analytic():
     # u = a e^{i xi x}: E = |xi|^2 a^2 V + (a^4 V + 2 a^2 V) / 2
     g = Grid(dim=1, n=64, length=2 * np.pi)
     a, k = 0.3, 4
     xi = 2 * np.pi * k / g.length
     f = Field(g, a * np.exp(1j * xi * g.x_mesh()[0]))
-    rep = energy(f)
+    kinetic, potential, total, l2 = _record0(f)[0]
     V = g.volume
-    assert abs(rep.kinetic - xi ** 2 * a ** 2 * V) < 1e-10
-    assert abs(rep.potential - (0.5 * a ** 4 * V + a ** 2 * V)) < 1e-10
-    assert abs(rep.total - (rep.kinetic + rep.potential)) < 1e-14
+    assert abs(kinetic - xi ** 2 * a ** 2 * V) < 1e-10
+    assert abs(potential - (0.5 * a ** 4 * V + a ** 2 * V)) < 1e-10
+    assert abs(total - (kinetic + potential)) < 1e-14
+    assert abs(l2 - a * math.sqrt(V)) < 1e-12
 
 
 def test_energy_zero_field():
     g = Grid(dim=2, n=16, length=1.0)
-    rep = energy(Field.zero(g))
-    assert rep.total == 0.0 and rep.l2 == 0.0
+    _, _, total, l2 = _record0(Field.zero(g))[0]
+    assert total == 0.0 and l2 == 0.0
 
 
 def test_modified_energy_reduces_to_energy_below_N():
@@ -113,28 +122,25 @@ def test_modified_energy_reduces_to_energy_below_N():
     rng = np.random.default_rng(1)
     coef = np.zeros(g.shape, dtype=complex)
     coef[1:4] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    f = inverse_transform(g, coef)
-    spec = MultiplierSpec(N=32.0, s=0.75)
-    assert abs(modified_energy(f, spec).total - energy(f).total) < 1e-12
+    e = _record0(inverse_transform(g, coef), [MultiplierSpec(N=32.0, s=0.75)])
+    assert abs(e[1, 2] - e[0, 2]) < 1e-12
 
 
 def test_gradient_I_norm_comparator():
+    # the kinetic part of E(Iu) is ||grad Iu||^2
     g = Grid(dim=1, n=256, length=2 * np.pi)
     rng = np.random.default_rng(2)
     f = Field(g, rng.standard_normal(g.shape)
               + 1j * rng.standard_normal(g.shape))
-    spec = MultiplierSpec(N=8.0, s=0.75)
+    specs = [MultiplierSpec(N=8.0, s=0.75)]
 
-    def grad_I(h):      # the kinetic part of E(Iu) is ||grad Iu||^2
-        return math.sqrt(modified_energy(h, spec).kinetic)
+    def grad_norms(h):      # ||grad u||, ||grad Iu||
+        return np.sqrt(_record0(h, specs)[:, 0])
 
     # band-limited below N: I is the identity, so ||grad Iu|| = ||grad u||
-    low = inverse_transform(g, forward_transform(f) * (g.xi_abs() < 8.0))
-    assert abs(grad_I(low) - math.sqrt(energy(low).kinetic)) < 1e-12
+    grad, grad_I = grad_norms(inverse_transform(g, forward_transform(f)
+                                                * (g.xi_abs() < 8.0)))
+    assert abs(grad_I - grad) < 1e-12
     # above N the multiplier damps: strictly below the plain gradient norm
-    assert grad_I(f) < math.sqrt(energy(f).kinetic)
-
-
-def test_report_validation():
-    with pytest.raises(ValueError):
-        EnergyReport(kinetic=-1.0, potential=0.0, total=0.0, l2=0.0)
+    grad, grad_I = grad_norms(f)
+    assert grad_I < grad

@@ -20,7 +20,13 @@ step works in place, and each record is one pass over a stack of u and
 every Iu, with one batched inverse FFT, into one row of the record table
 that `evolve` sizes before the first step; that record is the package's
 one discretization of E(u) and E(Iu).  A trajectory keeps one state,
-the final one.  Also here: the L^2 growth audits, the step-size law and the
+the final one.  With r = 1 + (number of specs) record rows, the working
+set is the coefficients uh, the half-step phase, the max(r, 2)-row complex
+stack, r + 1 real arrays, |xi|^2 and one multiplier array per spec: 6.5
+states for one spec.  `evolve` drops its datum after the first fftn, so a
+datum the caller does not hold (the CLI's) is freed before these exist,
+and `rough_datum` builds its coefficients in place in one complex array.
+Also here: the L^2 growth audits, the step-size law and the
 almost-conservation sweep.
 """
 
@@ -145,23 +151,31 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     """Integrate u0 to t_end, reporting E(u) and E(Iu) at the cadence.
 
     A record is one pass over the stack of u's coefficients and, per spec,
-    those of Iu: kinetic terms and l2 from the scaled coefficients, then one
-    batched inverse FFT in place, then the potentials and ||u||_{L^3}.  The
-    stack and the real arrays beside it are allocated once and are also the
-    step's workspace.  The datum may hold modes past the dealiased box
-    (`rough_datum` does in 2D and 3D), so the first record and step 1
+    those of Iu: |c|^2 into one real array per row, l2 summed from it, then
+    the kinetic product in place; then one batched inverse FFT in place,
+    ||u||_{L^3} from the one extra real array, and the potentials, with
+    2 Re u written into the stack's own imaginary parts.  The stack and the
+    rows + 1 real arrays are allocated once and are also the step's
+    workspace.  u0 is dropped after the first fftn, so it is freed if the
+    caller holds no reference.  The datum may hold modes past the dealiased
+    box (`rough_datum` does in 2D and 3D), so the first record and step 1
     transform every line; every later state lies in the box, and its
     transforms skip the lines that are zero.  Record k fills row k of the
-    trajectory's tables; the last record's state, at t_end, is `final`.
+    trajectory's tables.  `final`, the state at t_end, is one more inverse
+    transform of the coefficients, made after the work arrays are freed.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum lives on a different grid")
     specs = tuple(specs)
     grid = cfg.grid
     uh = np.fft.fftn(u0.values)
+    del u0                             # a datum the caller does not hold is freed here
     absxi = grid.xi_abs()
     xi2 = absxi ** 2
-    half_phase = np.exp(1j * xi2 * cfg.dt / 2)
+    half_phase = np.multiply(1j, xi2)   # e^{i |xi|^2 dt/2}, in place
+    half_phase *= cfg.dt
+    half_phase /= 2
+    np.exp(half_phase, out=half_phase)
     m_N = np.array([multiplier_value(sp, absxi) for sp in specs]).reshape(
         (len(specs),) + grid.shape)
     del absxi
@@ -169,12 +183,13 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     w = grid.dx ** grid.dim
     labels = [(np.inf, 1.0)] + [(sp.N, sp.s) for sp in specs]
     rows = len(labels)
-    # rows of coefficients, then of physical values, in place; the step
-    # needs two complex arrays, so the stack has at least two rows
+    # rows of coefficients, then of physical values, in place, and one real
+    # array per row plus one; the step needs two complex and two real
+    # arrays, so the stack has at least two rows
     stack = np.empty((max(rows, 2),) + grid.shape, dtype=complex)
-    real = np.empty((2, rows) + grid.shape)
-    step_work = (stack[0], stack[1], real[0, 0], real[1, 0])
-    ws = stack[:rows]
+    real = np.empty((rows + 1,) + grid.shape)
+    step_work = (stack[0], stack[1], real[0], real[1])
+    ws, absu = stack[:rows], real[:rows]
     K = grid.dealias_cutoff
     records = cfg.n_steps // cfg.diagnostics_every + 1
     traj = Trajectory(np.empty((records, 2)), np.empty((records, rows, 4)), labels,
@@ -188,16 +203,16 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
         snap, e = traj.snapshots[k], traj.energies[k]
         fill()
         np.multiply(ws, scale, out=ws)      # unitary coefficients
-        c2, p = real
-        np.square(np.abs(ws, out=c2), out=c2)
-        e[:, 0] = _row_sums(np.multiply(xi2, c2, out=p))    # int |grad u|^2
+        c2 = np.square(np.abs(ws, out=absu), out=absu)
         e[:, 3] = np.sqrt(_row_sums(c2))
+        e[:, 0] = _row_sums(np.multiply(xi2, c2, out=c2))   # int |grad u|^2
         fill()
         _ifftn_box(ws, grid.dim, box)
-        absu = np.abs(ws, out=real[0])
-        snap[:] = t, (np.sum(np.power(absu[0], 3, out=real[1, 0])) * w) ** (1.0 / 3)
+        np.abs(ws, out=absu)
+        snap[:] = t, (np.sum(np.power(absu[0], 3, out=real[rows])) * w) ** (1.0 / 3)
         np.square(absu, out=absu)           # 1/2 int (|u|^2 + 2 Re u)^2
-        absu += np.multiply(2, ws.real, out=real[1])
+        # 2 Re u into the stack's imaginary parts: u is not needed again
+        np.add(absu, np.multiply(2, ws.real, out=ws.imag), out=absu)
         e[:, 1] = 0.5 * _row_sums(np.square(absu, out=absu)) * w
         np.add(e[:, 0], e[:, 1], out=e[:, 2])
         if not (np.isfinite(snap[1]) and np.isfinite(e[:, 2]).all()):
@@ -209,8 +224,10 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
         _step_raw(uh, half_phase, cfg.dt, (grid.n // 2 if i == 1 else K, K), step_work)
         if i % cfg.diagnostics_every == 0:
             record(i // cfg.diagnostics_every, i * cfg.dt, K)
-    del uh, real, step_work            # freed before `final` copies its state
-    traj.final = Field(grid, ws[0])    # the last record's physical u
+    # the records wrote 2 Re u over Im u, so `final` is one more inverse
+    # transform of uh, made after the work arrays are freed
+    del stack, ws, real, absu, step_work
+    traj.final = Field(grid, _ifftn_box(uh, grid.dim, K))
     return traj
 
 
@@ -299,11 +316,17 @@ def rough_datum(grid: Grid, s: float, seed: int) -> Field:
     """
     rng = np.random.default_rng(seed)
     absxi = grid.xi_abs()
-    amp = (1.0 + absxi ** 2) ** (-(s + grid.dim / 2 + _PAD) / 2)
-    phase = np.exp(2j * np.pi * rng.uniform(size=grid.shape))
-    cut = absxi <= (2.0 / 3.0) * absxi.max()
-    coef = amp * phase * cut
-    return inverse_transform(grid, coef / _hs_norm(absxi, coef, s))
+    # amp * phase * cut, normalized, in place in one complex array
+    coef = np.multiply(2j * np.pi, rng.uniform(size=grid.shape))
+    np.exp(coef, out=coef)
+    amp = np.square(absxi)
+    np.power(np.add(1.0, amp, out=amp), -(s + grid.dim / 2 + _PAD) / 2, out=amp)
+    np.multiply(amp, coef, out=coef)
+    del amp
+    np.multiply(coef, absxi <= (2.0 / 3.0) * absxi.max(), out=coef)
+    np.divide(coef, _hs_norm(absxi, coef, s), out=coef)
+    del absxi
+    return inverse_transform(grid, coef)
 
 
 @dataclass(frozen=True)

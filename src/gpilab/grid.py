@@ -90,11 +90,11 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        # one C-ordered copy the Field owns; converting a real input is that copy
+        v = np.array(self.values, dtype=np.complex128, order="C")
         if v.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -118,7 +118,8 @@ def forward_transform(f: Field) -> np.ndarray:
 
 def inverse_transform(grid: Grid, coef: np.ndarray) -> Field:
     """The Field on grid whose unitary coefficients are coef."""
-    return Field(grid, np.fft.ifftn(coef / _spectral_scale(grid)))
+    a = np.asarray(coef / _spectral_scale(grid), dtype=complex)
+    return Field(grid, np.fft.ifftn(a, out=a))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,10 @@ def _box_cutoff(coef: np.ndarray) -> int:
 # norms
 
 def _hs_norm(absxi: np.ndarray, coef: np.ndarray, s: float) -> float:
-    # the one H^s formula, on unitary coefficients at magnitudes absxi
-    w = (1.0 + absxi ** 2) ** s
-    return float(np.sqrt(np.sum(w * np.abs(coef) ** 2)))
+    # the one H^s formula, on unitary coefficients at magnitudes absxi, in
+    # two real arrays: (1 + |xi|^2)^s |coef|^2
+    w = np.square(absxi)
+    np.power(np.add(1.0, w, out=w), s, out=w)
+    c2 = np.abs(coef)
+    w *= np.square(c2, out=c2)
+    return float(np.sqrt(np.sum(w)))

@@ -177,6 +177,7 @@ def _warm_peak(g, run):
     return peak / (16 * g.n ** 3)
 
 
+@pytest.mark.memory
 def test_bilinear_ratio_peak_memory():
     # a warm call in collision coordinates holds the flow's two complex
     # buffers, the real data f1 and f2 and the boolean N2 band; |v1 v2|^2
@@ -188,6 +189,7 @@ def test_bilinear_ratio_peak_memory():
     assert _warm_peak(g, lambda: bilinear_ratio(4, 8, 1, 0.5, grid=g)) < 3.7
 
 
+@pytest.mark.memory
 def test_strichartz_sweep_peak_memory():
     # the sweep holds the flow's one buffer, its real work array and one
     # datum at a time, built in place: 3.07 complex grid arrays at its peak

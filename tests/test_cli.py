@@ -259,6 +259,26 @@ def test_gaussian_datum_is_the_dense_mesh_formula_bitwise():
     assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.memory
+def test_gaussian_datum_peak_memory():
+    # tracemalloc peak in real grid arrays: the datum is built in place in
+    # one, and the Field's conversion to complex is its only copy, so 3.00;
+    # exp, astype, the amplitude product and the copy each made a fresh
+    # array at 5.00
+    import tracemalloc
+    from gpilab.cli import _build_datum
+    from gpilab.grid import Grid
+    g = Grid(3, 32, 6.283185307179586)
+    datum = {"kind": "gaussian", "amplitude": 0.1, "width": 0.8}
+    tracemalloc.start()
+    try:
+        _build_datum(g, datum, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * g.n ** 3) < 3.2
+
+
 def test_multiplier_verify_gate_failure_exit(tmp_path):
     out = tmp_path / "mv"
     path = write_config(tmp_path, {

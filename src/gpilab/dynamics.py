@@ -16,16 +16,21 @@ the first step lies in it, and the transforms skip the lines the box
 makes zero.  The half-steps are unitary, so finite data turn non-finite
 only by overflow, and the first record with a non-finite number ends the
 run.  `evolve` is the one stepper.  It allocates its arrays once: the
-step works in place, and each record is one pass over a stack of u and
-every Iu, with one batched inverse FFT, into one row of the record table
-that `evolve` sizes before the first step; that record is the package's
-one discretization of E(u) and E(Iu).  A trajectory keeps one state,
-the final one.  With r = 1 + (number of specs) record rows, the working
-set is the coefficients uh, the half-step phase, the max(r, 2)-row complex
-stack, r + 1 real arrays, |xi|^2 and one multiplier array per spec: 6.5
-states for one spec.  `evolve` drops its datum after the first fftn, so a
-datum the caller does not hold (the CLI's) is freed before these exist,
-and `rough_datum` builds its coefficients in place in one complex array.
+step works in place, its nonlinear substep on chunks of 2^15 points, and
+each record passes over u and every Iu in groups of rows, one batched
+inverse FFT per group (one group in 1D, one row per group from 32^3 up),
+into one row of the record table that `evolve` sizes before the first
+step; that record is the package's one discretization of E(u) and E(Iu).
+A trajectory keeps one state, the final one.  The working set is the
+coefficients uh, the half-step phase, |xi|^2, one multiplier array per
+spec and one group of g rows (g complex and g + 1 real arrays), with the
+step's scratch inside them.  By tracemalloc that is 5.03 states with one
+spec and 6.53 with four at 64^3 (20 and 26 MB), and 5.41 and 7.06 at 32^3,
+where the multipliers' temporaries span the whole grid; about 5.0 and 6.5
+states (160 and 210 MB) at 128^3.  `evolve` drops its datum after the
+first fftn, so a datum no caller holds (the CLI's and the sweep's) is
+freed before these exist, and `rough_datum` builds its coefficients in
+place in one complex array.
 Also here: the L^2 growth audits, the step-size law and the
 almost-conservation sweep.
 """
@@ -43,6 +48,7 @@ from .ioperator import MultiplierSpec, multiplier_value
 from .fitting import ExponentFit, loglog_fit
 
 _PAD = 0.01         # rough_datum's spectral decay past the H^s edge
+_CHUNK_POINTS = 2 ** 15   # evolve's scratch budget: points per chunk, per record group
 
 __all__ = [
     "BlowUpError", "EvolveConfig", "Trajectory",
@@ -121,23 +127,29 @@ def _step_raw(uh, half_phase, dt, box, work):
     past it; the transforms skip the lines that the boxes make zero.  The
     nonlinear substep is the exact flow u -> u + (1+u)(e^{i theta} - 1),
     theta = (|u|^2 + 2 Re u) dt, with e^{i theta} - 1 from the half-angle
-    sine (`_expm1_i`), bitwise numpy's complex expm1.  work = (v, e, theta, s)
-    holds two complex and two real arrays of uh's shape, overwritten; every
-    product keeps its operand order, since numpy's complex product is not
-    bitwise symmetric.
+    sine (`_expm1_i`), bitwise numpy's complex expm1.  It runs on chunks of
+    c points of the flattened physical state (slabs along axis 0) and
+    writes each result back in place; work = (e, r) is flat complex and
+    real scratch of c and 2c entries, overwritten, and 1 + u takes r's
+    memory once theta is spent.  Every product keeps its operand order,
+    since numpy's complex product is not bitwise symmetric.
     """
-    v, e, theta, s = work
+    e, r = work
     K_in, K = box
     uh *= half_phase
-    u = _ifftn_box(uh, uh.ndim, K_in)
-    np.square(np.abs(u, out=theta), out=theta)
-    theta += np.multiply(2, u.real, out=s)
-    theta *= dt
-    _expm1_i(theta, e, s)
-    np.add(1, u, out=v)
-    v *= e
-    v += u
-    _fftn_box(v, uh.ndim, K, out=uh)
+    u = _ifftn_box(uh, uh.ndim, K_in).reshape(-1)
+    for a in range(0, len(u), len(e)):
+        uc = u[a:a + len(e)]
+        k = len(uc)
+        theta, s = r[:k], r[k:2 * k]
+        np.square(np.abs(uc, out=theta), out=theta)
+        theta += np.multiply(2, uc.real, out=s)
+        theta *= dt
+        _expm1_i(theta, e[:k], s)
+        v = np.add(1, uc, out=r[:2 * k].view(complex))
+        v *= e[:k]
+        np.add(v, uc, out=uc)
+    _fftn_box(uh, uh.ndim, K, out=uh)
     uh *= half_phase
     return uh
 
@@ -150,15 +162,16 @@ def _row_sums(a) -> np.ndarray:
 def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     """Integrate u0 to t_end, reporting E(u) and E(Iu) at the cadence.
 
-    A record is one pass over the stack of u's coefficients and, per spec,
-    those of Iu: |c|^2 into one real array per row, l2 summed from it, then
-    the kinetic product in place; then one batched inverse FFT in place,
-    ||u||_{L^3} from the one extra real array, and the potentials, with
-    2 Re u written into the stack's own imaginary parts.  The stack and the
-    rows + 1 real arrays are allocated once and are also the step's
-    workspace.  u0 is dropped after the first fftn, so it is freed if the
-    caller holds no reference.  The datum may hold modes past the dealiased
-    box (`rough_datum` does in 2D and 3D), so the first record and step 1
+    A record passes over its rows (u's coefficients, then each Iu's) in
+    groups of as many grids as fit in _CHUNK_POINTS points, at least one:
+    per group, |c|^2 into one real array per row, l2 summed from it, the
+    kinetic product in place; one batched inverse FFT in place, ||u||_{L^3}
+    from the one extra real array, and the potentials, with 2 Re u written
+    into the stack's own imaginary parts.  The group's stack and real
+    arrays, allocated once, also hold the step's chunk scratch.  u0 is
+    dropped after the first fftn, so it is freed if the caller holds no
+    reference.  The datum may hold modes past the dealiased box
+    (`rough_datum` does in 2D and 3D), so the first record and step 1
     transform every line; every later state lies in the box, and its
     transforms skip the lines that are zero.  Record k fills row k of the
     trajectory's tables.  `final`, the state at t_end, is one more inverse
@@ -170,50 +183,60 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     grid = cfg.grid
     uh = np.fft.fftn(u0.values)
     del u0                             # a datum the caller does not hold is freed here
-    absxi = grid.xi_abs()
-    xi2 = absxi ** 2
+    rows, size = 1 + len(specs), uh.size
+    xi2 = grid.xi_abs()                # |xi| until m_N is filled, then |xi|^2 in place
+    m_N = np.empty((len(specs),) + grid.shape)
+    for m, sp in zip(m_N.reshape(len(specs), size), specs):
+        for a in range(0, size, _CHUNK_POINTS):     # chunk-sized temporaries
+            part = slice(a, a + _CHUNK_POINTS)
+            m[part] = multiplier_value(sp, xi2.reshape(-1)[part])
+    np.square(xi2, out=xi2)
     half_phase = np.multiply(1j, xi2)   # e^{i |xi|^2 dt/2}, in place
     half_phase *= cfg.dt
     half_phase /= 2
     np.exp(half_phase, out=half_phase)
-    m_N = np.array([multiplier_value(sp, absxi) for sp in specs]).reshape(
-        (len(specs),) + grid.shape)
-    del absxi
     scale = _spectral_scale(grid)      # raw fftn -> unitary coefficients
     w = grid.dx ** grid.dim
     labels = [(np.inf, 1.0)] + [(sp.N, sp.s) for sp in specs]
-    rows = len(labels)
-    # rows of coefficients, then of physical values, in place, and one real
-    # array per row plus one; the step needs two complex and two real
-    # arrays, so the stack has at least two rows
-    stack = np.empty((max(rows, 2),) + grid.shape, dtype=complex)
-    real = np.empty((rows + 1,) + grid.shape)
-    step_work = (stack[0], stack[1], real[0], real[1])
-    ws, absu = stack[:rows], real[:rows]
+    group = min(rows, max(1, _CHUNK_POINTS // size))
+    # a group's coefficients, then its physical values, in place, and one
+    # real array per row plus one; a step chunk of c points uses c complex
+    # and 2c real entries of them
+    stack = np.empty((group,) + grid.shape, dtype=complex)
+    real = np.empty((group + 1,) + grid.shape)
+    chunk = min(_CHUNK_POINTS, size)
+    step_work = (stack.reshape(-1)[:chunk], real.reshape(-1)[:2 * chunk])
     K = grid.dealias_cutoff
     records = cfg.n_steps // cfg.diagnostics_every + 1
     traj = Trajectory(np.empty((records, 2)), np.empty((records, rows, 4)), labels,
                       None, cfg)
 
-    def fill():
-        ws[0] = uh
-        np.multiply(uh, m_N, out=ws[1:])
+    def fill(ws, lo):
+        # rows lo, lo + 1, ...: row 0 is u, row j >= 1 is spec j's I_N u
+        first = max(lo, 1)
+        if lo == 0:
+            ws[0] = uh
+        np.multiply(uh, m_N[first - 1:lo + len(ws) - 1], out=ws[first - lo:])
 
     def record(k, t, box):
         snap, e = traj.snapshots[k], traj.energies[k]
-        fill()
-        np.multiply(ws, scale, out=ws)      # unitary coefficients
-        c2 = np.square(np.abs(ws, out=absu), out=absu)
-        e[:, 3] = np.sqrt(_row_sums(c2))
-        e[:, 0] = _row_sums(np.multiply(xi2, c2, out=c2))   # int |grad u|^2
-        fill()
-        _ifftn_box(ws, grid.dim, box)
-        np.abs(ws, out=absu)
-        snap[:] = t, (np.sum(np.power(absu[0], 3, out=real[rows])) * w) ** (1.0 / 3)
-        np.square(absu, out=absu)           # 1/2 int (|u|^2 + 2 Re u)^2
-        # 2 Re u into the stack's imaginary parts: u is not needed again
-        np.add(absu, np.multiply(2, ws.real, out=ws.imag), out=absu)
-        e[:, 1] = 0.5 * _row_sums(np.square(absu, out=absu)) * w
+        for lo in range(0, rows, group):
+            hi = min(lo + group, rows)
+            ws, absu = stack[:hi - lo], real[:hi - lo]
+            fill(ws, lo)
+            np.multiply(ws, scale, out=ws)      # unitary coefficients
+            c2 = np.square(np.abs(ws, out=absu), out=absu)
+            e[lo:hi, 3] = np.sqrt(_row_sums(c2))
+            e[lo:hi, 0] = _row_sums(np.multiply(xi2, c2, out=c2))   # int |grad u|^2
+            fill(ws, lo)
+            _ifftn_box(ws, grid.dim, box)
+            np.abs(ws, out=absu)
+            if lo == 0:
+                snap[:] = t, (np.sum(np.power(absu[0], 3, out=real[-1])) * w) ** (1.0 / 3)
+            np.square(absu, out=absu)           # 1/2 int (|u|^2 + 2 Re u)^2
+            # 2 Re u into the stack's imaginary parts: u is not needed again
+            np.add(absu, np.multiply(2, ws.real, out=ws.imag), out=absu)
+            e[lo:hi, 1] = 0.5 * _row_sums(np.square(absu, out=absu)) * w
         np.add(e[:, 0], e[:, 1], out=e[:, 2])
         if not (np.isfinite(snap[1]) and np.isfinite(e[:, 2]).all()):
             raise BlowUpError(t, Trajectory(traj.snapshots[:k], traj.energies[:k],
@@ -226,7 +249,7 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
             record(i // cfg.diagnostics_every, i * cfg.dt, K)
     # the records wrote 2 Re u over Im u, so `final` is one more inverse
     # transform of uh, made after the work arrays are freed
-    del stack, ws, real, absu, step_work
+    del stack, real, step_work
     traj.final = Field(grid, _ifftn_box(uh, grid.dim, K))
     return traj
 
@@ -353,7 +376,9 @@ def almost_conservation_experiment(u0: Field, s: float, N_list, window: float,
     cfg = EvolveConfig(grid=u0.grid, dt=window / steps, t_end=window,
                        diagnostics_every=1)
     specs = [MultiplierSpec(N=N, s=s) for N in N_list]
-    traj = evolve(u0, cfg, specs)
+    held = [u0]         # handed on unnamed, so that evolve frees a datum that
+    del u0              # the caller does not hold after its first fftn
+    traj = evolve(held.pop(), cfg, specs)
     ts = traj.snapshots[:, 0]
     rows = []
     columns = traj.energies.transpose(1, 2, 0)[1:].tolist()   # spec, column, record

@@ -181,10 +181,10 @@ def _warm_peak(g, run):
 def test_bilinear_ratio_peak_memory():
     # a warm call in collision coordinates holds the flow's two complex
     # buffers, the real data f1 and f2 and the boolean N2 band; |v1 v2|^2
-    # is reduced in v2's buffer.  3.60 complex grid arrays at its peak with
-    # the copy np.take makes of the read-only level index, where a flow with
-    # its own phase buffer and real work array held 5.34 and the lab-frame
-    # bench, whose data were complex, 6.8.
+    # is reduced in v2's buffer.  3.34 complex grid arrays at its peak, where
+    # the copy np.take made of the read-only level index at every phase held
+    # 3.60, a flow with its own phase buffer and real work array 5.34 and the
+    # lab-frame bench, whose data were complex, 6.8.
     g = Grid(3, 32, 2 * np.pi)
     assert _warm_peak(g, lambda: bilinear_ratio(4, 8, 1, 0.5, grid=g)) < 3.7
 
@@ -192,10 +192,10 @@ def test_bilinear_ratio_peak_memory():
 @pytest.mark.memory
 def test_strichartz_sweep_peak_memory():
     # the sweep holds the flow's one buffer, its real work array and one
-    # datum at a time, built in place: 3.07 complex grid arrays at its peak
-    # with np.take's copy of the level index, where a flow with its own
-    # phase buffer and a datum built out of place next to the previous one
-    # held 5.82
+    # datum at a time, built in place: 3.07 complex grid arrays at its peak,
+    # with or without the copy np.take made of the read-only level index at
+    # every phase, where a flow with its own phase buffer and a datum built
+    # out of place next to the previous one held 5.82
     g = Grid(3, 32, 2 * np.pi)
     peak = _warm_peak(g, lambda: strichartz_ratio_sweep(
         2, 6, 0.3, centers=(4, 8), seeds=2, grid=g, m=16))

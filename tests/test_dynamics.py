@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gpilab import dynamics
 from gpilab.grid import Field, Grid, _spectral_scale, forward_transform
 from gpilab.dynamics import (BlowUpError, EvolveConfig, _expm1_i, _step_raw,
                              almost_conservation_experiment, delta_step, evolve,
@@ -186,6 +187,39 @@ def test_evolve_matches_out_of_place_formulas_bitwise(grid, Ns):
     assert np.array_equal(traj.final.values.view(np.uint64), u.view(np.uint64))
 
 
+@pytest.mark.parametrize("grid", [Grid(1, 1024, 16 * np.pi), Grid(3, 16, 2 * np.pi)])
+def test_record_groups_and_step_chunks_are_bitwise(monkeypatch, grid):
+    # a points budget of 100 records one row per pass and runs the substep
+    # in chunks of 100 points, the last one short; every record and the
+    # final state equal the default run's (one pass, one chunk) bit for bit
+    specs = [MultiplierSpec(N=float(N), s=0.9) for N in (2, 4, 8, 16)]
+    cfg = EvolveConfig(grid=grid, dt=1e-3, t_end=6e-3, diagnostics_every=2)
+    u0 = rough_datum(grid, 0.9, seed=1)
+    want = evolve(u0, cfg, specs)
+    monkeypatch.setattr(dynamics, "_CHUNK_POINTS", 100)
+    calls = {"ifftn": 0, "_expm1_i": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(dynamics, "_expm1_i")
+    if grid.dim == 1:
+        counting(np.fft, "ifftn")
+    got = evolve(u0, cfg, specs)
+    records, chunks = len(got.snapshots), -(-grid.n ** grid.dim // 100)
+    assert calls["_expm1_i"] == cfg.n_steps * chunks
+    if grid.dim == 1:      # a step's, a record row's and `final`'s
+        assert calls["ifftn"] == cfg.n_steps + 5 * records + 1
+    for a, b in ((got.snapshots, want.snapshots), (got.energies, want.energies),
+                 (got.final.values, want.final.values)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_real_sine_factor_is_complex_expm1_bitwise():
     # the substep's e^{i theta} - 1 against numpy's complex expm1, at the
     # signed zero's edge cases, at +-pi and 1e6, and at random theta over
@@ -222,21 +256,26 @@ _CFG32 = EvolveConfig(grid=_G32, dt=1e-3, t_end=4e-3, diagnostics_every=2)
 def test_evolve_peak_memory_in_state_sizes():
     # a 32^3 run with one spec, the datum not counted: fresh arrays per step
     # and one transform per record row peaked at 9.6, the in-place step on
-    # the record's stack at 7.27, and a real workspace of rows + 1 arrays in
-    # place of 2 rows at 6.77: uh, half_phase, the two-row stack, three real
-    # arrays, |xi|^2 and one m_N
+    # the record's stack at 7.27, a real workspace of rows + 1 arrays at
+    # 6.76, and records one row at a time with the substep in chunks at
+    # 5.41.  The run holds uh, half_phase, |xi|^2, one m_N and one record
+    # row (one complex and two real arrays), 5.0 states; the peak is the
+    # set-up, where multiplier_value's temporaries span one chunk of 2^15
+    # points, the whole grid here (64^3 peaks at 5.03)
     u0 = rough_datum(_G32, 0.9, seed=1)
     spec = [MultiplierSpec(N=8.0, s=0.9)]
-    assert _peak_states(_G32, lambda: evolve(u0, _CFG32, spec)) < 7.0
+    assert _peak_states(_G32, lambda: evolve(u0, _CFG32, spec)) < 6.0
 
 
 @pytest.mark.memory
 def test_evolve_peak_memory_with_four_specs():
-    # five stack rows, six real arrays and four m_N: 12.76 states, where
-    # two real arrays per row held 14.76
+    # four m_N and, at the set-up's peak, the multiplier temporaries: 7.06
+    # states, where a stack of all five rows with six real arrays held 12.76
+    # and two real arrays per row 14.76 (6.53 at 64^3, where one record row
+    # sets the peak)
     u0 = rough_datum(_G32, 0.9, seed=1)
     specs = [MultiplierSpec(N=float(N), s=0.9) for N in (2, 4, 8, 16)]
-    assert _peak_states(_G32, lambda: evolve(u0, _CFG32, specs)) < 13.2
+    assert _peak_states(_G32, lambda: evolve(u0, _CFG32, specs)) < 7.6
 
 
 @pytest.mark.memory
@@ -252,10 +291,25 @@ def test_rough_datum_peak_memory():
 def test_evolve_frees_a_datum_no_caller_holds():
     # evolve drops its datum after the first fftn, so a datum passed
     # unnamed is gone before the work arrays exist: its construction and
-    # the run peak at 6.76 states together, where holding it gave 8.26
+    # the run peak at 5.41 states together, where holding it gives 6.41
     spec = [MultiplierSpec(N=8.0, s=0.9)]
     peak = _peak_states(_G32, lambda: evolve(rough_datum(_G32, 0.9, seed=1), _CFG32, spec))
-    assert peak < 7.0
+    assert peak < 6.0
+
+
+@pytest.mark.memory
+def test_almost_conservation_sweep_frees_its_datum():
+    # the sweep hands its datum to evolve unnamed, so a datum that its
+    # caller does not hold is freed after the first fftn and the sweep
+    # peaks where evolve does: 7.07 states at 32^3 with four specs, where
+    # holding it gave the sweep 8.07
+    Ns = (1, 2, 4, 8)
+    specs = [MultiplierSpec(N=float(N), s=0.9) for N in Ns]
+    cfg = EvolveConfig(grid=_G32, dt=1e-3, t_end=4e-3, diagnostics_every=1)
+    sweep = _peak_states(_G32, lambda: almost_conservation_experiment(
+        rough_datum(_G32, 0.9, seed=1), 0.9, Ns, window=4e-3, dt=1e-3))
+    run = _peak_states(_G32, lambda: evolve(rough_datum(_G32, 0.9, seed=1), cfg, specs))
+    assert abs(sweep - run) < 0.05
 
 
 def test_zero_datum_stays_zero():
@@ -296,7 +350,7 @@ def test_nonlinear_substep_is_the_exact_flow(monkeypatch):
 
     for name in ("fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, identity)
-    work = (np.empty_like(u0), np.empty_like(u0), np.empty(256), np.empty(256))
+    work = (np.empty(256, complex), np.empty(512))         # one chunk of 256 points
     u = _step_raw(u0.copy(), 1.0, dt, (128, 128), work)     # the whole-grid box
 
     def rhs(w):

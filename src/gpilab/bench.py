@@ -42,11 +42,9 @@ class _FreeFlow:
 
     On a periodic lattice |xi|^2 takes few distinct values (2780 at 64^3),
     so `phase(t, out)` computes e^{i |xi|^2 t} as one `exp` per level,
-    gathered into out through the inverse index of `np.unique`, one
-    read-only table per grid per process, which `np.take` reads through a
-    writeable alias so that it makes no copy.  That is the same elementwise
-    arithmetic on the same floats as `np.exp(1j * xi2 * t)`, so the phase
-    is bitwise equal.
+    gathered into out through the inverse index of `np.unique`, one table
+    per grid per process.  That is the same elementwise arithmetic on the
+    same floats as `np.exp(1j * xi2 * t)`, so the phase is bitwise equal.
 
     The flow owns one complex buffer per datum and nothing else.  The one
     time loop, `samples(coefs, ts, wts)`, finds each datum's box once, the
@@ -62,14 +60,14 @@ class _FreeFlow:
     """
 
     def __init__(self, grid: Grid, count: int):
-        self.levels, self.index, self._take = _level_table(grid)
+        self.levels, self.index = _level_table(grid)
         self.scale = 1 / _spectral_scale(grid)
         self.out = tuple(np.empty(grid.shape, dtype=complex) for _ in range(count))
 
     def phase(self, t: float, out: np.ndarray) -> np.ndarray:
         """e^{i |xi|^2 t} on the grid, written into out."""
         # mode "clip" writes straight into out; the default "raise" buffers
-        return np.take(np.exp(1j * self.levels * t), self._take, out=out, mode="clip")
+        return np.take(np.exp(1j * self.levels * t), self.index, out=out, mode="clip")
 
     def samples(self, coefs, ts, wts):
         """(i, wts[i], physical values at ts[i]) of the unitary coefficient
@@ -89,13 +87,9 @@ class _FreeFlow:
 @functools.cache
 def _level_table(grid: Grid):
     """|xi|^2 levels on grid and each point's intp index (a uint16 slows
-    np.take), both read-only, then a writeable alias of the index for
-    np.take alone, which copies any index that is not writeable."""
-    levels, take = np.unique(grid.xi_abs() ** 2, return_inverse=True)
-    take = take.reshape(grid.shape)
-    index = take.view()
-    levels.flags.writeable = index.flags.writeable = False
-    return levels, index, take
+    np.take), writeable, since np.take copies an index that is not."""
+    levels, index = np.unique(grid.xi_abs() ** 2, return_inverse=True)
+    return levels, index.reshape(grid.shape)
 
 
 def _l2(a: np.ndarray) -> float:

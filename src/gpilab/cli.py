@@ -14,20 +14,21 @@ Exit codes: 0 success, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Field, Grid
 from .ioperator import MultiplierSpec
-from .dynamics import (BlowUpError, EvolveConfig, almost_conservation_experiment,
-                       evolve, l2_growth_audit, rough_datum)
+from .dynamics import (AlmostConservationRow, BlowUpError, EvolveConfig,
+                       almost_conservation_experiment, evolve, l2_growth_audit,
+                       rough_datum)
 from .bench import _GRID64, _band, bilinear_sweep, strichartz_ratio_sweep
 from .multverify import CATALOG, catalog_by_label, verify_bounds
 from .ledger import ledger_table
@@ -44,7 +45,7 @@ class ConfigError(ValueError):
     """Invalid run configuration; message carries file:line context."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     subcommand: str
     params: dict
@@ -123,10 +124,8 @@ def _positive(v):   # a length, a time span or a width
     return float(v)
 
 
-def _frequency(v):   # the N of the smoothing multiplier m_N
-    if _real(v) < 1:
-        raise ValueError(f"must be a number >= 1, got {v!r}")
-    return float(v)
+def _frequency(v):   # MultiplierSpec's own rule, checked with a valid s
+    return MultiplierSpec(N=_real(v), s=0.75).N
 
 
 def _numbers(v):   # the frequencies of a fit
@@ -137,10 +136,8 @@ def _numbers(v):   # the frequencies of a fit
     return v
 
 
-def _s(v):   # the regularity of the I-method, in (1/2, 1)
-    if not 0.5 < _real(v) < 1:
-        raise ValueError(f"must lie in (1/2, 1), got {v!r}")
-    return float(v)
+def _s(v):
+    return MultiplierSpec(N=1.0, s=_real(v)).s
 
 
 def _centers(v):   # each band must hold a mode of the Strichartz bench's grid
@@ -270,9 +267,7 @@ def _run_simulate(cfg: RunConfig):
     audit = l2_growth_audit(traj)
     total, l2 = traj.energies[-1, 0, 2:].tolist()
     summary = {"status": "ok", "final_l2": l2, "final_energy": total,
-               "l2_audit": {"differential_margin": audit.differential_margin,
-                            "gronwall_margin": audit.gronwall_margin,
-                            "violations": audit.violations}}
+               "l2_audit": dataclasses.asdict(audit)}
     return summary, {"energy.csv": _energy_csv(traj)}, EXIT_OK
 
 
@@ -282,9 +277,8 @@ def _run_almost_conservation(cfg: RunConfig):
     # unnamed, so that evolve frees the datum after its first transform
     res = almost_conservation_experiment(rough_datum(grid, p["s"], cfg.seed), p["s"],
                                          p["N_list"], p["window"], dt=p["dt"])
-    csv = _csv("N,increment_window,increment_delta,delta,gradI_norm",
-               [(r.N, r.increment_window, r.increment_delta, r.delta, r.gradI_norm)
-                for r in res.rows])
+    csv = _csv(",".join(f.name for f in dataclasses.fields(AlmostConservationRow)),
+               map(dataclasses.astuple, res.rows))
     summary = {"status": "ok", "slope": res.fit.slope,
                "residual": res.fit.residual, "window": p["window"], "s": p["s"]}
     return summary, {"increments.csv": csv}, EXIT_OK

@@ -24,13 +24,10 @@ step; that record is the package's one discretization of E(u) and E(Iu).
 A trajectory keeps one state, the final one.  The working set is the
 coefficients uh, the half-step phase, |xi|^2, one multiplier array per
 spec and one group of g rows (g complex and g + 1 real arrays), with the
-step's scratch inside them.  By tracemalloc that is 5.03 states with one
-spec and 6.53 with four at 64^3 (20 and 26 MB), and 5.41 and 7.06 at 32^3,
-where the multipliers' temporaries span the whole grid; about 5.0 and 6.5
-states (160 and 210 MB) at 128^3.  `evolve` drops its datum after the
-first fftn, so a datum no caller holds (the CLI's and the sweep's) is
-freed before these exist, and `rough_datum` builds its coefficients in
-place in one complex array.
+step's scratch inside them.  `evolve` drops its datum after the first
+fftn, so a datum no caller holds (the CLI's and the sweep's) is freed
+before these exist, and `rough_datum` builds its coefficients in place in
+one complex array.
 Also here: the L^2 growth audits, the step-size law and the
 almost-conservation sweep.
 """
@@ -149,7 +146,7 @@ def _step_raw(uh, half_phase, dt, box, work):
         v = np.add(1, uc, out=r[:2 * k].view(complex))
         v *= e[:k]
         np.add(v, uc, out=uc)
-    _fftn_box(uh, uh.ndim, K, out=uh)
+    _fftn_box(uh, uh.ndim, K)
     uh *= half_phase
     return uh
 
@@ -369,12 +366,11 @@ class AlmostConservationResult:
 
 def almost_conservation_experiment(u0: Field, s: float, N_list, window: float,
                                    dt: float = 2.5e-4) -> AlmostConservationResult:
-    """Sweep N, measuring the modified-energy increment over a fixed window."""
-    if not (0 < dt <= window <= 1):
-        raise ValueError("need 0 < dt <= window <= 1")
-    steps = int(round(window / dt))
-    cfg = EvolveConfig(grid=u0.grid, dt=window / steps, t_end=window,
-                       diagnostics_every=1)
+    """Sweep N, measuring the modified-energy increment over a fixed window,
+    stepped at dt, which must divide it (`EvolveConfig`'s rule)."""
+    if not (window <= 1):
+        raise ValueError("need window <= 1")
+    cfg = EvolveConfig(grid=u0.grid, dt=dt, t_end=window, diagnostics_every=1)
     specs = [MultiplierSpec(N=N, s=s) for N in N_list]
     held = [u0]         # handed on unnamed, so that evolve frees a datum that
     del u0              # the caller does not hold after its first fftn

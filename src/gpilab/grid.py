@@ -160,23 +160,23 @@ def _ifftn_box(a: np.ndarray, dim: int, K: int) -> np.ndarray:
     return a
 
 
-def _fftn_box(a: np.ndarray, dim: int, K: int, out: np.ndarray) -> np.ndarray:
-    """np.fft.fftn of a into out, cut to the box |k_j| <= K, with exact
+def _fftn_box(a: np.ndarray, dim: int, K: int) -> np.ndarray:
+    """np.fft.fftn of a in place, cut to the box |k_j| <= K, with exact
     zeros outside it."""
     n = a.shape[-1]
     lead, ranges = a.ndim - dim, _box_ranges(n, K)
     if ranges is None or dim == 1:
-        np.fft.fftn(a, axes=tuple(range(lead, a.ndim)) if lead else None, out=out)
+        np.fft.fftn(a, axes=tuple(range(lead, a.ndim)) if lead else None, out=a)
     else:
-        np.fft.fftn(a, axes=(a.ndim - 1,), out=out)
+        np.fft.fftn(a, axes=(a.ndim - 1,), out=a)
         for j in reversed(range(dim - 1)):
             for box in itertools.product(ranges, repeat=dim - 1 - j):
-                lines = out[(slice(None),) * (lead + j + 1) + box]
+                lines = a[(slice(None),) * (lead + j + 1) + box]
                 np.fft.fftn(lines, axes=(lead + j,), out=lines)
     if 2 * K + 1 < n:
-        for j in range(lead, out.ndim):
-            out[(slice(None),) * j + (slice(K + 1, n - K),)] = 0
-    return out
+        for j in range(lead, a.ndim):
+            a[(slice(None),) * j + (slice(K + 1, n - K),)] = 0
+    return a
 
 
 def _box_cutoff(coef: np.ndarray) -> int:

@@ -36,12 +36,12 @@ class MultiplierSpec:
 
 
 def multiplier_value(spec: MultiplierSpec, xi) -> np.ndarray:
-    """m_N evaluated at |xi|; accepts scalars or arrays of magnitudes.
+    """m_N evaluated at an array of magnitudes |xi|, as an array of its shape.
 
     The input is read as |xi| directly: reduce frequency vectors to their
     magnitudes first.  Entries with |xi| <= N are 1.0 and cost no
     transcendental; the rest, NaN included, take the join or outer branch, so
-    NaN stays NaN and +inf gives 0.  A scalar or 0-d input returns a float.
+    NaN stays NaN and +inf gives 0.
     """
     absxi = np.abs(np.asarray(xi, dtype=float))
     out = np.ones_like(absxi)
@@ -50,6 +50,4 @@ def multiplier_value(spec: MultiplierSpec, xi) -> np.ndarray:
     sig = np.clip(np.log2(x / spec.N), 0.0, 1.0)
     sig = 3 * sig ** 2 - 2 * sig ** 3
     out[high] = (spec.N / x) ** ((1 - spec.s) * sig)
-    if np.isscalar(xi) or out.ndim == 0:
-        return float(out)
     return out

@@ -1,9 +1,11 @@
 """Reference formulas the tests compare the package against: the dealiased
 box as a full-grid mask, the quadrature L^p and H^s norms of a Field, and
-the Strang step and the record of `evolve` as fresh-array formulas."""
+the Strang step and the record of `evolve` as fresh-array formulas; and the
+inputs that several test files share."""
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,3 +63,15 @@ def out_of_place_record(uh, m_N, scale, xi2, w):
         pot = 0.5 * float(np.sum((np.abs(v) ** 2 + 2 * v.real) ** 2)) * w
         vals += [kin, pot, kin + pot, math.sqrt(float(np.sum(c2)))]
     return vals, u
+
+
+def smooth_datum(grid, amp=0.2):
+    """A smooth Field of the wavenumbers ±1 and ±2 along axis 0."""
+    x = grid.x_mesh()[0]
+    return Field(grid, amp * np.exp(1j * x) + 0.5 * amp * np.cos(2 * x))
+
+
+def rational_grid(count=10 ** 4):
+    """The interior rationals k/(count+1), scaled into (1/2, 1)."""
+    denom = count + 1
+    return [Fraction(1, 2) + Fraction(k, 2 * denom) for k in range(1, denom)]

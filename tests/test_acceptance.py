@@ -22,7 +22,7 @@ from gpilab import ledger
 from gpilab.ledger import (ExponentLedger, dominant_increment, gwp_threshold,
                            step_law_exponent)
 from gpilab.cli import main as cli_main
-from oracles import box, out_of_place_record
+from oracles import box, out_of_place_record, rational_grid
 
 
 def announce(capsys, num, name, ok, detail=""):
@@ -119,12 +119,6 @@ def test_acceptance_03_l2_growth_audits(capsys, smooth_run):
              f"diff margin {audit.differential_margin:.3e}, "
              f"gronwall margin {audit.gronwall_margin:.3e}, "
              f"violations {audit.violations}")
-
-
-def rational_grid(count=10 ** 4):
-    # interior rationals k/(count+1) scaled into (1/2, 1)
-    denom = count + 1
-    return [Fraction(1, 2) + Fraction(k, 2 * denom) for k in range(1, denom)]
 
 
 def test_acceptance_04_step_law_exact(capsys):

@@ -15,7 +15,7 @@ from gpilab.grid import Field, Grid, forward_transform
 from gpilab.bench import (band_datum, bilinear_ratio, bilinear_sweep,
                           strichartz_admissible, strichartz_ratio_sweep,
                           time_cutoff, _FreeFlow)
-from oracles import lp_norm
+from oracles import lp_norm, smooth_datum
 
 
 # ---------------------------------------------------------------------------
@@ -51,22 +51,16 @@ def test_free_flow_is_unitary_and_additive():
     assert again[0] is first[0]
 
 
-
-def _smooth_datum(g, amp=0.2):
-    x = g.x_mesh()[0]
-    return Field(g, amp * np.exp(1j * x) + 0.5 * amp * np.cos(2 * x))
-
-
 def test_free_flow_preserves_l2_exactly():
     g = Grid(dim=1, n=64, length=2 * np.pi)
-    f = _smooth_datum(g)
+    f = smooth_datum(g)
     out, = _at(_FreeFlow(g, 1), (forward_transform(f),), 0.01)
     assert abs(lp_norm(Field(g, out), 2) - lp_norm(f, 2)) < 1e-13
 
 
 def test_free_flow_matches_spectral_phase():
     g = Grid(dim=1, n=64, length=2 * np.pi)
-    f = _smooth_datum(g)
+    f = smooth_datum(g)
     coef = forward_transform(f)
     out, = _at(_FreeFlow(g, 1), (coef,), 0.1)
     exact = coef * np.exp(1j * g.xi_abs() ** 2 * 0.1)
@@ -85,9 +79,9 @@ def test_free_flow_phase_table_is_exact(grid):
         want = np.exp(1j * xi2 * t)
         assert flow.phase(t, out) is out
         assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
-    # one read-only level table per grid, shared by every flow on it
+    # one level table per grid, shared by every flow on it
     assert _FreeFlow(grid, 2).index is flow.index
-    assert not flow.index.flags.writeable and flow.index.dtype == np.intp
+    assert flow.index.dtype == np.intp
 
 
 def test_free_flow_matches_out_of_place_formula_bitwise():
@@ -181,10 +175,7 @@ def _warm_peak(g, run):
 def test_bilinear_ratio_peak_memory():
     # a warm call in collision coordinates holds the flow's two complex
     # buffers, the real data f1 and f2 and the boolean N2 band; |v1 v2|^2
-    # is reduced in v2's buffer.  3.34 complex grid arrays at its peak, where
-    # the copy np.take made of the read-only level index at every phase held
-    # 3.60, a flow with its own phase buffer and real work array 5.34 and the
-    # lab-frame bench, whose data were complex, 6.8.
+    # is reduced in v2's buffer
     g = Grid(3, 32, 2 * np.pi)
     assert _warm_peak(g, lambda: bilinear_ratio(4, 8, 1, 0.5, grid=g)) < 3.7
 
@@ -192,10 +183,7 @@ def test_bilinear_ratio_peak_memory():
 @pytest.mark.memory
 def test_strichartz_sweep_peak_memory():
     # the sweep holds the flow's one buffer, its real work array and one
-    # datum at a time, built in place: 3.07 complex grid arrays at its peak,
-    # with or without the copy np.take made of the read-only level index at
-    # every phase, where a flow with its own phase buffer and a datum built
-    # out of place next to the previous one held 5.82
+    # datum at a time, built in place
     g = Grid(3, 32, 2 * np.pi)
     peak = _warm_peak(g, lambda: strichartz_ratio_sweep(
         2, 6, 0.3, centers=(4, 8), seeds=2, grid=g, m=16))

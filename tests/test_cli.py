@@ -12,7 +12,7 @@ import pytest
 
 from gpilab.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK,
                         ConfigError, load_config, main)
-from gpilab.dynamics import Trajectory
+from gpilab.dynamics import AlmostConservationRow, Trajectory
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -262,9 +262,7 @@ def test_gaussian_datum_is_the_dense_mesh_formula_bitwise():
 @pytest.mark.memory
 def test_gaussian_datum_peak_memory():
     # tracemalloc peak in real grid arrays: the datum is built in place in
-    # one, and the Field's conversion to complex is its only copy, so 3.00;
-    # exp, astype, the amplitude product and the copy each made a fresh
-    # array at 5.00
+    # one, and the Field's conversion to complex is its only copy
     import tracemalloc
     from gpilab.cli import _build_datum
     from gpilab.grid import Grid
@@ -299,6 +297,21 @@ def test_inadmissible_strichartz_pair_is_config_error(tmp_path):
         "seed": 0, "out_dir": str(tmp_path / "st"),
     })
     assert main(["--config", path]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("sub, params", [
+    ("simulate", {"dim": 1, "n": 16, "length": 6.283185307179586, "dt": 0.03,
+                  "t_end": 0.1, "datum": {"kind": "zero"}}),
+    ("almost-conservation", {"dim": 1, "n": 16, "length": 6.283185307179586, "s": 0.9,
+                             "N_list": [4, 8], "dt": 0.03, "window": 0.1}),
+])
+def test_dt_that_does_not_divide_the_run_is_config_error(tmp_path, sub, params):
+    # the sweep takes the step rule of simulate: it runs the dt it records
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"subcommand": sub, "params": params,
+                                   "out_dir": str(out)})
+    assert main(["--config", path]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
@@ -587,8 +600,8 @@ CSV_CASES = {
     "almost-conservation": (
         "almost_conservation_experiment",
         lambda *args, **kwargs: SimpleNamespace(
-            rows=[SimpleNamespace(N=4.0, increment_window=THIRD, increment_delta=BIG,
-                                  delta=-3, gradI_norm=1e-300)],
+            rows=[AlmostConservationRow(N=4.0, increment_window=THIRD,
+                                        increment_delta=BIG, delta=-3, gradI_norm=1e-300)],
             fit=FIT),
         {"dim": 1, "n": 16, "length": 6.283185307179586, "s": 0.9,
          "N_list": [4, 8], "window": 0.25},

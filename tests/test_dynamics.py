@@ -15,12 +15,8 @@ from gpilab.dynamics import (BlowUpError, EvolveConfig, _expm1_i, _step_raw,
                              l2_growth_audit, rough_datum)
 from gpilab.ioperator import MultiplierSpec, multiplier_value
 from gpilab.ledger import step_law_exponent
-from oracles import box, lp_norm, out_of_place_record, out_of_place_step, sobolev_norm
-
-
-def smooth_datum(grid, amp=0.2):
-    x = grid.x_mesh()[0]
-    return Field(grid, amp * np.exp(1j * x) + 0.5 * amp * np.cos(2 * x))
+from oracles import (box, lp_norm, out_of_place_record, out_of_place_step, smooth_datum,
+                     sobolev_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +101,8 @@ def test_record_table_contract(monkeypatch):
 
 @pytest.mark.memory
 def test_record_memory_does_not_grow_with_record_count():
-    # 201 records against 2 over the same 200 steps: keeping one state per
-    # record would add about 200 states to the peak, scalars add a few
+    # 201 records against 2 over the same 200 steps: a record keeps
+    # scalars, not a state
     g = Grid(dim=1, n=1024, length=16 * np.pi)
     u0 = rough_datum(g, 0.9, seed=1)
     state_bytes = 16 * g.n
@@ -254,14 +250,8 @@ _CFG32 = EvolveConfig(grid=_G32, dt=1e-3, t_end=4e-3, diagnostics_every=2)
 
 @pytest.mark.memory
 def test_evolve_peak_memory_in_state_sizes():
-    # a 32^3 run with one spec, the datum not counted: fresh arrays per step
-    # and one transform per record row peaked at 9.6, the in-place step on
-    # the record's stack at 7.27, a real workspace of rows + 1 arrays at
-    # 6.76, and records one row at a time with the substep in chunks at
-    # 5.41.  The run holds uh, half_phase, |xi|^2, one m_N and one record
-    # row (one complex and two real arrays), 5.0 states; the peak is the
-    # set-up, where multiplier_value's temporaries span one chunk of 2^15
-    # points, the whole grid here (64^3 peaks at 5.03)
+    # a 32^3 run with one spec, the datum not counted, holds uh, half_phase,
+    # |xi|^2, one m_N and one record row, with the step's scratch inside it
     u0 = rough_datum(_G32, 0.9, seed=1)
     spec = [MultiplierSpec(N=8.0, s=0.9)]
     assert _peak_states(_G32, lambda: evolve(u0, _CFG32, spec)) < 6.0
@@ -269,10 +259,8 @@ def test_evolve_peak_memory_in_state_sizes():
 
 @pytest.mark.memory
 def test_evolve_peak_memory_with_four_specs():
-    # four m_N and, at the set-up's peak, the multiplier temporaries: 7.06
-    # states, where a stack of all five rows with six real arrays held 12.76
-    # and two real arrays per row 14.76 (6.53 at 64^3, where one record row
-    # sets the peak)
+    # four specs hold four m_N arrays, and a record works on one row at a
+    # time
     u0 = rough_datum(_G32, 0.9, seed=1)
     specs = [MultiplierSpec(N=float(N), s=0.9) for N in (2, 4, 8, 16)]
     assert _peak_states(_G32, lambda: evolve(u0, _CFG32, specs)) < 7.6
@@ -281,17 +269,14 @@ def test_evolve_peak_memory_with_four_specs():
 @pytest.mark.memory
 def test_rough_datum_peak_memory():
     # the coefficients are built in place in one complex array, beside |xi|
-    # and two real arrays for the H^s norm, then transformed in one more and
-    # copied into the Field: 3.00 states, where fresh arrays per operation
-    # peaked at 7.07
+    # and the H^s norm's two real arrays
     assert _peak_states(_G32, lambda: rough_datum(_G32, 0.9, seed=1)) < 5.0
 
 
 @pytest.mark.memory
 def test_evolve_frees_a_datum_no_caller_holds():
     # evolve drops its datum after the first fftn, so a datum passed
-    # unnamed is gone before the work arrays exist: its construction and
-    # the run peak at 5.41 states together, where holding it gives 6.41
+    # unnamed is gone before the work arrays exist
     spec = [MultiplierSpec(N=8.0, s=0.9)]
     peak = _peak_states(_G32, lambda: evolve(rough_datum(_G32, 0.9, seed=1), _CFG32, spec))
     assert peak < 6.0
@@ -299,10 +284,8 @@ def test_evolve_frees_a_datum_no_caller_holds():
 
 @pytest.mark.memory
 def test_almost_conservation_sweep_frees_its_datum():
-    # the sweep hands its datum to evolve unnamed, so a datum that its
-    # caller does not hold is freed after the first fftn and the sweep
-    # peaks where evolve does: 7.07 states at 32^3 with four specs, where
-    # holding it gave the sweep 8.07
+    # the sweep hands its datum to evolve unnamed, so it peaks where evolve
+    # does on a datum that no caller holds
     Ns = (1, 2, 4, 8)
     specs = [MultiplierSpec(N=float(N), s=0.9) for N in Ns]
     cfg = EvolveConfig(grid=_G32, dt=1e-3, t_end=4e-3, diagnostics_every=1)
@@ -486,5 +469,13 @@ def test_almost_conservation_rejects_bad_window():
     g = Grid(dim=1, n=64, length=2 * np.pi)
     with pytest.raises(ValueError):
         almost_conservation_experiment(Field.zero(g), 0.9, [4], window=0.0)
-    with pytest.raises(ValueError):     # dt > 2 window rounds to zero steps
+    with pytest.raises(ValueError):     # dt > window
         almost_conservation_experiment(Field.zero(g), 0.9, [4], window=0.25, dt=1.0)
+
+
+def test_almost_conservation_runs_the_dt_it_is_given():
+    # 0.03 does not divide the window 0.1, so the sweep fails as
+    # EvolveConfig does rather than run another step
+    g = Grid(dim=1, n=64, length=2 * np.pi)
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        almost_conservation_experiment(Field.zero(g), 0.9, [4], window=0.1, dt=0.03)

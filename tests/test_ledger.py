@@ -6,12 +6,7 @@ import pytest
 
 from gpilab.ledger import (ExponentLedger, dominant_increment, gwp_condition,
                            gwp_threshold, ledger_table, step_law_exponent)
-
-
-def rational_grid(count=10 ** 4):
-    # interior rationals k/(count+1) scaled into (1/2, 1)
-    denom = count + 1
-    return [Fraction(1, 2) + Fraction(k, 2 * denom) for k in range(1, denom)]
+from oracles import rational_grid
 
 
 def test_ledger_fields_are_exact():

@@ -349,9 +349,9 @@ def test_shared_draws_match_rows_sampled_alone():
 @pytest.mark.memory
 def test_sampler_peak_memory():
     # one shared stream at 2000 samples holds 5 free blocks of 8000 uniform
-    # variates and unit directions; a warm catalog run peaks at 1.89 of it
-    # when candidates are evaluated in chunks, and at 2.96 with full
-    # (arity, candidates, 3) arrays.  tracemalloc counts numpy's buffers.
+    # variates and unit directions; candidates are evaluated in chunks, not
+    # as full (arity, candidates, 3) arrays.  tracemalloc counts numpy's
+    # buffers.
     stream = 5 * 8000 * 4 * 8
     verify_bounds(CATALOG, (4, 8), 2000, seed=3)
     tracemalloc.start()

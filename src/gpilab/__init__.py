@@ -6,7 +6,8 @@ Modules
 grid        periodic grids, physical fields, unitary FFTs
 ioperator   the smoothing multiplier m_N of I_N
 dynamics    split-step integrator and its record table, the one source of
-            E(u) and E(Iu); growth audits, step law, sweeps
+            E(u) and E(Iu); step law; the growth audit and the
+            almost-conservation sweep, each a reduction of a trajectory
 bench       Strichartz / bilinear benches on dyadic bands
 multverify  randomized checks of the pointwise multiplier bounds
 ledger      exact rational exponent bookkeeping

@@ -278,8 +278,7 @@ def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
     return BilinearStat(mean=float(np.mean(ratios)), ratios=tuple(ratios))
 
 
-def bilinear_sweep(seeds: int = 20, T: float = 0.5, grid: Grid = _GRID64,
-                   seed0: int = 1000) -> dict:
+def bilinear_sweep(seeds: int, T: float, grid: Grid = _GRID64, seed0: int = 1000) -> dict:
     """Both slope fits of the refinement: N2 at fixed N1, N1 at fixed N2.
 
     The axes share the pair (8, 16), so five pairs are evaluated, each once.

@@ -27,8 +27,7 @@ import numpy as np
 from .grid import Field, Grid
 from .ioperator import MultiplierSpec
 from .dynamics import (AlmostConservationRow, BlowUpError, EvolveConfig,
-                       almost_conservation_experiment, evolve, l2_growth_audit,
-                       rough_datum)
+                       almost_conservation, evolve, l2_growth_audit, rough_datum)
 from .bench import _GRID64, _band, bilinear_sweep, strichartz_ratio_sweep
 from .multverify import CATALOG, catalog_by_label, verify_bounds
 from .ledger import ledger_table
@@ -121,6 +120,12 @@ def _exponent(v):   # checked here, parsed by the runner
 def _positive(v):   # a length, a time span or a width
     if _real(v) <= 0:
         raise ValueError(f"must be a positive number, got {v!r}")
+    return float(v)
+
+
+def _window(v):   # a local step of the I-method, so at most 1
+    if _positive(v) > 1:
+        raise ValueError(f"must be at most 1, got {v!r}")
     return float(v)
 
 
@@ -274,9 +279,10 @@ def _run_simulate(cfg: RunConfig):
 def _run_almost_conservation(cfg: RunConfig):
     p = cfg.params
     grid = Grid(dim=p["dim"], n=p["n"], length=p["length"])
+    ecfg = EvolveConfig(grid=grid, dt=p["dt"], t_end=p["window"])
+    specs = [MultiplierSpec(N=N, s=p["s"]) for N in p["N_list"]]
     # unnamed, so that evolve frees the datum after its first transform
-    res = almost_conservation_experiment(rough_datum(grid, p["s"], cfg.seed), p["s"],
-                                         p["N_list"], p["window"], dt=p["dt"])
+    res = almost_conservation(evolve(rough_datum(grid, p["s"], cfg.seed), ecfg, specs))
     csv = _csv(",".join(f.name for f in dataclasses.fields(AlmostConservationRow)),
                map(dataclasses.astuple, res.rows))
     summary = {"status": "ok", "slope": res.fit.slope,
@@ -343,7 +349,7 @@ _COMMANDS = {
     "almost-conservation": (_run_almost_conservation, {
         "dim": (_grid_dim, REQUIRED), "n": (_grid_n, REQUIRED),
         "length": (_positive, REQUIRED),
-        "s": (_s, REQUIRED), "window": (_positive, REQUIRED), "dt": (_positive, 2.5e-4),
+        "s": (_s, REQUIRED), "window": (_window, REQUIRED), "dt": (_positive, 2.5e-4),
         "N_list": (lambda v: [float(N) for N in _numbers(v)], REQUIRED)}),
     "strichartz": (_run_strichartz, {
         "q": (_exponent, REQUIRED), "r": (_exponent, REQUIRED), "T": (_positive, REQUIRED),

@@ -25,10 +25,11 @@ A trajectory keeps one state, the final one.  The working set is the
 coefficients uh, the half-step phase, |xi|^2, one multiplier array per
 spec and one group of g rows (g complex and g + 1 real arrays), with the
 step's scratch inside them.  `evolve` drops its datum after the first
-fftn, so a datum no caller holds (the CLI's and the sweep's) is freed
-before these exist, and `rough_datum` builds its coefficients in place in
-one complex array.
-Also here: the L^2 growth audits, the step-size law and the
+fftn, so a datum no caller holds (the CLI's) is freed before these
+exist, and `rough_datum` builds its coefficients in place in one complex
+array.
+Also here: the step-size law, rough data, and two reductions of a
+trajectory's record table: the L^2 growth audit and the
 almost-conservation sweep.
 """
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from .grid import (Field, Grid, _fftn_box, _hs_norm, _ifftn_box, _spectral_scale,
                    inverse_transform)
-from .ioperator import MultiplierSpec, multiplier_value
+from .ioperator import multiplier_value
 from .fitting import ExponentFit, loglog_fit
 
 _PAD = 0.01         # rough_datum's spectral decay past the H^s edge
@@ -50,7 +51,7 @@ _CHUNK_POINTS = 2 ** 15   # evolve's scratch budget: points per chunk, per recor
 __all__ = [
     "BlowUpError", "EvolveConfig", "Trajectory",
     "evolve", "l2_growth_audit", "delta_step",
-    "rough_datum", "almost_conservation_experiment",
+    "rough_datum", "almost_conservation",
 ]
 
 
@@ -364,30 +365,25 @@ class AlmostConservationResult:
     fit: ExponentFit
 
 
-def almost_conservation_experiment(u0: Field, s: float, N_list, window: float,
-                                   dt: float = 2.5e-4) -> AlmostConservationResult:
-    """Sweep N, measuring the modified-energy increment over a fixed window,
-    stepped at dt, which must divide it (`EvolveConfig`'s rule)."""
-    if not (window <= 1):
-        raise ValueError("need window <= 1")
-    cfg = EvolveConfig(grid=u0.grid, dt=dt, t_end=window, diagnostics_every=1)
-    specs = [MultiplierSpec(N=N, s=s) for N in N_list]
-    held = [u0]         # handed on unnamed, so that evolve frees a datum that
-    del u0              # the caller does not hold after its first fftn
-    traj = evolve(held.pop(), cfg, specs)
+def almost_conservation(traj: Trajectory) -> AlmostConservationResult:
+    """The modified-energy increments of a run, one row per Iu of its record
+    table: over the whole run, the window t_end, and up to the record
+    nearest min(delta_step, window); then the fit of the window increments
+    against N."""
     ts = traj.snapshots[:, 0]
+    window = traj.cfg.t_end
     rows = []
     columns = traj.energies.transpose(1, 2, 0)[1:].tolist()   # spec, column, record
-    for sp, (kinetic, _, total, _) in zip(specs, columns):
+    for (N, s), (kinetic, _, total, _) in zip(traj.labels[1:], columns):
         e0 = total[0]
         inc_window = abs(total[-1] - e0)
         gnorm = math.sqrt(kinetic[0])
-        delta = delta_step(sp.N, s, gnorm ** 2)
+        delta = delta_step(N, s, gnorm ** 2)
         t_delta = min(delta, window)
         idx = int(np.argmin(np.abs(ts - t_delta)))
         inc_delta = abs(total[idx] - e0)
         rows.append(AlmostConservationRow(
-            N=sp.N, increment_window=inc_window, increment_delta=inc_delta,
+            N=N, increment_window=inc_window, increment_delta=inc_delta,
             delta=delta, gradI_norm=gnorm))
     fit = loglog_fit([r.N for r in rows],
                      [max(r.increment_window, 1e-300) for r in rows])

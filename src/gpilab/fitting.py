@@ -15,10 +15,6 @@ class ExponentFit:
     intercept: float
     residual: float    # rms of log deviations
 
-    def __post_init__(self):
-        if self.residual < 0:
-            raise ValueError("residual must be nonnegative")
-
 
 def loglog_fit(xs, ys) -> ExponentFit:
     """Least-squares fit of log y against log x."""

@@ -358,9 +358,8 @@ class BoundReport:
     flagged: str = ""
 
 
-def verify_bounds(cases, N_list=(4, 8, 16, 32), samples_per_N: int = 10 ** 5,
-                  seed: int = 0, s: float = 0.75, cap: float = 64.0,
-                  slope_gate: float = 0.1) -> list:
+def verify_bounds(cases, N_list, samples_per_N: int, seed: int, s: float = 0.75,
+                  cap: float = 64.0, slope_gate: float = 0.1) -> list:
     """Sample every case's region at every N and compare M against the claimed
     bound; the quarter-power bounds are stated at s = 3/4 and hold for any
     s >= 3/4.  N is the outer loop: the cases at one N read one shared first

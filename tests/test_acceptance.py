@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from gpilab.grid import Field, Grid, _spectral_scale, forward_transform, inverse_transform
-from gpilab.dynamics import (EvolveConfig, almost_conservation_experiment, delta_step,
-                             evolve, l2_growth_audit, rough_datum)
+from gpilab.dynamics import (EvolveConfig, almost_conservation, delta_step, evolve,
+                             l2_growth_audit, rough_datum)
+from gpilab.ioperator import MultiplierSpec
 from gpilab.bench import bilinear_sweep, strichartz_admissible, strichartz_ratio_sweep
 from gpilab.multverify import CATALOG, verify_bounds
 from gpilab import ledger
@@ -185,12 +186,14 @@ def test_acceptance_07_multiplier_bounds(capsys):
 
 def test_acceptance_08_almost_conservation(capsys):
     g = Grid(dim=1, n=1024, length=16 * np.pi)
+    cfg = EvolveConfig(grid=g, dt=2.5e-4, t_end=0.25)
+    specs = [MultiplierSpec(N=N, s=0.9) for N in (4, 8, 16, 32)]
     u0 = rough_datum(g, 0.9, seed=7)
-    res = almost_conservation_experiment(u0, 0.9, [4, 8, 16, 32], window=0.25)
+    res = almost_conservation(evolve(u0, cfg, specs))
     incs = [r.increment_window for r in res.rows]
     decreasing = all(a > b for a, b in zip(incs, incs[1:]))
     ctrl = inverse_transform(g, forward_transform(u0) * (g.xi_abs() < 2.0))
-    res_c = almost_conservation_experiment(ctrl, 0.9, [4, 8, 16, 32], window=0.25)
+    res_c = almost_conservation(evolve(ctrl, cfg, specs))
     c_incs = [r.increment_window for r in res_c.rows]
     spread = max(c_incs) - min(c_incs)
     ok = decreasing and res.fit.slope <= -0.5 and spread <= 1e-10

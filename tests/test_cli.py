@@ -469,6 +469,9 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
     pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
                                          "s": 0.9, "N_list": [4, 8], "window": 0},
                  "window", id="window-zero"),
+    pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
+                                         "s": 0.9, "N_list": [4, 8], "window": 1.5},
+                 "window", id="window-above-1"),
     pytest.param("multiplier-verify", {"cases": ["cubic-pair/case2"], "N_list": [4, 4]},
                  "N_list", id="N_list-repeated"),
     pytest.param("almost-conservation", {"dim": 1, "n": 64, "length": 6.283185307179586,
@@ -598,8 +601,8 @@ CSV_CASES = {
         "0.5,0.30000000000000004,1.2345678901234568e+17,2.5,1,4,0.90000000000000002\n"
         "1,0.30000000000000004,1.2345678901234568e+17,2.5,1,4,0.90000000000000002\n"),
     "almost-conservation": (
-        "almost_conservation_experiment",
-        lambda *args, **kwargs: SimpleNamespace(
+        "almost_conservation",
+        lambda traj: SimpleNamespace(
             rows=[AlmostConservationRow(N=4.0, increment_window=THIRD,
                                         increment_delta=BIG, delta=-3, gradI_norm=1e-300)],
             fit=FIT),

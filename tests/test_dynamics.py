@@ -1,6 +1,7 @@
 """Integrator, growth audits, step law, and the conservation sweeps."""
 
 import dataclasses
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -11,8 +12,9 @@ import pytest
 from gpilab import dynamics
 from gpilab.grid import Field, Grid, _spectral_scale, forward_transform
 from gpilab.dynamics import (BlowUpError, EvolveConfig, _expm1_i, _step_raw,
-                             almost_conservation_experiment, delta_step, evolve,
-                             l2_growth_audit, rough_datum)
+                             almost_conservation, delta_step, evolve, l2_growth_audit,
+                             rough_datum)
+from gpilab.fitting import loglog_fit
 from gpilab.ioperator import MultiplierSpec, multiplier_value
 from gpilab.ledger import step_law_exponent
 from oracles import (box, lp_norm, out_of_place_record, out_of_place_step, smooth_datum,
@@ -28,6 +30,8 @@ def test_evolve_config_rejects_bad_input():
         EvolveConfig(grid=g, dt=0.3, t_end=1.0)          # not a divisor
     with pytest.raises(ValueError):
         EvolveConfig(grid=g, dt=-0.1, t_end=1.0)
+    with pytest.raises(ValueError):
+        EvolveConfig(grid=g, dt=1.0, t_end=0.25)         # dt > t_end
     with pytest.raises(ValueError):
         EvolveConfig(grid=g, dt=0.1, t_end=1.0, diagnostics_every=3)
 
@@ -282,19 +286,6 @@ def test_evolve_frees_a_datum_no_caller_holds():
     assert peak < 6.0
 
 
-@pytest.mark.memory
-def test_almost_conservation_sweep_frees_its_datum():
-    # the sweep hands its datum to evolve unnamed, so it peaks where evolve
-    # does on a datum that no caller holds
-    Ns = (1, 2, 4, 8)
-    specs = [MultiplierSpec(N=float(N), s=0.9) for N in Ns]
-    cfg = EvolveConfig(grid=_G32, dt=1e-3, t_end=4e-3, diagnostics_every=1)
-    sweep = _peak_states(_G32, lambda: almost_conservation_experiment(
-        rough_datum(_G32, 0.9, seed=1), 0.9, Ns, window=4e-3, dt=1e-3))
-    run = _peak_states(_G32, lambda: evolve(rough_datum(_G32, 0.9, seed=1), cfg, specs))
-    assert abs(sweep - run) < 0.05
-
-
 def test_zero_datum_stays_zero():
     g = Grid(dim=1, n=32, length=2 * np.pi)
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.1)
@@ -457,25 +448,35 @@ def test_rough_datum_is_deterministic_per_seed():
 
 def test_almost_conservation_smoke():
     g = Grid(dim=1, n=256, length=16 * np.pi)
-    u0 = rough_datum(g, 0.9, seed=7)
-    res = almost_conservation_experiment(u0, 0.9, [4, 8], window=0.05, dt=1e-3)
+    specs = [MultiplierSpec(N=N, s=0.9) for N in (4, 8)]
+    traj = evolve(rough_datum(g, 0.9, seed=7), EvolveConfig(g, dt=1e-3, t_end=0.05), specs)
+    res = almost_conservation(traj)
     assert len(res.rows) == 2
     assert res.rows[0].N == 4 and res.rows[1].N == 8
     assert all(r.increment_window >= 0 for r in res.rows)
     assert all(r.delta > 0 for r in res.rows)
 
 
-def test_almost_conservation_rejects_bad_window():
-    g = Grid(dim=1, n=64, length=2 * np.pi)
-    with pytest.raises(ValueError):
-        almost_conservation_experiment(Field.zero(g), 0.9, [4], window=0.0)
-    with pytest.raises(ValueError):     # dt > window
-        almost_conservation_experiment(Field.zero(g), 0.9, [4], window=0.25, dt=1.0)
-
-
-def test_almost_conservation_runs_the_dt_it_is_given():
-    # 0.03 does not divide the window 0.1, so the sweep fails as
-    # EvolveConfig does rather than run another step
-    g = Grid(dim=1, n=64, length=2 * np.pi)
-    with pytest.raises(ValueError, match="integer multiple of dt"):
-        almost_conservation_experiment(Field.zero(g), 0.9, [4], window=0.1, dt=0.03)
+def test_almost_conservation_rows_are_the_record_table():
+    # an amplitude-3 datum puts delta inside the window, so increment_delta
+    # is read before the last record; at N = 4 the d1 term, which depends on
+    # s, sets delta, so that row must read its own spec's s
+    g = Grid(dim=1, n=256, length=16 * np.pi)
+    u0 = Field(g, 3 * rough_datum(g, 0.9, seed=7).values)
+    specs = [MultiplierSpec(N=4.0, s=0.8), MultiplierSpec(N=8.0, s=0.9)]
+    traj = evolve(u0, EvolveConfig(g, dt=1e-3, t_end=0.05), specs)
+    res = almost_conservation(traj)
+    ts = traj.snapshots[:, 0]
+    assert [r.N for r in res.rows] == [4.0, 8.0]
+    per_spec = traj.energies[:, 1:].transpose(1, 2, 0)     # spec, column, record
+    for row, (N, s), (kinetic, _, total, _) in zip(res.rows, traj.labels[1:], per_spec):
+        assert row.N == N
+        assert row.increment_window == abs(total[-1] - total[0])
+        assert row.gradI_norm == math.sqrt(kinetic[0])
+        assert row.delta == pytest.approx(delta_step(N, s, kinetic[0]), rel=1e-12)
+        k = int(np.argmin(np.abs(ts - row.delta)))
+        assert 0 < k < len(ts) - 1
+        assert row.increment_delta == abs(total[k] - total[0])
+        assert row.increment_delta != row.increment_window
+    incs = [r.increment_window for r in res.rows]
+    assert res.fit.slope == loglog_fit([4.0, 8.0], incs).slope

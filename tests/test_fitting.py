@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gpilab.fitting import ExponentFit, loglog_fit
+from gpilab.fitting import loglog_fit
 
 
 def test_recovers_exact_power_law():
@@ -36,8 +36,3 @@ def test_needs_two_distinct_x():
     with pytest.raises(ValueError, match="two distinct x"):
         loglog_fit([4.0, 4, 4.0], [1.0, 2.0, 3.0])
     assert loglog_fit([4, 4, 8], [1.0, 1.0, 2.0]).slope > 0
-
-
-def test_fit_validation():
-    with pytest.raises(ValueError):
-        ExponentFit(slope=1.0, intercept=0.0, residual=-1.0)

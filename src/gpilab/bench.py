@@ -8,10 +8,11 @@ advance their data through one free-flow kernel, `_FreeFlow`, built once
 per bench call, which owns one complex buffer per datum and nothing else:
 its phase is one `exp` per distinct |xi|^2 level, gathered into the first
 datum's buffer, and its time loop transforms in those buffers in place.
-Each bench reduces in one real grid array, the Strichartz sweep's own and
-the bilinear bench's in its second datum's buffer, and builds each datum
-in place in one array.  Time samples where the cutoff is exactly 0 (t = 0
-and t = T) contribute exactly 0 and are skipped.  The bilinear bench works
+The Strichartz sweep reduces in one real grid array of its own; the
+bilinear bench writes the product u1 u2 over the first datum's buffer and
+sums it with `_l2`, which needs no scratch array.  Each bench builds each
+datum in place in one array.  Time samples where the cutoff is exactly 0
+(t = 0 and t = T) contribute exactly 0 and are skipped.  The bilinear bench works
 in collision coordinates: its data carry no common shift or chirp, so they
 are real and evolve over the offsets from the collision time t*, and the
 product's grid sum is even in that offset, so each mirrored pair of
@@ -240,9 +241,6 @@ def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
     keep = np.concatenate((np.ones(dense.size), time_cutoff(coarse, T)))
     side = min(N1, N2)
     flow = _FreeFlow(grid, 2)
-    # |v1 v2|^2 goes into v2's buffer as a contiguous real array, in the
-    # layout and so the summation order of a real grid array
-    sq = flow.out[1].reshape(-1).view(float)[:f1.size].reshape(grid.shape)
     f2 = np.empty(grid.shape)
     ks = grid.xi_mesh()
     w = grid.dx ** grid.dim
@@ -265,9 +263,7 @@ def bilinear_ratio(N1: float, N2: float, seeds: int, T: float,
         offsets = np.concatenate((dense, coarse - tstar))
         S = np.zeros(offsets.size)
         for i, _, (v1, v2) in flow.samples((f1, f2), offsets, keep):
-            np.abs(np.multiply(v1, v2, out=v1), out=sq)
-            np.square(sq, out=sq)
-            S[i] = np.sum(sq) * w
+            S[i] = _l2(np.multiply(v1, v2, out=v1)) ** 2 * w
         # t* - dense and t* + dense share S; the union is sorted as np.union1d's
         ts, at = np.unique(np.concatenate((tstar - dense, tstar + dense, coarse)),
                            return_inverse=True)

@@ -17,10 +17,11 @@ makes zero.  The half-steps are unitary, so finite data turn non-finite
 only by overflow, and the first record with a non-finite number ends the
 run.  `evolve` is the one stepper.  It allocates its arrays once: the
 step works in place, its nonlinear substep on chunks of 2^15 points, and
-each record passes over u and every Iu in groups of rows, one batched
-inverse FFT per group (one group in 1D, one row per group from 32^3 up),
-into one row of the record table that `evolve` sizes before the first
-step; that record is the package's one discretization of E(u) and E(Iu).
+each record fills u and every Iu once, in groups of rows (one group in
+1D, one row per group from 32^3 up), sums them, then inverse-transforms
+each group in place, into one row of the record table that `evolve`
+sizes before the first step; that record is the package's one
+discretization of E(u) and E(Iu).
 A trajectory keeps one state, the final one.  The working set is the
 coefficients uh, the half-step phase, |xi|^2, one multiplier array per
 spec and one group of g rows (g complex and g + 1 real arrays), with the
@@ -161,14 +162,16 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     """Integrate u0 to t_end, reporting E(u) and E(Iu) at the cadence.
 
     A record passes over its rows (u's coefficients, then each Iu's) in
-    groups of as many grids as fit in _CHUNK_POINTS points, at least one:
-    per group, |c|^2 into one real array per row, l2 summed from it, the
-    kinetic product in place; one batched inverse FFT in place, ||u||_{L^3}
-    from the one extra real array, and the potentials, with 2 Re u written
-    into the stack's own imaginary parts.  The group's stack and real
-    arrays, allocated once, also hold the step's chunk scratch.  u0 is
-    dropped after the first fftn, so it is freed if the caller holds no
-    reference.  The datum may hold modes past the dealiased box
+    groups of as many grids as fit in _CHUNK_POINTS points, at least one.
+    Per group, the raw coefficients uh and uh m_N fill the stack once;
+    |c|^2 goes into one real array per row, and the sums of it and of the
+    kinetic product, made in place, are scaled (l2 by scale, kinetic by
+    scale^2).  One batched inverse FFT of the stack in place follows,
+    ||u||_{L^3} from the one extra real array, and the potentials, with
+    2 Re u written into the stack's own imaginary parts.  The group's stack
+    and real arrays, allocated once, also hold the step's chunk scratch.
+    u0 is dropped after the first fftn, so it is freed if the caller holds
+    no reference.  The datum may hold modes past the dealiased box
     (`rough_datum` does in 2D and 3D), so the first record and step 1
     transform every line; every later state lies in the box, and its
     transforms skip the lines that are zero.  Record k fills row k of the
@@ -209,24 +212,19 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     traj = Trajectory(np.empty((records, 2)), np.empty((records, rows, 4)), labels,
                       None, cfg)
 
-    def fill(ws, lo):
-        # rows lo, lo + 1, ...: row 0 is u, row j >= 1 is spec j's I_N u
-        first = max(lo, 1)
-        if lo == 0:
-            ws[0] = uh
-        np.multiply(uh, m_N[first - 1:lo + len(ws) - 1], out=ws[first - lo:])
-
     def record(k, t, box):
         snap, e = traj.snapshots[k], traj.energies[k]
         for lo in range(0, rows, group):
             hi = min(lo + group, rows)
             ws, absu = stack[:hi - lo], real[:hi - lo]
-            fill(ws, lo)
-            np.multiply(ws, scale, out=ws)      # unitary coefficients
+            first = max(lo, 1)      # row 0 is u, row j >= 1 is spec j's I_N u
+            if lo == 0:
+                ws[0] = uh
+            np.multiply(uh, m_N[first - 1:hi - 1], out=ws[first - lo:])
+            # sums of the raw coefficients, scaled as unitary ones: int |grad u|^2, l2
             c2 = np.square(np.abs(ws, out=absu), out=absu)
-            e[lo:hi, 3] = np.sqrt(_row_sums(c2))
-            e[lo:hi, 0] = _row_sums(np.multiply(xi2, c2, out=c2))   # int |grad u|^2
-            fill(ws, lo)
+            e[lo:hi, 3] = np.sqrt(_row_sums(c2)) * scale
+            e[lo:hi, 0] = _row_sums(np.multiply(xi2, c2, out=c2)) * scale ** 2
             _ifftn_box(ws, grid.dim, box)
             np.abs(ws, out=absu)
             if lo == 0:
@@ -273,9 +271,7 @@ def l2_growth_audit(traj: Trajectory) -> GrowthAudit:
         raise ValueError("audit needs at least three snapshots")
     ts = traj.snapshots[:, 0]
     l2 = traj.energies[:, 0, 3]
-    # float arithmetic, not numpy's power loops, which may round differently
-    rhs = np.array([2.0 * (a ** 3 + 2.0 * b ** 2)
-                    for a, b in zip(traj.snapshots[:, 1].tolist(), l2.tolist())])
+    rhs = 2.0 * (traj.snapshots[:, 1] ** 3 + 2.0 * l2 ** 2)
     scale = float(rhs.max()) if rhs.max() > 0 else 1.0
     tol = 10.0 * traj.cfg.dt * scale
 
@@ -377,14 +373,13 @@ def almost_conservation(traj: Trajectory) -> AlmostConservationResult:
     for (N, s), (kinetic, _, total, _) in zip(traj.labels[1:], columns):
         e0 = total[0]
         inc_window = abs(total[-1] - e0)
-        gnorm = math.sqrt(kinetic[0])
-        delta = delta_step(N, s, gnorm ** 2)
+        delta = delta_step(N, s, kinetic[0])
         t_delta = min(delta, window)
         idx = int(np.argmin(np.abs(ts - t_delta)))
         inc_delta = abs(total[idx] - e0)
         rows.append(AlmostConservationRow(
             N=N, increment_window=inc_window, increment_delta=inc_delta,
-            delta=delta, gradI_norm=gnorm))
+            delta=delta, gradI_norm=math.sqrt(kinetic[0])))
     fit = loglog_fit([r.N for r in rows],
                      [max(r.increment_window, 1e-300) for r in rows])
     return AlmostConservationResult(rows=tuple(rows), fit=fit)

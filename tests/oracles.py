@@ -48,20 +48,17 @@ def out_of_place_step(uh, half_phase, dt, mask):
 def out_of_place_record(uh, m_N, scale, xi2, w):
     """||u||_{L^3}, then kinetic, potential, total and l2 of u and of each
     I_N u (m_N a sequence of multiplier arrays), one inverse transform per
-    row, from raw fftn coefficients uh; and the physical u."""
+    row, from raw fftn coefficients uh; and the physical u.  The kinetic
+    and l2 sums run over the raw coefficients and are then scaled to
+    unitary ones, kinetic by scale^2 and l2 by scale, as evolve's are."""
     u = np.fft.ifftn(uh)
     vals = [float((np.sum(np.abs(u) ** 3) * w) ** (1.0 / 3))]
-    rows = [(uh * scale, u)]
-    for m in m_N:
-        ch = uh * m
-        v = np.fft.ifftn(ch)
-        ch *= scale
-        rows.append((ch, v))
+    rows = [(uh, u)] + [(uh * m, np.fft.ifftn(uh * m)) for m in m_N]
     for coef, v in rows:
         c2 = np.abs(coef) ** 2
-        kin = float(np.sum(xi2 * c2))
+        kin = float(np.sum(xi2 * c2)) * scale ** 2
         pot = 0.5 * float(np.sum((np.abs(v) ** 2 + 2 * v.real) ** 2)) * w
-        vals += [kin, pot, kin + pot, math.sqrt(float(np.sum(c2)))]
+        vals += [kin, pot, kin + pot, math.sqrt(float(np.sum(c2))) * scale]
     return vals, u
 
 

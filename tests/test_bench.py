@@ -125,12 +125,12 @@ def test_free_flow_samples_skip_zero_weights():
 @pytest.mark.pinned
 def test_dispersive_benches_pinned_bitwise():
     # values of the full-grid-phase kernel, which the level table and the
-    # in-place transforms must reproduce exactly, with the norms summed by
-    # einsum
+    # in-place transforms must reproduce exactly, with the norms and the
+    # bilinear integrand summed by einsum (`_l2`)
     g = Grid(3, 32, 2 * np.pi)
     stat = bilinear_ratio(4, 8, seeds=2, T=0.5, grid=g)
-    assert stat.ratios == (float.fromhex("0x1.e109f334e02dep-4"),
-                           float.fromhex("0x1.e10ba37632805p-4"))
+    assert stat.ratios == (float.fromhex("0x1.e109f334e02dcp-4"),
+                           float.fromhex("0x1.e10ba37632804p-4"))
     res = strichartz_ratio_sweep(2, 6, 0.3, centers=(4, 8), seeds=1, grid=g, m=16)
     assert res["means"] == [float.fromhex("0x1.c3c4ad565d86ap-4"),
                             float.fromhex("0x1.c4ae40617a0a9p-4")]
@@ -402,9 +402,9 @@ def test_bilinear_sweep_evaluates_each_pair_once(monkeypatch):
     res = bilinear_sweep(seeds=1, T=0.5, grid=Grid(3, 32, 2 * np.pi))
     assert sorted(calls) == [(4, 16), (8, 8), (8, 16), (8, 32), (16, 16)]
     assert res["N2_means"] == [float.fromhex(h) for h in (
-        "0x1.cb4d3e7e65ebap-3", "0x1.4e18d5bbfaa63p-3", "0x1.ce18263755ff0p-4")]
+        "0x1.cb4d3e7e65e9ep-3", "0x1.4e18d5bbfaa5ap-3", "0x1.ce18263755fdcp-4")]
     assert res["N1_means"] == [float.fromhex(h) for h in (
-        "0x1.8e3a547a86febp-4", "0x1.4e18d5bbfaa63p-3", "0x1.3d511961f18ebp-2")]
+        "0x1.8e3a547a86feap-4", "0x1.4e18d5bbfaa5ap-3", "0x1.3d511961f18cdp-2")]
 
 
 @pytest.mark.slow

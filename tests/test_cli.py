@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gpilab.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK,
-                        ConfigError, load_config, main)
+                        ConfigError, atomic_write, load_config, main)
 from gpilab.dynamics import AlmostConservationRow, Trajectory
 
 
@@ -95,6 +95,17 @@ def test_cli_exit_code_for_config_error(tmp_path):
     path = write_config(tmp_path, {"subcommand": "ledger",
                                    "params": {"wrong": 1}, "out_dir": "x"})
     assert main(["--config", path]) == EXIT_CONFIG
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    assert main(["--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_missing_output_directory_names_line_1(tmp_path):
+    path = write_config(tmp_path, {"subcommand": "ledger", "params": {"s_grid": []}})
+    with pytest.raises(ConfigError, match=r"cfg\.json:1: no output directory"):
+        load_config(path)
 
 
 def test_overrides_take_precedence(tmp_path):
@@ -218,22 +229,22 @@ def test_simulate_artifacts_pinned(tmp_path):
                       "t_end": 0.05, "datum": {"kind": "rough", "s": 0.9},
                       "N": 4, "s": 0.9}, {
             "summary.json":
-                "d3d922eb4d471a5f522b8ab3530879c2f1f8e7472cc8b4edebd76c0e98665822",
+                "5d41b7df38a60de131eafbade24c61d7bf8f6cc7c03deeb54b62fbe6c834f9de",
             "energy.csv":
-                "778c713861ada048c76417ebdcf5fdef751695f5457819305b98411267cf374c"}),
+                "447440452e817bd26b5ec75993c8252e6ce2b6b85b19339f151c14f88a8f6054"}),
         ("simulate", {"dim": 1, "n": 128, "length": 6.283185307179586, "dt": 0.005,
                       "t_end": 0.1, "datum": {"kind": "gaussian", "amplitude": 0.5},
                       "diagnostics_every": 2, "N": 4, "s": 0.8}, {
             "summary.json":
-                "29102c027b11222975dbbc3e1940c1cfb2388242c2b97d1cc31db14812ef4ada",
+                "93a2616072f78a1c4f6bb52789575cd245aa4499b255e4ee9aa1f2a0ee88a5c2",
             "energy.csv":
-                "6029836ea8b6062607cb57620d1dedb681a58e86f2ca10ac918422b8c45e6e76"}),
+                "4bb661fb92257e2900e7411c0e68287af4e249b0bcb180353d498f7e2018d738"}),
         ("almost-conservation", {"dim": 1, "n": 256, "length": 50.26548245743669,
                                  "s": 0.9, "N_list": [4, 8, 16], "window": 0.05}, {
             "summary.json":
-                "84e9fe30a78e400d370d34e1b183d6dc2371db02ec1cacdbd232d4a3f0b94bda",
+                "6b2e4f5591ff901b77d6bc2ee01708e4c6d1cf6f1ae0d0d3df48cf5cd618a5cd",
             "increments.csv":
-                "62f6c20407521f325a3083a8220a8093fc5ba0f03cce6440e21ec150fc6564f6"}),
+                "a442c54dd1b8ac596ccf16fd671b06f16b168ae67723b6112aa7ea8601ae8ba7"}),
     ]
     for i, (sub, params, want) in enumerate(runs):
         out = tmp_path / f"{sub}-{i}"
@@ -332,6 +343,34 @@ def test_no_stray_temp_files_after_run(tmp_path):
     out = tmp_path / "out"
     main(["--config", ledger_config(tmp_path, out)])
     assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
+
+
+def test_atomic_write_cleans_up_when_replace_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        atomic_write(str(tmp_path / "a.txt"), "text")
+    assert os.listdir(tmp_path) == []
+
+
+def test_valid_strichartz_centers_are_recorded_as_given(tmp_path, monkeypatch):
+    # the sweep itself is stubbed: only the centers' cast is under test
+    import gpilab.cli as cli
+    from gpilab.fitting import loglog_fit
+    centers = [4, 8.0, 16]
+    monkeypatch.setattr(cli, "strichartz_ratio_sweep", lambda *args, **kwargs: {
+        "centers": kwargs["centers"], "means": [1.0, 1.0, 1.0],
+        "fit": loglog_fit(centers, [1.0, 1.0, 1.0])})
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"subcommand": "strichartz",
+                                   "params": {"q": 2, "r": 6, "T": 0.3, "centers": centers},
+                                   "out_dir": str(out)})
+    assert load_config(path).params["centers"] == centers
+    assert main(["--config", path]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["params"]["centers"] == centers
 
 
 def test_bilinear_uses_config_seed(tmp_path, monkeypatch):

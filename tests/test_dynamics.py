@@ -36,6 +36,14 @@ def test_evolve_config_rejects_bad_input():
         EvolveConfig(grid=g, dt=0.1, t_end=1.0, diagnostics_every=3)
 
 
+def test_evolve_rejects_a_datum_on_another_grid():
+    # same shape, other box length: only the grid check can tell them apart
+    g = Grid(dim=1, n=16, length=1.0)
+    cfg = EvolveConfig(grid=g, dt=0.1, t_end=1.0)
+    with pytest.raises(ValueError, match="different grid"):
+        evolve(Field.zero(Grid(dim=1, n=16, length=2.0)), cfg)
+
+
 # ---------------------------------------------------------------------------
 # records
 
@@ -473,7 +481,7 @@ def test_almost_conservation_rows_are_the_record_table():
         assert row.N == N
         assert row.increment_window == abs(total[-1] - total[0])
         assert row.gradI_norm == math.sqrt(kinetic[0])
-        assert row.delta == pytest.approx(delta_step(N, s, kinetic[0]), rel=1e-12)
+        assert row.delta == delta_step(N, s, kinetic[0])
         k = int(np.argmin(np.abs(ts - row.delta)))
         assert 0 < k < len(ts) - 1
         assert row.increment_delta == abs(total[k] - total[0])

@@ -110,6 +110,14 @@ def test_threshold_bisection_is_exact():
     assert gwp_threshold(max_denominator=10 ** 4) == Fraction(5, 6)
 
 
+def test_threshold_needs_a_straddling_bracket(monkeypatch):
+    # a verdict that never flips would bisect to the bracket's end
+    import gpilab.ledger as ledger
+    monkeypatch.setattr(ledger, "gwp_condition", lambda s: (True, Fraction(0)))
+    with pytest.raises(RuntimeError, match="straddle"):
+        gwp_threshold()
+
+
 def test_ledger_table_rows():
     rows = ledger_table([Fraction(3, 4), Fraction(5, 6), Fraction(9, 10)])
     assert [r["gwp"] for r in rows] == [False, False, True]

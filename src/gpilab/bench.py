@@ -6,8 +6,10 @@ each estimate, so only the frequency scaling (the content of the
 estimates) is fitted, never absolute constants.  Both dispersive benches
 advance their data through one free-flow kernel, `_FreeFlow`, built once
 per bench call, which owns one complex buffer per datum and nothing else:
-its phase is one `exp` per distinct |xi|^2 level, gathered into the first
-datum's buffer, and its time loop transforms in those buffers in place.
+its phase, bitwise `np.exp(1j * xi2 * t) * scale` with the unitary scale
+of the inverse transform, is one `exp` per distinct |xi|^2 level, gathered
+into the first datum's buffer, and its time loop transforms in those
+buffers in place.
 The Strichartz sweep reduces in one real grid array of its own; the
 bilinear bench writes the product u1 u2 over the first datum's buffer and
 sums it with `_l2`, which needs no scratch array.  Each bench builds each
@@ -42,10 +44,11 @@ class _FreeFlow:
     """The free Schroedinger flow e^{it Lap} of `count` data on one grid.
 
     On a periodic lattice |xi|^2 takes few distinct values (2780 at 64^3),
-    so `phase(t, out)` computes e^{i |xi|^2 t} as one `exp` per level,
-    gathered into out through the inverse index of `np.unique`, one table
-    per grid per process.  That is the same elementwise arithmetic on the
-    same floats as `np.exp(1j * xi2 * t)`, so the phase is bitwise equal.
+    so `phase(t, out)` computes e^{i |xi|^2 t} times the unitary scale of
+    the inverse transform as one `exp` and one product per level, gathered
+    into out through the inverse index of `np.unique`, one table per grid
+    per process.  That is the same elementwise arithmetic on the same
+    floats as `np.exp(1j * xi2 * t) * scale`, so the phase is bitwise equal.
 
     The flow owns one complex buffer per datum and nothing else.  The one
     time loop, `samples(coefs, ts, wts)`, finds each datum's box once, the
@@ -66,9 +69,10 @@ class _FreeFlow:
         self.out = tuple(np.empty(grid.shape, dtype=complex) for _ in range(count))
 
     def phase(self, t: float, out: np.ndarray) -> np.ndarray:
-        """e^{i |xi|^2 t} on the grid, written into out."""
+        """e^{i |xi|^2 t} times the unitary scale on the grid, written into out."""
         # mode "clip" writes straight into out; the default "raise" buffers
-        return np.take(np.exp(1j * self.levels * t), self.index, out=out, mode="clip")
+        return np.take(np.exp(1j * self.levels * t) * self.scale, self.index,
+                       out=out, mode="clip")
 
     def samples(self, coefs, ts, wts):
         """(i, wts[i], physical values at ts[i]) of the unitary coefficient
@@ -81,7 +85,6 @@ class _FreeFlow:
             for c, b, K in data:
                 np.multiply(c, phase, out=b)
                 _ifftn_box(b, b.ndim, K)
-                b *= self.scale
             yield i, wt, self.out
 
 

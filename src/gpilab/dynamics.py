@@ -27,8 +27,7 @@ coefficients uh, the half-step phase, |xi|^2, one multiplier array per
 spec and one group of g rows (g complex and g + 1 real arrays), with the
 step's scratch inside them.  `evolve` drops its datum after the first
 fftn, so a datum no caller holds (the CLI's) is freed before these
-exist, and `rough_datum` builds its coefficients in place in one complex
-array.
+exist, and building one (`rough_datum`) holds less than they do.
 Also here: the step-size law, rough data, and two reductions of a
 trajectory's record table: the L^2 growth audit and the
 almost-conservation sweep.
@@ -192,10 +191,7 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
             part = slice(a, a + _CHUNK_POINTS)
             m[part] = multiplier_value(sp, xi2.reshape(-1)[part])
     np.square(xi2, out=xi2)
-    half_phase = np.multiply(1j, xi2)   # e^{i |xi|^2 dt/2}, in place
-    half_phase *= cfg.dt
-    half_phase /= 2
-    np.exp(half_phase, out=half_phase)
+    half_phase = np.exp(0.5j * cfg.dt * xi2)    # e^{i |xi|^2 dt/2}
     scale = _spectral_scale(grid)      # raw fftn -> unitary coefficients
     w = grid.dx ** grid.dim
     labels = [(np.inf, 1.0)] + [(sp.N, sp.s) for sp in specs]
@@ -333,16 +329,10 @@ def rough_datum(grid: Grid, s: float, seed: int) -> Field:
     """
     rng = np.random.default_rng(seed)
     absxi = grid.xi_abs()
-    # amp * phase * cut, normalized, in place in one complex array
-    coef = np.multiply(2j * np.pi, rng.uniform(size=grid.shape))
-    np.exp(coef, out=coef)
-    amp = np.square(absxi)
-    np.power(np.add(1.0, amp, out=amp), -(s + grid.dim / 2 + _PAD) / 2, out=amp)
-    np.multiply(amp, coef, out=coef)
-    del amp
-    np.multiply(coef, absxi <= (2.0 / 3.0) * absxi.max(), out=coef)
-    np.divide(coef, _hs_norm(absxi, coef, s), out=coef)
-    del absxi
+    coef = (np.power(1.0 + absxi ** 2, -(s + grid.dim / 2 + _PAD) / 2)
+            * np.exp(2j * np.pi * rng.uniform(size=grid.shape))
+            * (absxi <= (2.0 / 3.0) * absxi.max()))
+    coef /= _hs_norm(absxi, coef, s)
     return inverse_transform(grid, coef)
 
 

@@ -192,10 +192,5 @@ def _box_cutoff(coef: np.ndarray) -> int:
 # norms
 
 def _hs_norm(absxi: np.ndarray, coef: np.ndarray, s: float) -> float:
-    # the one H^s formula, on unitary coefficients at magnitudes absxi, in
-    # two real arrays: (1 + |xi|^2)^s |coef|^2
-    w = np.square(absxi)
-    np.power(np.add(1.0, w, out=w), s, out=w)
-    c2 = np.abs(coef)
-    w *= np.square(c2, out=c2)
-    return float(np.sqrt(np.sum(w)))
+    # the one H^s formula, on unitary coefficients at magnitudes absxi
+    return math.sqrt(np.sum(np.power(1.0 + absxi ** 2, s) * np.abs(coef) ** 2))

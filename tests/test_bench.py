@@ -70,13 +70,14 @@ def test_free_flow_matches_spectral_phase():
 @pytest.mark.parametrize("grid", [Grid(1, 1024, 16 * np.pi), Grid(2, 64, 3.7),
                                   Grid(3, 32, 2 * np.pi)])
 def test_free_flow_phase_table_is_exact(grid):
-    # one exp per |xi|^2 level, gathered into the given buffer, is bitwise
-    # the full-grid phase
+    # one exp per |xi|^2 level times the unitary scale, gathered into the
+    # given buffer, is bitwise the full-grid phase
     xi2 = grid.xi_abs() ** 2
+    scale = grid.n ** grid.dim / math.sqrt(grid.volume)
     flow = _FreeFlow(grid, 0)
     out = np.empty(grid.shape, dtype=complex)
     for t in (0.0, 0.123, -0.37, 5.5):
-        want = np.exp(1j * xi2 * t)
+        want = np.exp(1j * xi2 * t) * scale
         assert flow.phase(t, out) is out
         assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     # one level table per grid, shared by every flow on it
@@ -85,8 +86,8 @@ def test_free_flow_phase_table_is_exact(grid):
 
 
 def test_free_flow_matches_out_of_place_formula_bitwise():
-    # the in-place kernel rounds like ifftn(c * phase) * scale, element by
-    # element; sums over the grid average last-bit changes away, so the
+    # the in-place kernel rounds like ifftn(c * phase), phase scaled, element
+    # by element; sums over the grid average last-bit changes away, so the
     # bench pins alone would miss them.  `phase` is named: numpy multiplies
     # into an unnamed temporary in place with the operands swapped, and its
     # SIMD complex product is not bitwise symmetric in its operands.
@@ -96,8 +97,8 @@ def test_free_flow_matches_out_of_place_formula_bitwise():
     scale = g.n ** g.dim / math.sqrt(g.volume)
     flow = _FreeFlow(g, 1)
     for t in (0.123, -0.37):
-        phase = np.exp(1j * xi2 * t)
-        want = np.fft.ifftn(c * phase) * scale
+        phase = np.exp(1j * xi2 * t) * scale
+        want = np.fft.ifftn(c * phase)
         got, = _at(flow, (c,), t)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -115,9 +116,9 @@ def test_free_flow_samples_skip_zero_weights():
     seen = []
     for i, wt, values in _FreeFlow(g, 2).samples(coefs, ts, wts):
         seen.append((i, wt))
-        phase = np.exp(1j * xi2 * ts[i])
+        phase = np.exp(1j * xi2 * ts[i]) * scale
         for c, got in zip(coefs, values):
-            want = np.fft.ifftn(c * phase) * scale
+            want = np.fft.ifftn(c * phase)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert seen == [(1, 0.5), (3, 1.0)]
 
@@ -402,7 +403,7 @@ def test_bilinear_sweep_evaluates_each_pair_once(monkeypatch):
     res = bilinear_sweep(seeds=1, T=0.5, grid=Grid(3, 32, 2 * np.pi))
     assert sorted(calls) == [(4, 16), (8, 8), (8, 16), (8, 32), (16, 16)]
     assert res["N2_means"] == [float.fromhex(h) for h in (
-        "0x1.cb4d3e7e65e9ep-3", "0x1.4e18d5bbfaa5ap-3", "0x1.ce18263755fdcp-4")]
+        "0x1.cb4d3e7e65e9dp-3", "0x1.4e18d5bbfaa5ap-3", "0x1.ce18263755fdbp-4")]
     assert res["N1_means"] == [float.fromhex(h) for h in (
         "0x1.8e3a547a86feap-4", "0x1.4e18d5bbfaa5ap-3", "0x1.3d511961f18cdp-2")]
 

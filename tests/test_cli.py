@@ -373,6 +373,29 @@ def test_valid_strichartz_centers_are_recorded_as_given(tmp_path, monkeypatch):
     assert manifest["params"]["centers"] == centers
 
 
+@pytest.mark.parametrize("q", ["inf", "Infinity"])
+def test_infinite_strichartz_exponent_reaches_the_sweep_as_inf(tmp_path, monkeypatch, q):
+    # the sweep itself is stubbed: only the exponents' routing is under test
+    import gpilab.cli as cli
+    from gpilab.fitting import loglog_fit
+    seen = []
+
+    def stub(q, r, T, centers, **kwargs):
+        seen.append((q, r))
+        ones = [1.0] * len(centers)
+        return {"centers": centers, "means": ones, "fit": loglog_fit(centers, ones)}
+
+    monkeypatch.setattr(cli, "strichartz_ratio_sweep", stub)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"subcommand": "strichartz",
+                                   "params": {"q": q, "r": 2, "T": 0.3},
+                                   "out_dir": str(out)})
+    assert main(["--config", path]) == EXIT_OK
+    assert seen == [(math.inf, 2.0)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["q"], summary["r"]) == (q, "2")
+
+
 def test_bilinear_uses_config_seed(tmp_path, monkeypatch):
     # the sweep itself is stubbed: only the seed routing is under test
     import gpilab.cli as cli

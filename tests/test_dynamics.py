@@ -280,8 +280,8 @@ def test_evolve_peak_memory_with_four_specs():
 
 @pytest.mark.memory
 def test_rough_datum_peak_memory():
-    # the coefficients are built in place in one complex array, beside |xi|
-    # and the H^s norm's two real arrays
+    # the bound guards that building the datum stays below evolve's working
+    # set, 5.03 states with one spec
     assert _peak_states(_G32, lambda: rough_datum(_G32, 0.9, seed=1)) < 5.0
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import Field, Grid
 from .ioperator import MultiplierSpec
-from .dynamics import (AlmostConservationRow, BlowUpError, EvolveConfig,
+from .dynamics import (AlmostConservationRow, BlowUpError, EvolveConfig, _step_count,
                        almost_conservation, evolve, l2_growth_audit, rough_datum)
 from .bench import _GRID64, _band, bilinear_sweep, strichartz_ratio_sweep
 from .multverify import CATALOG, catalog_by_label, verify_bounds
@@ -361,6 +361,21 @@ _CONFIG = {"subcommand": (_one_of(_COMMANDS), REQUIRED), "params": (None, REQUIR
            "seed": (_seed, 0), "out_dir": (str, None)}
 
 
+def _check_steps(params: dict, span: str, where: str, path: str, members: dict):
+    """evolve's step rule, checked on load so that the error names the
+    field: dt divides the run's span, and the record cadence, where the
+    config has one, divides the step count."""
+    dt, steps = params["dt"], _step_count(params["dt"], params[span])
+    if steps is None:
+        raise ConfigError(f"{path}:{members[span][0]}: field '{span}' in {where}: "
+                          f"must be a whole multiple of dt = {dt!r}, got {params[span]!r}")
+    every = params.get("diagnostics_every", 1)
+    if steps % every:
+        raise ConfigError(f"{path}:{members['diagnostics_every'][0]}: field "
+                          f"'diagnostics_every' in {where}: must divide the {steps} "
+                          f"steps, got {every!r}")
+
+
 def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     overrides = {}
     for option, name, value in (("--seed", "seed", seed_override),
@@ -396,6 +411,9 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
             given = "s" if params["N"] is None else "N"
             raise ConfigError(f"{path}:{members[given][0]}: N and s must be given "
                               f"together in {where}")
+    if sub in ("simulate", "almost-conservation"):
+        _check_steps(params, "t_end" if sub == "simulate" else "window", where, path,
+                     members)
     if not top["out_dir"]:
         raise ConfigError(f"{path}:1: no output directory (out_dir field or --out)")
     return RunConfig(sub, params, top["seed"], top["out_dir"])

@@ -16,18 +16,21 @@ the first step lies in it, and the transforms skip the lines the box
 makes zero.  The half-steps are unitary, so finite data turn non-finite
 only by overflow, and the first record with a non-finite number ends the
 run.  `evolve` is the one stepper.  It allocates its arrays once: the
-step works in place, its nonlinear substep on chunks of 2^15 points, and
-each record fills u and every Iu once, in groups of rows (one group in
-1D, one row per group from 32^3 up), sums them, then inverse-transforms
-each group in place, into one row of the record table that `evolve`
-sizes before the first step; that record is the package's one
-discretization of E(u) and E(Iu).
+step works in place, its nonlinear substep on chunks of 2^15 points.  The
+records' rows, u and every Iu, are reduced in groups of consecutive rows:
+up to six whole records where one fits in 2^15 points (1D and small 2D
+runs), one row from 32^3 up.  Each record time fills its rows into the
+group; a full group is summed and inverse-transformed in place, into rows
+of the record table that `evolve` sizes before the first step, so a
+non-finite record is found once its group is reduced.  That table is the
+package's one discretization of E(u) and E(Iu).
 A trajectory keeps one state, the final one.  The working set is the
 coefficients uh, the half-step phase, |xi|^2, one multiplier array per
-spec and one group of g rows (g complex and g + 1 real arrays), with the
-step's scratch inside them.  `evolve` drops its datum after the first
-fftn, so a datum no caller holds (the CLI's) is freed before these
-exist, and building one (`rough_datum`) holds less than they do.
+spec and one group of g rows (g complex and g + r real arrays, r the
+records per group, or 1), with the step's scratch inside them.  `evolve`
+drops its datum after the first fftn, so a datum no caller holds (the
+CLI's) is freed before these exist, and building one (`rough_datum`)
+holds less than they do.
 Also here: the step-size law, rough data, and two reductions of a
 trajectory's record table: the L^2 growth audit and the
 almost-conservation sweep.
@@ -40,13 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, Grid, _fftn_box, _hs_norm, _ifftn_box, _spectral_scale,
-                   inverse_transform)
+from .grid import Field, Grid, _fftn_box, _hs_norm, _ifftn_box, _spectral_scale
 from .ioperator import multiplier_value
 from .fitting import ExponentFit, loglog_fit
 
 _PAD = 0.01         # rough_datum's spectral decay past the H^s edge
 _CHUNK_POINTS = 2 ** 15   # evolve's scratch budget: points per chunk, per record group
+_GROUP_RECORDS = 6        # evolve's most records per group
 
 __all__ = [
     "BlowUpError", "EvolveConfig", "Trajectory",
@@ -66,6 +69,15 @@ class BlowUpError(RuntimeError):
         self.trajectory = trajectory
 
 
+def _step_count(dt: float, t_end: float):
+    """The number of steps of size dt in t_end, or None if 0 < dt <= t_end
+    fails or dt does not divide t_end."""
+    if not (0 < dt <= t_end):
+        return None
+    steps = int(round(t_end / dt))
+    return steps if abs(steps * dt - t_end) <= 1e-9 * t_end else None
+
+
 @dataclass(frozen=True)
 class EvolveConfig:
     grid: Grid
@@ -76,8 +88,8 @@ class EvolveConfig:
     def __post_init__(self):
         if not (0 < self.dt <= self.t_end):
             raise ValueError("need 0 < dt <= t_end")
-        steps = self.n_steps
-        if abs(steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+        steps = _step_count(self.dt, self.t_end)
+        if steps is None:
             raise ValueError("t_end must be an integer multiple of dt")
         if self.diagnostics_every < 1 or steps % self.diagnostics_every != 0:
             raise ValueError("diagnostics cadence must divide the step count")
@@ -160,19 +172,28 @@ def _row_sums(a) -> np.ndarray:
 def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     """Integrate u0 to t_end, reporting E(u) and E(Iu) at the cadence.
 
-    A record passes over its rows (u's coefficients, then each Iu's) in
-    groups of as many grids as fit in _CHUNK_POINTS points, at least one.
-    Per group, the raw coefficients uh and uh m_N fill the stack once;
-    |c|^2 goes into one real array per row, and the sums of it and of the
-    kinetic product, made in place, are scaled (l2 by scale, kinetic by
-    scale^2).  One batched inverse FFT of the stack in place follows,
-    ||u||_{L^3} from the one extra real array, and the potentials, with
-    2 Re u written into the stack's own imaginary parts.  The group's stack
-    and real arrays, allocated once, also hold the step's chunk scratch.
+    The records' grids, u's coefficients and then each Iu's per record, are
+    reduced in groups of consecutive grids.  Where a whole record fits in
+    _CHUNK_POINTS points (1D and small 2D runs), a group holds up to
+    _GROUP_RECORDS consecutive records, as many as fit; otherwise a record
+    spans groups of as many rows as fit, at least one.  At each record time
+    only its rows are filled, uh and uh m_N, into the group's stack.  Once
+    the stack has no room for another record's rows, or at the last record,
+    one pass reduces the group: |c|^2 goes into one real array per grid, and
+    the sums of it and of the kinetic product, made in place, are scaled
+    (l2 by scale, kinetic by scale^2); one batched inverse FFT of the stack
+    in place follows, ||u||_{L^3} of each record's u row from one extra real
+    array per record, the potentials, with 2 Re u written into the stack's
+    own imaginary parts, and the finiteness check of the records the group
+    finishes, in record order.  So a non-finite record raises at its own
+    time with the records before it, but only once its group is reduced:
+    the steps taken past it until then are wasted work.  The stack and real
+    arrays, allocated once, also hold the step's chunk scratch, in the
+    stack's tail, which no filled row reaches between records.
     u0 is dropped after the first fftn, so it is freed if the caller holds
     no reference.  The datum may hold modes past the dealiased box
-    (`rough_datum` does in 2D and 3D), so the first record and step 1
-    transform every line; every later state lies in the box, and its
+    (`rough_datum` does in 2D and 3D), so the group of the first record and
+    step 1 transform every line; every later state lies in the box, and its
     transforms skip the lines that are zero.  Record k fills row k of the
     trajectory's tables.  `final`, the state at t_end, is one more inverse
     transform of the coefficients, made after the work arrays are freed.
@@ -195,54 +216,74 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     scale = _spectral_scale(grid)      # raw fftn -> unitary coefficients
     w = grid.dx ** grid.dim
     labels = [(np.inf, 1.0)] + [(sp.N, sp.s) for sp in specs]
-    group = min(rows, max(1, _CHUNK_POINTS // size))
-    # a group's coefficients, then its physical values, in place, and one
-    # real array per row plus one; a step chunk of c points uses c complex
-    # and 2c real entries of them
-    stack = np.empty((group,) + grid.shape, dtype=complex)
-    real = np.empty((group + 1,) + grid.shape)
-    chunk = min(_CHUNK_POINTS, size)
-    step_work = (stack.reshape(-1)[:chunk], real.reshape(-1)[:2 * chunk])
     K = grid.dealias_cutoff
     records = cfg.n_steps // cfg.diagnostics_every + 1
     traj = Trajectory(np.empty((records, 2)), np.empty((records, rows, 4)), labels,
                       None, cfg)
+    # grid f of the run is row f % rows of record f // rows, and row f of table
+    snaps, table = traj.snapshots, traj.energies.reshape(-1, 4)
+    # records per group, 0 where a record spans groups; grids per group
+    per = min(_CHUNK_POINTS // (rows * size), _GROUP_RECORDS, records)
+    group = per * rows if per else max(1, _CHUNK_POINTS // size)
+    # a group's coefficients, then its physical values, in place, and one
+    # real array per grid plus one per u row; a step chunk of c points uses
+    # the last c complex and the first 2c real entries of them
+    stack = np.empty((group,) + grid.shape, dtype=complex)
+    real = np.empty((group + max(per, 1),) + grid.shape)
+    chunk = min(_CHUNK_POINTS, size)
+    step_work = (stack.reshape(-1)[-chunk:], real.reshape(-1)[:2 * chunk])
+    done = 0                           # grids reduced; the stack holds grid done on
 
-    def record(k, t, box):
-        snap, e = traj.snapshots[k], traj.energies[k]
+    def reduce(end):
+        nonlocal done
+        lo, done = done, end
+        ws, absu, e = stack[:end - lo], real[:end - lo], table[lo:end]
+        # sums of the raw coefficients, scaled as unitary ones: int |grad u|^2, l2
+        c2 = np.square(np.abs(ws, out=absu), out=absu)
+        e[:, 3] = np.sqrt(_row_sums(c2)) * scale
+        e[:, 0] = _row_sums(np.multiply(xi2, c2, out=c2)) * scale ** 2
+        _ifftn_box(ws, grid.dim, grid.n // 2 if lo < rows else K)
+        np.abs(ws, out=absu)
+        us = range(lo + -lo % rows, end, rows)      # each record's u row
+        if us:
+            cubes = np.power(absu[us.start - lo::rows], 3, out=real[group:group + len(us)])
+            for f, cube in zip(us, _row_sums(cubes)):
+                snaps[f // rows, 1] = (cube * w) ** (1.0 / 3)
+        np.square(absu, out=absu)           # 1/2 int (|u|^2 + 2 Re u)^2
+        # 2 Re u into the stack's imaginary parts: u is not needed again
+        np.add(absu, np.multiply(2, ws.real, out=ws.imag), out=absu)
+        e[:, 1] = 0.5 * _row_sums(np.square(absu, out=absu)) * w
+        k0, k1 = lo // rows, end // rows          # the records this group finishes
+        energies = traj.energies[k0:k1]
+        np.add(energies[..., 0], energies[..., 1], out=energies[..., 2])
+        finite = np.isfinite(snaps[k0:k1, 1]) & np.isfinite(energies[..., 2]).all(axis=1)
+        if not finite.all():                    # the first in record order
+            k = k0 + int(np.argmin(finite))
+            raise BlowUpError(float(snaps[k, 0]), Trajectory(
+                snaps[:k], traj.energies[:k], labels, None, cfg))
+
+    def record(k, t):
+        snaps[k, 0] = t
         for lo in range(0, rows, group):
             hi = min(lo + group, rows)
-            ws, absu = stack[:hi - lo], real[:hi - lo]
+            at = k * rows + lo - done           # the stack row of grid (k, lo)
+            ws = stack[at:at + hi - lo]
             first = max(lo, 1)      # row 0 is u, row j >= 1 is spec j's I_N u
             if lo == 0:
                 ws[0] = uh
             np.multiply(uh, m_N[first - 1:hi - 1], out=ws[first - lo:])
-            # sums of the raw coefficients, scaled as unitary ones: int |grad u|^2, l2
-            c2 = np.square(np.abs(ws, out=absu), out=absu)
-            e[lo:hi, 3] = np.sqrt(_row_sums(c2)) * scale
-            e[lo:hi, 0] = _row_sums(np.multiply(xi2, c2, out=c2)) * scale ** 2
-            _ifftn_box(ws, grid.dim, box)
-            np.abs(ws, out=absu)
-            if lo == 0:
-                snap[:] = t, (np.sum(np.power(absu[0], 3, out=real[-1])) * w) ** (1.0 / 3)
-            np.square(absu, out=absu)           # 1/2 int (|u|^2 + 2 Re u)^2
-            # 2 Re u into the stack's imaginary parts: u is not needed again
-            np.add(absu, np.multiply(2, ws.real, out=ws.imag), out=absu)
-            e[lo:hi, 1] = 0.5 * _row_sums(np.square(absu, out=absu)) * w
-        np.add(e[:, 0], e[:, 1], out=e[:, 2])
-        if not (np.isfinite(snap[1]) and np.isfinite(e[:, 2]).all()):
-            raise BlowUpError(t, Trajectory(traj.snapshots[:k], traj.energies[:k],
-                                            labels, None, cfg))
+            if at + hi - lo + rows > group or k == records - 1:    # no room for a record
+                reduce(k * rows + hi)
 
-    record(0, 0.0, grid.n // 2)
+    record(0, 0.0)
     for i in range(1, cfg.n_steps + 1):
         _step_raw(uh, half_phase, cfg.dt, (grid.n // 2 if i == 1 else K, K), step_work)
         if i % cfg.diagnostics_every == 0:
-            record(i // cfg.diagnostics_every, i * cfg.dt, K)
+            record(i // cfg.diagnostics_every, i * cfg.dt)
     # the records wrote 2 Re u over Im u, so `final` is one more inverse
     # transform of uh, made after the work arrays are freed
     del stack, real, step_work
-    traj.final = Field(grid, _ifftn_box(uh, grid.dim, K))
+    traj.final = Field._adopt(grid, _ifftn_box(uh, grid.dim, K))
     return traj
 
 
@@ -333,7 +374,10 @@ def rough_datum(grid: Grid, s: float, seed: int) -> Field:
             * np.exp(2j * np.pi * rng.uniform(size=grid.shape))
             * (absxi <= (2.0 / 3.0) * absxi.max()))
     coef /= _hs_norm(absxi, coef, s)
-    return inverse_transform(grid, coef)
+    # inverse_transform's operations on coef itself, which no one else holds:
+    # its one fresh quotient array here put the simulate-3d peak RSS 2 MB up
+    coef /= _spectral_scale(grid)
+    return Field._adopt(grid, np.fft.ifftn(coef, out=coef))
 
 
 @dataclass(frozen=True)

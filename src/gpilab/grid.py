@@ -98,6 +98,17 @@ class Field:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _adopt(cls, grid: Grid, v: np.ndarray) -> "Field":
+        """The Field of v without the copy, for the package's own results:
+        v is a fresh C-ordered complex array of the grid's shape that no one
+        else holds."""
+        f = object.__new__(cls)
+        v.flags.writeable = False
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", v)
+        return f
+
     @staticmethod
     def zero(grid: Grid) -> "Field":
         return Field(grid, np.zeros(grid.shape, dtype=np.complex128))
@@ -118,8 +129,8 @@ def forward_transform(f: Field) -> np.ndarray:
 
 def inverse_transform(grid: Grid, coef: np.ndarray) -> Field:
     """The Field on grid whose unitary coefficients are coef."""
-    a = np.asarray(coef / _spectral_scale(grid), dtype=complex)
-    return Field(grid, np.fft.ifftn(a, out=a))
+    a = np.asarray(coef / _spectral_scale(grid), dtype=complex, order="C")
+    return Field._adopt(grid, np.fft.ifftn(a, out=a))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +145,10 @@ def inverse_transform(grid: Grid, coef: np.ndarray) -> Field:
 # sees the same numbers as in numpy's own n-D call, so inside the box the
 # values are bitwise np.fft.ifftn's and np.fft.fftn's.  Both act on the last
 # `dim` axes, so a leading axis batches arrays.  A 1D transform has no line to
-# skip and is one numpy call, given no `axes` when unbatched: at n = 1024 on
-# a 2-vCPU Xeon, numpy's axes handling adds 5-9 us to a call of 17-19 us.
+# skip and is one call of np.fft.ifft or fft along the last axis, batched or
+# not, bitwise the n-D call's without its axes handling: at n = 1024 on a
+# 2-vCPU Xeon, in place, ifftn took 14.3 us a call against ifft's 12.3, and
+# fftn 12.5 us against fft's 10.7.
 
 def _box_ranges(n: int, K: int):
     """Index ranges of |k| <= K on an axis of n points, FFT order, or None
@@ -150,8 +163,10 @@ def _box_ranges(n: int, K: int):
 
 def _ifftn_box(a: np.ndarray, dim: int, K: int) -> np.ndarray:
     """np.fft.ifftn of a in place, for a zero outside the box |k_j| <= K."""
+    if dim == 1:
+        return np.fft.ifft(a, out=a)
     lead, ranges = a.ndim - dim, _box_ranges(a.shape[-1], K)
-    if ranges is None or dim == 1:
+    if ranges is None:
         return np.fft.ifftn(a, axes=tuple(range(lead, a.ndim)) if lead else None, out=a)
     for j in reversed(range(dim)):
         for box in itertools.product(ranges, repeat=j):
@@ -164,8 +179,10 @@ def _fftn_box(a: np.ndarray, dim: int, K: int) -> np.ndarray:
     """np.fft.fftn of a in place, cut to the box |k_j| <= K, with exact
     zeros outside it."""
     n = a.shape[-1]
-    lead, ranges = a.ndim - dim, _box_ranges(n, K)
-    if ranges is None or dim == 1:
+    lead, ranges = a.ndim - dim, _box_ranges(n, K) if dim > 1 else None
+    if dim == 1:
+        np.fft.fft(a, out=a)
+    elif ranges is None:
         np.fft.fftn(a, axes=tuple(range(lead, a.ndim)) if lead else None, out=a)
     else:
         np.fft.fftn(a, axes=(a.ndim - 1,), out=a)

@@ -1,7 +1,8 @@
 """Reference formulas the tests compare the package against: the dealiased
 box as a full-grid mask, the quadrature L^p and H^s norms of a Field, and
-the Strang step and the record of `evolve` as fresh-array formulas; and the
-inputs that several test files share."""
+the Strang step and the record of `evolve` as fresh-array formulas; the
+inputs that several test files share; and the patch of numpy's FFT entry
+points that counts transforms or injects faults."""
 
 import functools
 import math
@@ -72,3 +73,29 @@ def rational_grid(count=10 ** 4):
     """The interior rationals k/(count+1), scaled into (1/2, 1)."""
     denom = count + 1
     return [Fraction(1, 2) + Fraction(k, 2 * denom) for k in range(1, denom)]
+
+
+def patch_fft(monkeypatch, wrap):
+    """Replace each of numpy's FFT entry points by wrap(real, inverse), real
+    the entry point and inverse whether it is ifftn or ifft: the package
+    calls fftn and ifftn, and fft and ifft for 1D grids."""
+    for name, inverse in (("fftn", False), ("fft", False), ("ifftn", True), ("ifft", True)):
+        monkeypatch.setattr(np.fft, name, wrap(getattr(np.fft, name), inverse))
+
+
+def fft_nan_from(monkeypatch, k):
+    """Forward transforms return NaN from their k-th call on.  No finite
+    datum short of overflow blows up, so this is the injected fault; in 1D,
+    call 1 is evolve's datum and call i + 1 is step i's."""
+    calls = []
+
+    def wrap(real, inverse):
+        def faulty(*args, **kwargs):
+            calls.append(None)
+            out = real(*args, **kwargs)
+            if len(calls) >= k:
+                out[...] = np.nan
+            return out
+        return real if inverse else faulty
+
+    patch_fft(monkeypatch, wrap)

@@ -13,6 +13,7 @@ import pytest
 from gpilab.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK,
                         ConfigError, atomic_write, load_config, main)
 from gpilab.dynamics import AlmostConservationRow, Trajectory
+from oracles import fft_nan_from
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -164,31 +165,20 @@ def test_simulate_zero_datum_writes_zero_energy(tmp_path):
 
 
 def test_simulate_blow_up_exit_code(tmp_path, monkeypatch):
-    # no finite datum short of overflow blows up, so a fault is injected:
-    # fftn returns NaN from its 3rd call, the one of step 2
-    import numpy as np
-    real = np.fft.fftn
+    # forward transforms return NaN from their 3rd call, the one of step 2
     for name, spec in (("boom", {}), ("boom_I", {"N": 4, "s": 0.9})):
-        calls = []
-
-        def faulty(*args, **kwargs):
-            calls.append(None)
-            out = real(*args, **kwargs)
-            if len(calls) >= 3:
-                out[...] = np.nan
-            return out
-
-        monkeypatch.setattr(np.fft, "fftn", faulty)
-        out = tmp_path / name
-        path = write_config(tmp_path, {
-            "subcommand": "simulate",
-            "params": {"dim": 1, "n": 32, "length": 6.283185307179586,
-                       "dt": 0.1, "t_end": 1.0,
-                       "datum": {"kind": "gaussian", "amplitude": 1.0}, **spec},
-            "seed": 0, "out_dir": str(out),
-        })
-        with np.errstate(all="ignore"):
-            assert main(["--config", path]) == EXIT_NUMERIC
+        with monkeypatch.context() as patch:
+            fft_nan_from(patch, 3)
+            out = tmp_path / name
+            path = write_config(tmp_path, {
+                "subcommand": "simulate",
+                "params": {"dim": 1, "n": 32, "length": 6.283185307179586,
+                           "dt": 0.1, "t_end": 1.0,
+                           "datum": {"kind": "gaussian", "amplitude": 1.0}, **spec},
+                "seed": 0, "out_dir": str(out),
+            })
+            with np.errstate(all="ignore"):
+                assert main(["--config", path]) == EXIT_NUMERIC
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "blow-up"
         # the records made before the blow-up, at least the one at t = 0
@@ -552,6 +542,20 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
     pytest.param("simulate", {"dim": 1, "n": 32, "length": 6.283185307179586,
                               "dt": 0.01, "t_end": 0.02, "datum": {"kind": "zero"},
                               "N": 0.5, "s": 0.9}, "N", id="simulate-N-below-1"),
+    pytest.param("simulate", {"dim": 1, "n": 16, "length": 6.283185307179586,
+                              "dt": 0.03, "t_end": 0.1, "datum": {"kind": "zero"}},
+                 "t_end", id="t_end-not-a-multiple-of-dt"),
+    pytest.param("simulate", {"dim": 1, "n": 16, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": 0.1, "datum": {"kind": "zero"},
+                              "diagnostics_every": 3},
+                 "diagnostics_every", id="cadence-not-dividing-steps"),
+    pytest.param("almost-conservation", {"dim": 1, "n": 16, "length": 6.283185307179586,
+                                         "s": 0.9, "N_list": [4, 8], "dt": 0.03,
+                                         "window": 0.1},
+                 "window", id="window-not-a-multiple-of-dt"),
+    pytest.param("almost-conservation", {"dim": 1, "n": 16, "length": 6.283185307179586,
+                                         "s": 0.9, "N_list": [4, 8], "window": 1e-4},
+                 "window", id="window-below-default-dt"),
 ])
 def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
     path = write_config(tmp_path, {"subcommand": sub, "params": params,

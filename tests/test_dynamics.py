@@ -17,8 +17,8 @@ from gpilab.dynamics import (BlowUpError, EvolveConfig, _expm1_i, _step_raw,
 from gpilab.fitting import loglog_fit
 from gpilab.ioperator import MultiplierSpec, multiplier_value
 from gpilab.ledger import step_law_exponent
-from oracles import (box, lp_norm, out_of_place_record, out_of_place_step, smooth_datum,
-                     sobolev_norm)
+from oracles import (box, fft_nan_from, lp_norm, out_of_place_record, out_of_place_step,
+                     patch_fft, smooth_datum, sobolev_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -67,22 +67,6 @@ def test_records_match_field_energies():
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
-def _fftn_nan_from(monkeypatch, k):
-    # no finite datum short of overflow blows up, so a fault is injected:
-    # fftn returns NaN from its k-th call; in 1D, call 1 is the datum's and
-    # call i + 1 is step i's
-    real, calls = np.fft.fftn, []
-
-    def faulty(*args, **kwargs):
-        calls.append(None)
-        out = real(*args, **kwargs)
-        if len(calls) >= k:
-            out[...] = np.nan
-        return out
-
-    monkeypatch.setattr(np.fft, "fftn", faulty)
-
-
 def test_record_table_contract(monkeypatch):
     # one row per record: (time, ||u||_{L^3}) and, per row u, Iu..., the
     # columns (kinetic, potential, total, l2), total the float sum of the
@@ -99,8 +83,8 @@ def test_record_table_contract(monkeypatch):
     assert traj.snapshots[-1, 1] == lp_norm(traj.final, 3)
 
     # NaN from step 3 on: the records at steps 0 and 2 are finished, the
-    # one at step 4 is not
-    _fftn_nan_from(monkeypatch, 4)
+    # one at step 4 is not, though all four share one record group
+    fft_nan_from(monkeypatch, 4)
     with pytest.raises(BlowUpError) as err, np.errstate(all="ignore"):
         evolve(smooth_datum(g), cfg, specs)
     kept = err.value.trajectory
@@ -134,28 +118,29 @@ def test_record_memory_does_not_grow_with_record_count():
 
 
 def test_record_transform_count(monkeypatch):
-    # one fftn for the datum, an ifftn/fftn pair per step, one batched
-    # ifftn per record for u and every spec, and one more ifftn for `final`:
-    # each record writes 2 Re u over the imaginary parts of its physical
-    # rows, so the final state is transformed again from its coefficients
+    # one fftn for the datum, an inverse/forward pair per step, one batched
+    # inverse transform per group of records for u and every spec, and one
+    # more for `final`: each record writes 2 Re u over the imaginary parts of
+    # its physical rows, so the final state is transformed again from its
+    # coefficients
     g = Grid(dim=1, n=64, length=2 * np.pi)
     specs = [MultiplierSpec(N=float(N), s=0.8) for N in (2, 4, 8, 16)]
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.05, diagnostics_every=1)
     u0 = smooth_datum(g)
     calls = []
 
-    def counting(real):
+    def counting(real, inverse):
         def wrapper(*args, **kwargs):
             calls.append(real.__name__)
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    patch_fft(monkeypatch, counting)
     traj = evolve(u0, cfg, specs)
     steps, records = cfg.n_steps, len(traj.energies)
-    assert records == steps + 1
-    assert len(calls) == 1 + 2 * steps + records + 1
+    groups = -(-records // dynamics._GROUP_RECORDS)
+    assert records == steps + 1 and groups == 1
+    assert len(calls) == 1 + 2 * steps + groups + 1
 
 
 @pytest.mark.parametrize("grid, Ns", [(Grid(1, 1024, 16 * np.pi), (4, 8, 16, 32)),
@@ -166,9 +151,11 @@ def test_evolve_matches_out_of_place_formulas_bitwise(grid, Ns):
     # formulas above, element by element and sum by sum; the band-limited
     # transforms and the real-sine substep change no bit.  In 2D and 3D the
     # datum holds modes past the dealiased box, so the full transforms of
-    # the first record and step 1 are exercised too
+    # the first record and step 1 are exercised too.  The 15 records fill
+    # groups of 6, 6 and 3 records in 1D, 7 groups of 2 and one of 1 in 2D,
+    # and a record spans 2 groups of one row in 3D
     specs = [MultiplierSpec(N=float(N), s=0.9) for N in Ns]
-    cfg = EvolveConfig(grid=grid, dt=1e-3, t_end=6e-3, diagnostics_every=2)
+    cfg = EvolveConfig(grid=grid, dt=1e-3, t_end=28e-3, diagnostics_every=2)
     u0 = rough_datum(grid, 0.9, seed=1)
     mask = box(grid.n, grid.dim, grid.dealias_cutoff)
     c2 = np.abs(np.fft.fftn(u0.values)) ** 2
@@ -189,43 +176,79 @@ def test_evolve_matches_out_of_place_formulas_bitwise(grid, Ns):
             vals, u = out_of_place_record(uh, m_N, scale, xi2, w)
             want += vals
 
-    got = np.hstack([traj.snapshots[:, 1:], traj.energies.reshape(4, -1)]).ravel()
-    assert len(got) == len(want) == 4 * (1 + 4 * (1 + len(specs)))
+    got = np.hstack([traj.snapshots[:, 1:], traj.energies.reshape(15, -1)]).ravel()
+    assert len(got) == len(want) == 15 * (1 + 4 * (1 + len(specs)))
     assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
     assert np.array_equal(traj.final.values.view(np.uint64), u.view(np.uint64))
 
 
-@pytest.mark.parametrize("grid", [Grid(1, 1024, 16 * np.pi), Grid(3, 16, 2 * np.pi)])
-def test_record_groups_and_step_chunks_are_bitwise(monkeypatch, grid):
-    # a points budget of 100 records one row per pass and runs the substep
-    # in chunks of 100 points, the last one short; every record and the
-    # final state equal the default run's (one pass, one chunk) bit for bit
-    specs = [MultiplierSpec(N=float(N), s=0.9) for N in (2, 4, 8, 16)]
-    cfg = EvolveConfig(grid=grid, dt=1e-3, t_end=6e-3, diagnostics_every=2)
+@pytest.mark.parametrize("grid, constant, value", [
+    pytest.param(Grid(1, 1024, 16 * np.pi), "_CHUNK_POINTS", 100, id="grid0"),
+    pytest.param(Grid(3, 16, 2 * np.pi), "_CHUNK_POINTS", 100, id="grid1"),
+    pytest.param(Grid(1, 1024, 16 * np.pi), "_GROUP_RECORDS", 1, id="one-record-groups")])
+def test_record_groups_and_step_chunks_are_bitwise(monkeypatch, grid, constant, value):
+    # the default run reduces its 15 records in groups of 6, 6 and 3 in 1D,
+    # where it is the run that test_evolve_matches_out_of_place_formulas_bitwise
+    # holds to the record oracle, and one record per group at 16^3.  A
+    # points budget of 100 reduces one row per group and runs the substep
+    # in chunks of 100 points, the last one short; groups of one record are
+    # the other bound.  Every record and the final state equal the
+    # default's bit for bit, and a NaN inside the second 1D group raises at
+    # the same time in both, keeping the same records
+    specs = [MultiplierSpec(N=float(N), s=0.9) for N in (4, 8, 16, 32)]
+    cfg = EvolveConfig(grid=grid, dt=1e-3, t_end=28e-3, diagnostics_every=2)
     u0 = rough_datum(grid, 0.9, seed=1)
     want = evolve(u0, cfg, specs)
-    monkeypatch.setattr(dynamics, "_CHUNK_POINTS", 100)
-    calls = {"ifftn": 0, "_expm1_i": 0}
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, constant, value)
+        calls = {"inverse": 0, "_expm1_i": 0}
 
-    def counting(module, name):
-        real = getattr(module, name)
+        def counting(real, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return wrapper
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(dynamics, "_expm1_i")
-    if grid.dim == 1:
-        counting(np.fft, "ifftn")
-    got = evolve(u0, cfg, specs)
-    records, chunks = len(got.snapshots), -(-grid.n ** grid.dim // 100)
-    assert calls["_expm1_i"] == cfg.n_steps * chunks
-    if grid.dim == 1:      # a step's, a record row's and `final`'s
-        assert calls["ifftn"] == cfg.n_steps + 5 * records + 1
+        patch.setattr(dynamics, "_expm1_i", counting(dynamics._expm1_i, "_expm1_i"))
+        if grid.dim == 1:
+            patch_fft(patch, lambda real, inverse: counting(real, "inverse") if inverse
+                      else real)
+        got = evolve(u0, cfg, specs)
+        size, records = grid.n ** grid.dim, len(got.snapshots)
+        chunks = -(-size // min(dynamics._CHUNK_POINTS, size))
+        groups = 5 * records if constant == "_CHUNK_POINTS" else records
+        assert calls["_expm1_i"] == cfg.n_steps * chunks
+        if grid.dim == 1:      # a step's, a record group's and `final`'s
+            assert calls["inverse"] == cfg.n_steps + groups + 1
     for a, b in ((got.snapshots, want.snapshots), (got.energies, want.energies),
                  (got.final.values, want.final.values)):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    # NaN from step 17 on: the record at step 18, record 9, is the first lost
+    step, steps = dynamics._step_raw, []
+
+    def faulty(uh, *args):
+        steps.append(None)
+        step(uh, *args)
+        if len(steps) >= 17:
+            uh[...] = np.nan
+        return uh
+
+    kept = []
+    for patched in (False, True):
+        with monkeypatch.context() as patch:
+            if patched:
+                patch.setattr(dynamics, constant, value)
+            steps.clear()
+            patch.setattr(dynamics, "_step_raw", faulty)
+            with pytest.raises(BlowUpError) as err, np.errstate(all="ignore"):
+                evolve(u0, cfg, specs)
+        assert err.value.time == 18 * cfg.dt
+        kept.append(err.value.trajectory)
+    for traj in kept:
+        for a, b in ((traj.snapshots, want.snapshots[:9]),
+                     (traj.energies, want.energies[:9])):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_real_sine_factor_is_complex_expm1_bitwise():
@@ -280,9 +303,9 @@ def test_evolve_peak_memory_with_four_specs():
 
 @pytest.mark.memory
 def test_rough_datum_peak_memory():
-    # the bound guards that building the datum stays below evolve's working
-    # set, 5.03 states with one spec
-    assert _peak_states(_G32, lambda: rough_datum(_G32, 0.9, seed=1)) < 5.0
+    # the inverse transform hands its fresh array to the Field without a
+    # copy, so building the datum peaks at 3.00 states
+    assert _peak_states(_G32, lambda: rough_datum(_G32, 0.9, seed=1)) < 3.01
 
 
 @pytest.mark.memory
@@ -303,7 +326,7 @@ def test_zero_datum_stays_zero():
 
 def test_blow_up_carries_partial_trajectory(monkeypatch):
     g = Grid(dim=1, n=64, length=2 * np.pi)
-    _fftn_nan_from(monkeypatch, 4)      # NaN from step 3 on
+    fft_nan_from(monkeypatch, 4)        # NaN from step 3 on
     with pytest.raises(BlowUpError) as err, np.errstate(all="ignore"):
         evolve(smooth_datum(g), EvolveConfig(grid=g, dt=0.1, t_end=1.0))
     assert err.value.time > 0
@@ -324,14 +347,13 @@ def test_nonlinear_substep_is_the_exact_flow(monkeypatch):
     u0 = (rng.uniform(0.5, 1.5, 256) * np.exp(2j * np.pi * rng.uniform(size=256))) - 1
     dt = 1.5
 
-    def identity(a, axes=None, out=None):
+    def identity(a, *args, out=None, **kwargs):
         if out is None:
             return a
         out[...] = a
         return out
 
-    for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, identity)
+    patch_fft(monkeypatch, lambda real, inverse: identity)
     work = (np.empty(256, complex), np.empty(512))         # one chunk of 256 points
     u = _step_raw(u0.copy(), 1.0, dt, (128, 128), work)     # the whole-grid box
 

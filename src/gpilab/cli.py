@@ -365,15 +365,16 @@ def _check_steps(params: dict, span: str, where: str, path: str, members: dict):
     """evolve's step rule, checked on load so that the error names the
     field: dt divides the run's span, and the record cadence, where the
     config has one, divides the step count."""
-    dt, steps = params["dt"], _step_count(params["dt"], params[span])
-    if steps is None:
+    steps, broken = _step_count(params["dt"], params[span],
+                                params.get("diagnostics_every", 1))
+    if broken == "t_end":
         raise ConfigError(f"{path}:{members[span][0]}: field '{span}' in {where}: "
-                          f"must be a whole multiple of dt = {dt!r}, got {params[span]!r}")
-    every = params.get("diagnostics_every", 1)
-    if steps % every:
+                          f"must be a whole multiple of dt = {params['dt']!r}, "
+                          f"got {params[span]!r}")
+    if broken:
         raise ConfigError(f"{path}:{members['diagnostics_every'][0]}: field "
                           f"'diagnostics_every' in {where}: must divide the {steps} "
-                          f"steps, got {every!r}")
+                          f"steps, got {params['diagnostics_every']!r}")
 
 
 def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:

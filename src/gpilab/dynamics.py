@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _fftn_box, _hs_norm, _ifftn_box, _spectral_scale
+from .grid import (Field, Grid, _fftn_box, _hs_norm, _ifftn_box, _spectral_scale,
+                   inverse_transform)
 from .ioperator import multiplier_value
 from .fitting import ExponentFit, loglog_fit
 
@@ -69,13 +70,19 @@ class BlowUpError(RuntimeError):
         self.trajectory = trajectory
 
 
-def _step_count(dt: float, t_end: float):
-    """The number of steps of size dt in t_end, or None if 0 < dt <= t_end
-    fails or dt does not divide t_end."""
+def _step_count(dt: float, t_end: float, every: int = 1):
+    """The step rule: the number of steps of size dt in t_end, and the field
+    that breaks the rule, or None.  't_end' unless 0 < dt <= t_end and dt
+    divides t_end (no steps then); else 'diagnostics_every' unless the
+    record cadence every >= 1 divides the steps."""
     if not (0 < dt <= t_end):
-        return None
+        return None, "t_end"
     steps = int(round(t_end / dt))
-    return steps if abs(steps * dt - t_end) <= 1e-9 * t_end else None
+    if abs(steps * dt - t_end) > 1e-9 * t_end:
+        return None, "t_end"
+    if every < 1 or steps % every:
+        return steps, "diagnostics_every"
+    return steps, None
 
 
 @dataclass(frozen=True)
@@ -86,17 +93,15 @@ class EvolveConfig:
     diagnostics_every: int = 1
 
     def __post_init__(self):
-        if not (0 < self.dt <= self.t_end):
-            raise ValueError("need 0 < dt <= t_end")
-        steps = _step_count(self.dt, self.t_end)
-        if steps is None:
-            raise ValueError("t_end must be an integer multiple of dt")
-        if self.diagnostics_every < 1 or steps % self.diagnostics_every != 0:
+        broken = _step_count(self.dt, self.t_end, self.diagnostics_every)[1]
+        if broken == "t_end":
+            raise ValueError("need 0 < dt <= t_end, with t_end a whole multiple of dt")
+        if broken:
             raise ValueError("diagnostics cadence must divide the step count")
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return _step_count(self.dt, self.t_end)[0]
 
 
 @dataclass
@@ -374,10 +379,7 @@ def rough_datum(grid: Grid, s: float, seed: int) -> Field:
             * np.exp(2j * np.pi * rng.uniform(size=grid.shape))
             * (absxi <= (2.0 / 3.0) * absxi.max()))
     coef /= _hs_norm(absxi, coef, s)
-    # inverse_transform's operations on coef itself, which no one else holds:
-    # its one fresh quotient array here put the simulate-3d peak RSS 2 MB up
-    coef /= _spectral_scale(grid)
-    return Field._adopt(grid, np.fft.ifftn(coef, out=coef))
+    return inverse_transform(grid, coef)
 
 
 @dataclass(frozen=True)

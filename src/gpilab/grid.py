@@ -103,6 +103,9 @@ class Field:
         """The Field of v without the copy, for the package's own results:
         v is a fresh C-ordered complex array of the grid's shape that no one
         else holds."""
+        if v.shape != grid.shape:
+            raise ValueError(
+                f"values shape {v.shape} does not match grid shape {grid.shape}")
         f = object.__new__(cls)
         v.flags.writeable = False
         object.__setattr__(f, "grid", grid)
@@ -179,10 +182,10 @@ def _fftn_box(a: np.ndarray, dim: int, K: int) -> np.ndarray:
     """np.fft.fftn of a in place, cut to the box |k_j| <= K, with exact
     zeros outside it."""
     n = a.shape[-1]
-    lead, ranges = a.ndim - dim, _box_ranges(n, K) if dim > 1 else None
+    lead = a.ndim - dim
     if dim == 1:
         np.fft.fft(a, out=a)
-    elif ranges is None:
+    elif (ranges := _box_ranges(n, K)) is None:
         np.fft.fftn(a, axes=tuple(range(lead, a.ndim)) if lead else None, out=a)
     else:
         np.fft.fftn(a, axes=(a.ndim - 1,), out=a)

@@ -194,8 +194,10 @@ def test_record_groups_and_step_chunks_are_bitwise(monkeypatch, grid, constant, 
     # in chunks of 100 points, the last one short; groups of one record are
     # the other bound.  Every record and the final state equal the
     # default's bit for bit, and a NaN inside the second 1D group raises at
-    # the same time in both, keeping the same records
-    specs = [MultiplierSpec(N=float(N), s=0.9) for N in (4, 8, 16, 32)]
+    # the same time in both, keeping the same records.  At 16^3 |xi| is at
+    # most 8 sqrt(3) < 14, so there every N is below it and m_N cuts
+    Ns = (4, 8, 16, 32) if grid.dim == 1 else (2, 4, 8, 16)
+    specs = [MultiplierSpec(N=float(N), s=0.9) for N in Ns]
     cfg = EvolveConfig(grid=grid, dt=1e-3, t_end=28e-3, diagnostics_every=2)
     u0 = rough_datum(grid, 0.9, seed=1)
     want = evolve(u0, cfg, specs)

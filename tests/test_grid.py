@@ -84,6 +84,12 @@ def test_round_trip_is_identity(dim, n):
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 
+def test_inverse_transform_checks_the_shape():
+    g = Grid(dim=2, n=8, length=1.0)
+    with pytest.raises(ValueError, match="does not match grid shape"):
+        inverse_transform(g, np.zeros((8, 4), dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # the dealiased box and the band-limited transforms
 

@@ -26,9 +26,11 @@ import numpy as np
 
 from .grid import Field, Grid
 from .ioperator import MultiplierSpec
-from .dynamics import (AlmostConservationRow, BlowUpError, EvolveConfig, _step_count,
-                       almost_conservation, evolve, l2_growth_audit, rough_datum)
-from .bench import _GRID64, _band, bilinear_sweep, strichartz_ratio_sweep
+from .dynamics import (_AUDIT_RECORDS, AlmostConservationRow, BlowUpError, EvolveConfig,
+                       _step_count, almost_conservation, evolve, l2_growth_audit,
+                       rough_datum)
+from .bench import (_GRID64, _band, bilinear_sweep, strichartz_admissible,
+                    strichartz_ratio_sweep)
 from .multverify import CATALOG, catalog_by_label, verify_bounds
 from .ledger import ledger_table
 
@@ -364,9 +366,10 @@ _CONFIG = {"subcommand": (_one_of(_COMMANDS), REQUIRED), "params": (None, REQUIR
 def _check_steps(params: dict, span: str, where: str, path: str, members: dict):
     """evolve's step rule, checked on load so that the error names the
     field: dt divides the run's span, and the record cadence, where the
-    config has one, divides the step count."""
-    steps, broken = _step_count(params["dt"], params[span],
-                                params.get("diagnostics_every", 1))
+    config has one, divides the step count; simulate's span also leaves
+    the L^2 audit its fewest records."""
+    every = params.get("diagnostics_every", 1)
+    steps, broken = _step_count(params["dt"], params[span], every)
     if broken == "t_end":
         raise ConfigError(f"{path}:{members[span][0]}: field '{span}' in {where}: "
                           f"must be a whole multiple of dt = {params['dt']!r}, "
@@ -375,6 +378,10 @@ def _check_steps(params: dict, span: str, where: str, path: str, members: dict):
         raise ConfigError(f"{path}:{members['diagnostics_every'][0]}: field "
                           f"'diagnostics_every' in {where}: must divide the {steps} "
                           f"steps, got {params['diagnostics_every']!r}")
+    if span == "t_end" and (records := steps // every + 1) < _AUDIT_RECORDS:
+        name = "diagnostics_every" if "diagnostics_every" in members else span
+        raise ConfigError(f"{path}:{members[name][0]}: field '{name}' in {where}: makes "
+                          f"{records} records; the L^2 audit needs {_AUDIT_RECORDS}")
 
 
 def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
@@ -415,6 +422,10 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     if sub in ("simulate", "almost-conservation"):
         _check_steps(params, "t_end" if sub == "simulate" else "window", where, path,
                      members)
+    if sub == "strichartz" and not strichartz_admissible(float(params["q"]),
+                                                         float(params["r"])):
+        raise ConfigError(f"{path}:{members['q'][0]}: field 'q' in {where}: "
+                          f"(q, r) = ({params['q']}, {params['r']}) is not 3D-admissible")
     if not top["out_dir"]:
         raise ConfigError(f"{path}:1: no output directory (out_dir field or --out)")
     return RunConfig(sub, params, top["seed"], top["out_dir"])
@@ -427,8 +438,6 @@ def run(cfg: RunConfig) -> int:
         _write_artifacts(cfg, {"status": "blow-up", "time": exc.time},
                          {"energy.csv": _energy_csv(exc.trajectory)})
         return EXIT_NUMERIC
-    except ValueError as exc:
-        raise ConfigError(f"invalid parameters for '{cfg.subcommand}': {exc}") from exc
     _write_artifacts(cfg, summary, csvs)
     return code
 

@@ -51,6 +51,7 @@ from .fitting import ExponentFit, loglog_fit
 _PAD = 0.01         # rough_datum's spectral decay past the H^s edge
 _CHUNK_POINTS = 2 ** 15   # evolve's scratch budget: points per chunk, per record group
 _GROUP_RECORDS = 6        # evolve's most records per group
+_AUDIT_RECORDS = 3        # l2_growth_audit's fewest records
 
 __all__ = [
     "BlowUpError", "EvolveConfig", "Trajectory",
@@ -309,8 +310,8 @@ class GrowthAudit:
 
 def l2_growth_audit(traj: Trajectory) -> GrowthAudit:
     """Check d/dt ||u||^2 <= 2 int (|u|^3 + 2|u|^2) and the closed bound."""
-    if len(traj.snapshots) < 3:
-        raise ValueError("audit needs at least three snapshots")
+    if len(traj.snapshots) < _AUDIT_RECORDS:
+        raise ValueError(f"audit needs at least {_AUDIT_RECORDS} records")
     ts = traj.snapshots[:, 0]
     l2 = traj.energies[:, 0, 3]
     rhs = 2.0 * (traj.snapshots[:, 1] ** 3 + 2.0 * l2 ** 2)

@@ -139,60 +139,46 @@ def inverse_transform(grid: Grid, coef: np.ndarray) -> Field:
 # ---------------------------------------------------------------------------
 # band-limited raw transforms
 #
-# numpy's n-D transform is a 1D pass along each axis, last axis first.  For
-# input that is zero outside the box |k_j| <= K, the inverse pass along axis
-# j has work only on the lines whose indices on the earlier axes lie in the
-# box; every other line is zero and is left as it is.  The forward pass along
-# axis j is needed only on the lines whose indices on the later axes lie in
-# the box, since the box keeps no other output.  A line that is transformed
-# sees the same numbers as in numpy's own n-D call, so inside the box the
-# values are bitwise np.fft.ifftn's and np.fft.fftn's.  Both act on the last
-# `dim` axes, so a leading axis batches arrays.  A 1D transform has no line to
-# skip and is one call of np.fft.ifft or fft along the last axis, batched or
-# not, bitwise the n-D call's without its axes handling: at n = 1024 on a
-# 2-vCPU Xeon, in place, ifftn took 14.3 us a call against ifft's 12.3, and
-# fftn 12.5 us against fft's 10.7.
+# Each transform is one 1D pass of np.fft.ifft or fft along each of the last
+# `dim` axes, last axis first, which is how numpy's own n-D transform makes
+# it; a leading axis batches arrays.  For input that is zero outside the box
+# |k_j| <= K, the inverse pass along axis j has work only on the lines whose
+# indices on the earlier axes lie in the box; every other line is zero and is
+# left as it is.  The forward pass along axis j is needed only on the lines
+# whose indices on the later axes lie in the box, since the box keeps no
+# other output.  A line that is transformed sees the same numbers as in
+# numpy's own n-D call, so inside the box the values are bitwise
+# np.fft.ifftn's and np.fft.fftn's.  A 1D transform is the single pass.
 
-def _box_ranges(n: int, K: int):
-    """Index ranges of |k| <= K on an axis of n points, FFT order, or None
-    for one whole transform: for a box that keeps more than 7/8 of the axis,
-    the whole-grid box K = n // 2 among them, where skipping lines saves less
+def _box_ranges(n: int, K: int) -> tuple:
+    """Index ranges of |k| <= K on an axis of n points, FFT order: the one
+    whole-axis range for a box that keeps more than 7/8 of the axis, the
+    whole-grid box K = n // 2 among them, where skipping lines saves less
     than the extra calls cost (at 64^3 on a 2-vCPU Xeon, K = 31 took 9%
     longer by lines than whole, and the two broke even near K = 27)."""
     if 8 * (2 * K + 1) > 7 * n:
-        return None
+        return (slice(None),)
     return (slice(0, K + 1), slice(n - K, n)) if K else (slice(0, 1),)
 
 
 def _ifftn_box(a: np.ndarray, dim: int, K: int) -> np.ndarray:
     """np.fft.ifftn of a in place, for a zero outside the box |k_j| <= K."""
-    if dim == 1:
-        return np.fft.ifft(a, out=a)
     lead, ranges = a.ndim - dim, _box_ranges(a.shape[-1], K)
-    if ranges is None:
-        return np.fft.ifftn(a, axes=tuple(range(lead, a.ndim)) if lead else None, out=a)
     for j in reversed(range(dim)):
         for box in itertools.product(ranges, repeat=j):
-            lines = a[(slice(None),) * lead + box]
-            np.fft.ifftn(lines, axes=(lead + j,), out=lines)
+            lines = a[(slice(None),) * lead + box] if box else a
+            np.fft.ifft(lines, axis=lead + j, out=lines)
     return a
 
 
 def _fftn_box(a: np.ndarray, dim: int, K: int) -> np.ndarray:
     """np.fft.fftn of a in place, cut to the box |k_j| <= K, with exact
     zeros outside it."""
-    n = a.shape[-1]
-    lead = a.ndim - dim
-    if dim == 1:
-        np.fft.fft(a, out=a)
-    elif (ranges := _box_ranges(n, K)) is None:
-        np.fft.fftn(a, axes=tuple(range(lead, a.ndim)) if lead else None, out=a)
-    else:
-        np.fft.fftn(a, axes=(a.ndim - 1,), out=a)
-        for j in reversed(range(dim - 1)):
-            for box in itertools.product(ranges, repeat=dim - 1 - j):
-                lines = a[(slice(None),) * (lead + j + 1) + box]
-                np.fft.fftn(lines, axes=(lead + j,), out=lines)
+    lead, ranges = a.ndim - dim, _box_ranges(n := a.shape[-1], K)
+    for j in reversed(range(dim)):
+        for box in itertools.product(ranges, repeat=dim - 1 - j):
+            lines = a[(slice(None),) * (lead + j + 1) + box] if box else a
+            np.fft.fft(lines, axis=lead + j, out=lines)
     if 2 * K + 1 < n:
         for j in range(lead, a.ndim):
             a[(slice(None),) * j + (slice(K + 1, n - K),)] = 0

@@ -78,7 +78,8 @@ def rational_grid(count=10 ** 4):
 def patch_fft(monkeypatch, wrap):
     """Replace each of numpy's FFT entry points by wrap(real, inverse), real
     the entry point and inverse whether it is ifftn or ifft: the package
-    calls fftn and ifftn, and fft and ifft for 1D grids."""
+    calls fftn and ifftn for whole-grid transforms of a Field, and fft and
+    ifft in every pass of the band-limited transforms."""
     for name, inverse in (("fftn", False), ("fft", False), ("ifftn", True), ("ifft", True)):
         monkeypatch.setattr(np.fft, name, wrap(getattr(np.fft, name), inverse))
 

@@ -291,15 +291,6 @@ def test_multiplier_verify_gate_failure_exit(tmp_path):
     assert summary["failed"] == ["lwp-cubic/case1"]
 
 
-def test_inadmissible_strichartz_pair_is_config_error(tmp_path):
-    path = write_config(tmp_path, {
-        "subcommand": "strichartz",
-        "params": {"q": 4, "r": 4, "T": 0.3},
-        "seed": 0, "out_dir": str(tmp_path / "st"),
-    })
-    assert main(["--config", path]) == EXIT_CONFIG
-
-
 @pytest.mark.parametrize("sub, params", [
     ("simulate", {"dim": 1, "n": 16, "length": 6.283185307179586, "dt": 0.03,
                   "t_end": 0.1, "datum": {"kind": "zero"}}),
@@ -556,6 +547,15 @@ def test_field_line_is_taken_from_its_own_object(tmp_path, body, line):
     pytest.param("almost-conservation", {"dim": 1, "n": 16, "length": 6.283185307179586,
                                          "s": 0.9, "N_list": [4, 8], "window": 1e-4},
                  "window", id="window-below-default-dt"),
+    pytest.param("simulate", {"dim": 1, "n": 16, "length": 6.283185307179586,
+                              "dt": 0.01, "t_end": 0.1, "datum": {"kind": "zero"},
+                              "diagnostics_every": 10},
+                 "diagnostics_every", id="cadence-leaves-two-records"),
+    pytest.param("simulate", {"dim": 1, "n": 16, "length": 6.283185307179586,
+                              "dt": 0.1, "t_end": 0.1, "datum": {"kind": "zero"}},
+                 "t_end", id="t_end-is-one-step"),
+    pytest.param("strichartz", {"q": 4, "r": 4, "T": 0.3}, "q",
+                 id="strichartz-inadmissible"),
 ])
 def test_late_config_errors_are_found_on_load(tmp_path, sub, params, key):
     path = write_config(tmp_path, {"subcommand": sub, "params": params,
@@ -591,17 +591,20 @@ def test_unknown_case_label_names_its_line(tmp_path):
 
 
 def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # config errors come only from load: an error raised inside a runner,
+    # a ValueError too, is an internal fault and propagates
     import gpilab.cli as cli
 
-    def stub(*args, **kwargs):
-        raise KeyError("internal")
-
-    monkeypatch.setattr(cli, "verify_bounds", stub)
     path = write_config(tmp_path, {"subcommand": "multiplier-verify",
                                    "params": {"cases": ["cubic-pair/case2"]},
                                    "seed": 0, "out_dir": str(tmp_path / "mv")})
-    with pytest.raises(KeyError):
-        main(["--config", path])
+    for error in (KeyError, ValueError):
+        def stub(*args, **kwargs):
+            raise error("internal")
+
+        monkeypatch.setattr(cli, "verify_bounds", stub)
+        with pytest.raises(error):
+            main(["--config", path])
 
 
 def test_manifest_lists_defaults_and_reruns_byte_identically(tmp_path):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpilab.bench import _band
-from gpilab.grid import (Field, Grid, _box_cutoff, _box_ranges, _fftn_box, _ifftn_box,
-                         forward_transform, inverse_transform)
-from oracles import box, lp_norm, sobolev_norm
+from gpilab.grid import (Field, Grid, _box_cutoff, _fftn_box, _ifftn_box, forward_transform,
+                         inverse_transform)
+from oracles import box, lp_norm, patch_fft, sobolev_norm
 
 
 def random_field(grid, seed):
@@ -140,10 +140,33 @@ def test_band_limited_forward_is_masked_fftn_bitwise(shape, dim, K):
     assert np.array_equal(outside, np.zeros_like(outside))
 
 
-def test_whole_grid_box_is_one_transform():
-    # evolve gives the datum's first record and step the box n // 2, which
-    # must go to one numpy call, as numpy's own transform of the datum does
-    assert all(_box_ranges(n, n // 2) is None for n in range(8, 1025))
+@pytest.mark.parametrize("shape, dim, K, calls", [
+    pytest.param((64,), 1, 21, 1, id="1d"), pytest.param((5, 64), 1, 21, 1, id="1d-batched"),
+    pytest.param((64,), 1, 32, 1, id="1d-whole"),
+    pytest.param((16, 16, 16), 3, 5, 1 + 2 + 4, id="3d-box"),
+    pytest.param((2, 16, 16, 16), 3, 5, 1 + 2 + 4, id="3d-box-batched"),
+    pytest.param((16, 16, 16), 3, 8, 3, id="3d-whole")])
+def test_box_transforms_are_1d_passes_over_the_kept_lines(monkeypatch, shape, dim, K,
+                                                           calls):
+    # each pass is one ifft or fft call over the lines the box keeps, which
+    # the bitwise BOX_CASES cannot see: a 1D transform, batched or not, is
+    # one call; a 3D box of two ranges per axis takes 1 + 2 + 4 calls each
+    # way, and the whole-grid box one per axis; no n-D transform is called
+    names = []
+
+    def counting(real, inverse):
+        def wrapper(*args, **kwargs):
+            names.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    patch_fft(monkeypatch, counting)
+    a = _random(shape, 3) * box(shape[-1], dim, K)
+    _ifftn_box(a, dim, K)
+    assert names == ["ifft"] * calls
+    names.clear()
+    _fftn_box(a, dim, K)
+    assert names == ["fft"] * calls
 
 
 def test_box_cutoff_is_the_least_box():

@@ -9,6 +9,13 @@ once and shared, and each row's later rounds resume that stream after its
 own free frequencies.  The sampler evaluates candidates in fixed chunks and
 stops at the chunk that completes its count, so no row holds a full round of
 candidate tuples, and its rejection counts cover the candidates evaluated.
+
+Every ratio M/bound is a closed form in the magnitudes |xi_i| and the
+magnitudes sigma_b of the block sums, so the sampler hands on only those: a
+(count, arity + blocks) array S, the kept candidates' magnitudes then one
+sigma per block.  No (count, arity, 3) array of kept tuples is built.  The
+sampler still returns the pair (S, stats): perfbench's span attributes unpack
+it and count S's rows as the samples drawn.
 """
 
 from dataclasses import dataclass
@@ -78,22 +85,23 @@ QUARTIC_PAIRS = MultiplierExpr("quartic-pairs", ((0, 1), (2, 3)))
 CUBIC_PAIR = MultiplierExpr("cubic-pair", ((0, 1), (2,)))
 
 
-def eval_multiplier(expr: MultiplierExpr, X, mags, N: float, s: float):
-    """M at X of shape (count, arity, 3) with magnitudes mags = _norm3(X), none
-    below the sampler's 1e-9 guard: the leading block's m(|sum|)/prod m or
-    |m(|sum|) - prod m|/prod m (commutator), times m(|sum|)/prod m of each later
-    block, over the product of all magnitudes; a lone block carries |sum|."""
-    spec = MultiplierSpec(N=N, s=s)
+def eval_multiplier(expr: MultiplierExpr, S, N: float, s: float):
+    """M at the rows of S, laid out as `sample_region` returns it: the arity
+    magnitudes, none below the sampler's 1e-9 guard, then block k's sum
+    magnitude |sum| in column arity + k.  M is the leading block's
+    m(|sum|)/prod m or |m(|sum|) - prod m|/prod m (commutator), times
+    m(|sum|)/prod m of each later block, over the product of all magnitudes;
+    a lone block carries |sum|."""
+    spec, arity = MultiplierSpec(N=N, s=s), expr.arity
     for k, g in enumerate(expr.groups):
-        block = slice(g[0], g[-1] + 1)
-        ssum = _norm3(_cols(np.add, X[:, block]))
+        ssum = S[:, arity + k]
         msum = multiplier_value(spec, ssum)
-        mm = _cols(np.multiply, multiplier_value(spec, mags[:, block]))
+        mm = _cols(np.multiply, multiplier_value(spec, S[:, g[0]:g[-1] + 1]))
         part = np.abs(msum - mm) / mm if k == 0 and expr.commutator else msum / mm
         out = part if k == 0 else out * part
     if len(expr.groups) == 1:
         out = out * ssum
-    return out / _cols(np.multiply, mags)
+    return out / _cols(np.multiply, S[:, :arity])
 
 
 @dataclass(frozen=True)
@@ -291,26 +299,27 @@ class _Draws:
         return np.random.Generator(bits)
 
 
-def sample_region(case: VerifyCase, N: float, count: int, seed: int, *, _mags=None,
-                  _draws=None):
+def sample_region(case: VerifyCase, N: float, count: int, seed: int, *, _draws=None):
     """Draw `count` tuples in the case region, log-uniform magnitudes and uniform
-    directions.  Each round draws 4x the shortfall, at least 2000 candidates,
+    directions, and return (S, stats).  S is a (count, arity + blocks) array:
+    the kept tuples' magnitudes, bitwise `_norm3` of each frequency, then for
+    each block the `_norm3` of its sum, added frequency by frequency in index
+    order.  Each round draws 4x the shortfall, at least 2000 candidates,
     evaluates them in chunks of _CHUNK in draw order and keeps the first
     admissible ones, stopping after the chunk that completes the count; the
-    counts of rejected and singular candidates cover the candidates evaluated,
-    not the rest of the round.  Raise InfeasibleRegionError if 200 rounds,
-    every candidate of them evaluated, yield fewer than `count`.  `_mags`, if
-    given, is a (count, arity) array that receives the magnitudes of the kept
-    tuples, bitwise `_norm3` of them.  `_draws`, if given, is the first round
-    of `seed`'s stream, shared with other rows."""
+    counts of rejected and singular candidates in stats cover the candidates
+    evaluated, not the rest of the round.  Raise InfeasibleRegionError if 200
+    rounds, every candidate of them evaluated, yield fewer than `count`.
+    `_draws`, if given, is the first round of `seed`'s stream, shared with
+    other rows."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    arity, solve = case.expr.arity, case.expr.solve
+    arity, solve, groups = case.expr.arity, case.expr.solve, case.expr.groups
     free = [i for i in range(arity) if i != solve]
     logs = [(np.log(WINDOWS[code][0] * N), np.log(WINDOWS[code][1] * N))
             for code in case.free_ranges]
     draws = _Draws(seed, max(4 * count, 2000)) if _draws is None else _draws
-    out, have, rejected, singular = np.empty((count, arity, 3)), 0, 0, 0
+    S, have, rejected, singular = np.empty((count, arity + len(groups))), 0, 0, 0
     F = np.empty((arity, _CHUNK, 3))    # F[i]: frequency i of a chunk of candidates
     for _ in range(200):
         blocks = [draws.block(j) for j in range(len(free))]
@@ -331,9 +340,11 @@ def sample_region(case: VerifyCase, N: float, count: int, seed: int, *, _mags=No
             singular += n_sing
             rejected += Fc.shape[1] - n_ok - n_sing
             take = np.flatnonzero(ok)[:count - have]
-            out[have:have + len(take)] = Fc[:, take].transpose(1, 0, 2)
-            if _mags is not None:
-                _mags[have:have + len(take)] = mags[:, take].T
+            kept = slice(have, have + len(take))
+            S[kept, :arity] = mags.T[take]
+            for k, g in enumerate(groups):
+                block = Fc[g[0]:g[-1] + 1].transpose(1, 0, 2)
+                S[kept, arity + k] = _norm3(_cols(np.add, block))[take]
             have += len(take)
             if have == count:
                 break
@@ -344,14 +355,18 @@ def sample_region(case: VerifyCase, N: float, count: int, seed: int, *, _mags=No
         raise InfeasibleRegionError(
             f"region {case.label} gave {have} of {count} samples at N={N}, "
             f"acceptance rate {have / (have + rejected + singular):.3g}")
-    return out, {"rejected": rejected, "singular": singular}
+    return S, {"rejected": rejected, "singular": singular}
 
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One row's verdict.  The witness is the row of `sample_region`'s S with
+    the largest ratio: the magnitudes, then each block's sum magnitude, all
+    that a ratio reads."""
+
     label: str
     max_ratio: float
-    witness: tuple              # frequency tuple achieving the max
+    witness: tuple              # a row of S
     per_N: dict                 # N -> max ratio
     slope: float
     passed: bool
@@ -369,16 +384,15 @@ def verify_bounds(cases, N_list, samples_per_N: int, seed: int, s: float = 0.75,
     for k, N in enumerate(N_list):
         draws = _Draws(seed + 7919 * k, max(4 * samples_per_N, 2000))
         for r, case in enumerate(cases):
-            mags = np.empty((samples_per_N, case.expr.arity))
-            X, _ = sample_region(case, N, samples_per_N, seed=seed + 7919 * k,
-                                 _mags=mags, _draws=draws)
-            bound = case.bound(case.sorted_mags(mags), N, s)
-            ratio = eval_multiplier(case.expr, X, mags, N, s) / bound
+            S, _ = sample_region(case, N, samples_per_N, seed=seed + 7919 * k,
+                                 _draws=draws)
+            bound = case.bound(case.sorted_mags(S[:, :case.expr.arity]), N, s)
+            ratio = eval_multiplier(case.expr, S, N, s) / bound
             i = int(np.argmax(ratio))
             per_N[r][N] = float(ratio[i])
             if ratio[i] > best[r][0]:
-                best[r] = (float(ratio[i]), tuple(map(tuple, X[i])))
-            del X, mags, bound, ratio   # freed before the next row's draw
+                best[r] = (float(ratio[i]), tuple(S[i]))
+            del S, bound, ratio         # freed before the next row's draw
     reports = []
     for case, case_N, (top, witness) in zip(cases, per_N, best):
         slope = loglog_fit(list(N_list), [max(case_N[N], 1e-300) for N in N_list]).slope

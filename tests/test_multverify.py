@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from gpilab.multverify import (CATALOG, SINGULAR_EPS, WINDOWS, InfeasibleRegionError,
                                MultiplierExpr, VerifyCase, LWP_CUBIC, LWP_QUADRATIC,
-                               COMM_CUBIC, _CHUNK, _Draws, _cols, _norm3,
+                               COMM_CUBIC, SEXTIC, _CHUNK, _Draws, _cols, _norm3,
                                catalog_by_label, eval_multiplier, sample_region,
                                verify_bounds)
 
@@ -23,10 +23,17 @@ def test_catalog_labels_are_unique():
     assert len(CATALOG) >= 40
 
 
-def _M(expr, xi, N, s):
+def _S(expr, X):
+    """The sampler's S of tuples X of shape (count, arity, 3): the magnitudes,
+    then the magnitude of each block's sum, added in index order."""
+    sums = [_norm3(_cols(np.add, X[:, g[0]:g[-1] + 1])) for g in expr.groups]
+    return np.column_stack([_norm3(X), *sums])
+
+
+def _eval_at(expr, xi, N, s):
     """eval_multiplier at one frequency tuple xi of shape (arity, 3)."""
     X = np.asarray(xi, dtype=float)[None]
-    return float(eval_multiplier(expr, X, _norm3(X), N, s)[0])
+    return float(eval_multiplier(expr, _S(expr, X), N, s)[0])
 
 
 def test_eval_multiplier_hand_computed_point():
@@ -35,8 +42,15 @@ def test_eval_multiplier_hand_computed_point():
     # M = m(12N)/m(4N)^3 * 12N / (4N)^3
     N, s = 8.0, 0.75
     xi = np.array([[4 * N, 0, 0]] * 3)
-    got = _M(LWP_CUBIC, xi, N, s)
+    got = _eval_at(LWP_CUBIC, xi, N, s)
     expect = (12.0 ** -0.25 / 4.0 ** -0.75) * 12 * N / (4 * N) ** 3
+    assert abs(got - expect) < 1e-14 * expect
+    # two blocks, each read through its own sum: (4N, 0, 0) three times, then
+    # (2N, 0, 0) three times, whose sums 12N and 6N differ
+    xi = np.array([[4 * N, 0, 0]] * 3 + [[2 * N, 0, 0]] * 3)
+    got = _eval_at(SEXTIC, xi, N, s)
+    expect = (abs(12.0 ** -0.25 - 4.0 ** -0.75) / 4.0 ** -0.75
+              * 6.0 ** -0.25 / 2.0 ** -0.75 / ((4 * N) ** 3 * (2 * N) ** 3))
     assert abs(got - expect) < 1e-14 * expect
 
 
@@ -44,7 +58,7 @@ def test_eval_multiplier_commutator_vanishes_at_low_frequency():
     # all frequencies below N: m = 1 everywhere, commutator numerator = 0
     N = 32.0
     xi = np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 1.5]])
-    assert _M(COMM_CUBIC, xi, N, 0.75) == 0.0
+    assert _eval_at(COMM_CUBIC, xi, N, 0.75) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -52,9 +66,9 @@ def test_eval_multiplier_commutator_vanishes_at_low_frequency():
 def test_expressions_symmetric_under_argument_permutation(seed):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-20, 20, size=(3, 3))
-    base = _M(LWP_CUBIC, X, 4.0, 0.8)
+    base = _eval_at(LWP_CUBIC, X, 4.0, 0.8)
     perm = X[rng.permutation(3)]
-    assert abs(_M(LWP_CUBIC, perm, 4.0, 0.8) - base) \
+    assert abs(_eval_at(LWP_CUBIC, perm, 4.0, 0.8) - base) \
         <= 1e-12 * max(base, 1e-30)
 
 
@@ -65,9 +79,9 @@ def test_expressions_rotation_invariant(seed):
     X = rng.uniform(-20, 20, size=(2, 3))
     # random rotation via QR of a Gaussian matrix
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    base = _M(LWP_QUADRATIC, X, 4.0, 0.8)
+    base = _eval_at(LWP_QUADRATIC, X, 4.0, 0.8)
     rot = X @ Q.T
-    assert abs(_M(LWP_QUADRATIC, rot, 4.0, 0.8) - base) \
+    assert abs(_eval_at(LWP_QUADRATIC, rot, 4.0, 0.8) - base) \
         <= 1e-10 * max(base, 1e-30)
 
 
@@ -79,9 +93,9 @@ def test_large_N_collapse_to_unsmoothed_form():
     mags = np.linalg.norm(X, axis=1)
     ssum = np.linalg.norm(X.sum(axis=0))
     N = 1e6
-    got = _M(LWP_CUBIC, X, N, 0.75)
+    got = _eval_at(LWP_CUBIC, X, N, 0.75)
     assert abs(got - ssum / mags.prod()) < 1e-12
-    assert _M(COMM_CUBIC, X, N, 0.75) == 0.0
+    assert _eval_at(COMM_CUBIC, X, N, 0.75) == 0.0
 
 
 _EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e200, -1e200]
@@ -110,12 +124,12 @@ def test_norm3_is_bitwise_linalg_norm(seed, edges):
     st.tuples(st.integers(0, 6 * 32 * 3 - 1), st.sampled_from(_EDGE_VALUES)),
     max_size=24))
 def test_cols_is_bitwise_numpy_reduction(seed, edges):
-    # the evaluator's and the bound's reductions run over axes of 1 to 6
-    # entries: sums of frequency blocks cut from (count, arity, 3) tuples, and
-    # products of (count, k) magnitudes and motifs, signs and scales mixed.
-    # numpy sums negative zeros to +0.0 where the column loop keeps -0.0, so
-    # sums are compared after + 0.0, and their norms, all the evaluator
-    # reads, bitwise
+    # the sampler's, the evaluator's and the bound's reductions run over axes
+    # of 1 to 6 entries: sums of frequency blocks cut from a chunk of
+    # candidate tuples, and products of (count, k) magnitudes and motifs, signs
+    # and scales mixed.  numpy sums negative zeros to +0.0 where the column
+    # loop keeps -0.0, so sums are compared after + 0.0, and their norms, all
+    # the sampler keeps, bitwise
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((32, 6, 3)) * 10.0 ** rng.integers(-300, 150, (32, 6, 1))
     for pos, value in edges:
@@ -169,8 +183,10 @@ def test_sorted_mags_network_matches_sort(mags):
     for block in (slice(0, 1), slice(1, 3), slice(3, 6)):
         want = np.sort(mags[:, block], axis=1)[:, ::-1]
         assert np.array_equal(got[:, block].view(np.uint64), want.view(np.uint64))
-    # the sampler passes a column-major view
+    # the sampler passes a column-major view, verify_bounds the leading
+    # columns of a wider row-major array
     assert np.array_equal(_BLOCKS.sorted_mags(mags.T.copy().T), got)
+    assert np.array_equal(_BLOCKS.sorted_mags(np.hstack([mags, mags])[:, :6]), got)
 
 
 def test_blocks_beyond_three_frequencies_are_refused():
@@ -184,25 +200,30 @@ def test_blocks_beyond_three_frequencies_are_refused():
 def test_membership_regions_are_disjoint():
     hi_case = catalog_by_label("lwp-cubic/case1")
     lo_case = catalog_by_label("lwp-cubic/case3-low")
-    X, _ = sample_region(hi_case, N=8.0, count=500, seed=0)
-    mags = np.linalg.norm(X, axis=2)
+    S, _ = sample_region(hi_case, N=8.0, count=500, seed=0)
+    mags = S[:, :3]
     assert hi_case.holds(hi_case.sorted_mags(mags), 8.0).all()
     assert not lo_case.holds(lo_case.sorted_mags(mags), 8.0).any()
 
 
 def test_sample_region_respects_constraints():
     case = catalog_by_label("lwp-cubic/case3-separated")
-    X, _ = sample_region(case, N=16.0, count=300, seed=1)
-    mags = np.sort(np.linalg.norm(X, axis=2), axis=1)[:, ::-1]
+    S, _ = sample_region(case, N=16.0, count=300, seed=1)
+    mags = np.sort(S[:, :3], axis=1)[:, ::-1]
     assert (mags[:, 0] >= 16.0).all()
     assert (mags[:, 1] <= 16.0).all()
     assert (mags[:, 0] >= 8 * mags[:, 1]).all()
 
 
 def test_sample_region_zero_sum_solved():
+    # the kept tuples, replayed, sum to zero, so the two blocks' sums are
+    # opposite and the sampler's block-sum magnitudes agree
     case = catalog_by_label("sextic/case1a")
-    X, _ = sample_region(case, N=4.0, count=100, seed=2)
+    *_, X = _recount(case, 4.0, 100, 2)
     assert np.max(np.abs(X.sum(axis=1))) < 1e-9
+    S, _ = sample_region(case, N=4.0, count=100, seed=2)
+    assert np.array_equal(S.view(np.uint64), _S(case.expr, X).view(np.uint64))
+    assert np.max(np.abs(S[:, 6] - S[:, 7])) < 1e-9
 
 
 def test_sample_region_reports_rejections():
@@ -228,26 +249,28 @@ def test_sample_region_raises_on_under_delivery():
 
 
 def test_sampled_magnitudes_are_norm3_bitwise():
-    # verify_bounds reads the kept tuples' magnitudes from the sampler and
-    # hands them to the evaluator; they must be what recomputing gives, and
-    # the stream and the counts must not move
+    # verify_bounds hands the sampler's S to the evaluator: its magnitudes and
+    # block-sum magnitudes must be what recomputing them from the replayed
+    # tuples gives, and the stream and the counts must not move
     for label in ("lwp-cubic/case2", "sextic/case3c-meanvalue", "cubic-pair/case2"):
         case = catalog_by_label(label)
-        X, stats = sample_region(case, 8.0, 3000, seed=9)
-        mags = np.empty((3000, case.expr.arity))
-        X2, stats2 = sample_region(case, 8.0, 3000, seed=9, _mags=mags)
-        assert np.array_equal(X2, X) and stats2 == stats
-        assert np.array_equal(mags.view(np.uint64), _norm3(X).view(np.uint64))
+        S, stats = sample_region(case, 8.0, 3000, seed=9)
+        rejected, singular, _, X = _recount(case, 8.0, 3000, 9)
+        assert (stats["rejected"], stats["singular"]) == (rejected, singular)
+        assert S.shape == (3000, case.expr.arity + len(case.expr.groups))
+        assert np.array_equal(S.view(np.uint64), _S(case.expr, X).view(np.uint64))
 
 
-# sha256 of the samples and the exact (rejected, singular) at N = 4 and 32,
+# sha256 of the kept tuples and the exact (rejected, singular) at N = 4 and 32,
 # 2000 samples, seed 3, then verify_bounds' per-N maxima on the same draws,
 # recorded before the sampler worked in place, which must keep every bit;
 # commutator-quadratic/case3a, recorded before the rows shared their first
 # round, admits under a quarter of its 8000 first candidates and draws a
 # second round of 2000 from where its first left the stream.  The counts
 # cover the chunks evaluated: sextic/case3c-meanvalue read 132 and
-# quintic-cubic-pair/case3b 93 while every candidate drawn was counted
+# quintic-cubic-pair/case3b 93 while every candidate drawn was counted.  The
+# sampler returns no tuples since it hands on magnitudes, so the digests are
+# checked on the tuples replayed from the stream, and the sampler's S on those
 PINNED_SAMPLES = {
     "lwp-cubic/case2": (
         {4: ("706ebca5f4b3d1958363accb36ac8abe2acc1ef84595a98e1667f729a7bfbc13", 0, 0),
@@ -274,22 +297,26 @@ def test_sampler_pinned_bitwise(label):
     case = catalog_by_label(label)
     samples, per_N = PINNED_SAMPLES[label]
     for N, (digest, rejected, singular) in samples.items():
-        X, stats = sample_region(case, float(N), 2000, seed=3)
+        *_, X = _recount(case, float(N), 2000, 3)
+        S, stats = sample_region(case, float(N), 2000, seed=3)
         assert X.shape == (2000, case.expr.arity, 3)
         assert hashlib.sha256(X.tobytes()).hexdigest() == digest
         assert (stats["rejected"], stats["singular"]) == (rejected, singular)
+        assert np.array_equal(S.view(np.uint64), _S(case.expr, X).view(np.uint64))
     rep, = verify_bounds((case,), N_list=(4, 32), samples_per_N=2000, seed=3)
     assert rep.per_N == {N: float.fromhex(v) for N, v in per_N.items()}
 
 
 def _recount(case, N, count, seed):
-    """(rejected, singular, rounds) of a row recounted from its stream: every
+    """(rejected, singular, rounds, X) of a row recounted from its stream: every
     candidate of a round is built at once from the `_Draws` blocks in draw
     order, and the count stops at the end of the _CHUNK-candidate chunk that
-    holds the count-th admissible candidate, the last chunk evaluated."""
+    holds the count-th admissible candidate, the last chunk evaluated.  X is
+    the first `count` admissible tuples, shape (count, arity, 3)."""
     arity, solve = case.expr.arity, case.expr.solve
     free = [i for i in range(arity) if i != solve]
     draws, have, rejected, singular = _Draws(seed, max(4 * count, 2000)), 0, 0, 0
+    kept = []
     for rounds in range(1, 201):
         F = np.empty((draws.c, arity, 3))
         for j, (i, code) in enumerate(zip(free, case.free_ranges)):
@@ -305,6 +332,7 @@ def _recount(case, N, count, seed):
         sing = (mags < SINGULAR_EPS).any(axis=1)
         ok = case.holds(case.sorted_mags(mags), N) & ~sing
         admissible = np.flatnonzero(ok)
+        kept.append(F[admissible[:count - have]])
         seen = draws.c
         if have + len(admissible) >= count:
             last = admissible[count - have - 1]
@@ -313,7 +341,7 @@ def _recount(case, N, count, seed):
         rejected += seen - int(ok[:seen].sum()) - int(sing[:seen].sum())
         have += len(admissible)
         if have >= count:
-            return rejected, singular, rounds
+            return rejected, singular, rounds, np.concatenate(kept)
         draws = _Draws(draws.resume(len(free)), max(4 * (count - have), 2000))
     raise AssertionError("the recount never reached the count")
 
@@ -325,7 +353,7 @@ def test_counts_cover_only_the_chunks_evaluated():
                           ("commutator-quadratic/case3a", 2)):
         case = catalog_by_label(label)
         for N in (4.0, 32.0):
-            rejected, singular, used = _recount(case, N, 2000, 3)
+            rejected, singular, used, _ = _recount(case, N, 2000, 3)
             assert used == rounds, label
             _, stats = sample_region(case, N, 2000, seed=3)
             assert (stats["rejected"], stats["singular"]) == (rejected, singular)
@@ -333,16 +361,15 @@ def test_counts_cover_only_the_chunks_evaluated():
 
 
 def test_shared_draws_match_rows_sampled_alone():
-    # every row at one N reads one shared first round: its samples, magnitudes
-    # and counts must be what sampling the row alone gives, bit for bit
+    # every row at one N reads one shared first round: its magnitudes,
+    # block-sum magnitudes and counts must be what sampling the row alone
+    # gives, bit for bit
     for N in (4.0, 32.0):
         shared = _Draws(3, 8000)
         for case in CATALOG:
-            mags, alone = (np.empty((2000, case.expr.arity)) for _ in range(2))
-            X, stats = sample_region(case, N, 2000, seed=3, _mags=mags, _draws=shared)
-            X1, stats1 = sample_region(case, N, 2000, seed=3, _mags=alone)
-            assert np.array_equal(X.view(np.uint64), X1.view(np.uint64)), case.label
-            assert np.array_equal(mags.view(np.uint64), alone.view(np.uint64))
+            S, stats = sample_region(case, N, 2000, seed=3, _draws=shared)
+            S1, stats1 = sample_region(case, N, 2000, seed=3)
+            assert np.array_equal(S.view(np.uint64), S1.view(np.uint64)), case.label
             assert stats == stats1, case.label
 
 
@@ -350,8 +377,9 @@ def test_shared_draws_match_rows_sampled_alone():
 def test_sampler_peak_memory():
     # one shared stream at 2000 samples holds 5 free blocks of 8000 uniform
     # variates and unit directions; candidates are evaluated in chunks, not
-    # as full (arity, candidates, 3) arrays.  tracemalloc counts numpy's
-    # buffers.
+    # as full (arity, candidates, 3) arrays, and the kept ones are handed on
+    # as magnitudes, not as (count, arity, 3) tuples.  tracemalloc counts
+    # numpy's buffers.
     stream = 5 * 8000 * 4 * 8
     verify_bounds(CATALOG, (4, 8), 2000, seed=3)
     tracemalloc.start()
@@ -360,7 +388,27 @@ def test_sampler_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / stream < 2.25
+    assert peak / stream < 1.75
+
+
+def test_witness_is_a_replayed_tuple_in_magnitude_space():
+    # the reported witness is S of one kept tuple, and the multiplier at that
+    # tuple, rebuilt as 3D vectors, over the row's bound there is the
+    # reported maximum, bit for bit.  A slope needs two N; the tuples are
+    # replayed at the N that gave the maximum, from that N's seed
+    for label in ("lwp-cubic/case3-low", "sextic/case3c-meanvalue"):
+        case = catalog_by_label(label)
+        rep, = verify_bounds((case,), N_list=(4, 8), samples_per_N=2000, seed=3)
+        k = [rep.per_N[N] for N in (4, 8)].index(rep.max_ratio)
+        N = (4.0, 8.0)[k]
+        *_, X = _recount(case, N, 2000, 3 + 7919 * k)
+        S = _S(case.expr, X)
+        witness = np.array(rep.witness)
+        hits = np.flatnonzero((S.view(np.uint64) == witness.view(np.uint64)).all(axis=1))
+        assert hits.size, label
+        i = hits[0]
+        bound = case.bound(case.sorted_mags(S[i:i + 1, :case.expr.arity]), N, 0.75)
+        assert _eval_at(case.expr, X[i], N, 0.75) / bound[0] == rep.max_ratio, label
 
 
 def test_sample_region_count_validation():

@@ -228,11 +228,12 @@ def _csv(header: str, rows) -> str:
 
 
 def _energy_csv(traj) -> str:
-    """The E(u) rows of a trajectory, then each spec's E(Iu) rows."""
-    per_row = zip(traj.labels, traj.energies.transpose(1, 0, 2).tolist())
-    return _csv("time,kinetic,potential,total,l2,N,s",
+    """The E(u) rows of a trajectory, then each spec's E(Iu) rows: time, the
+    record table's energy columns in their order, and the row's N and s."""
+    per_row = zip(traj.labels, traj.energies.T.tolist())
+    return _csv(",".join(("time", *traj.energies.dtype.names, "N", "s")),
                 [(t, *e, *label) for label, rows in per_row
-                 for (t, _), e in zip(traj.snapshots.tolist(), rows)])
+                 for t, e in zip(traj.snapshots["time"].tolist(), rows)])
 
 
 def _build_datum(grid: Grid, datum: dict, seed: int) -> Field:
@@ -268,7 +269,7 @@ def _run_simulate(cfg: RunConfig):
     # unnamed, so that evolve frees the datum after its first transform
     traj = evolve(_build_datum(grid, p["datum"], cfg.seed), ecfg, specs)
     audit = l2_growth_audit(traj)
-    total, l2 = traj.energies[-1, 0, 2:].tolist()
+    total, l2 = traj.energies[["total", "l2"]][-1, 0].item()
     summary = {"status": "ok", "final_l2": l2, "final_energy": total,
                "l2_audit": dataclasses.asdict(audit)}
     return summary, {"energy.csv": _energy_csv(traj)}, EXIT_OK

@@ -16,21 +16,16 @@ the first step lies in it, and the transforms skip the lines the box
 makes zero.  The half-steps are unitary, so finite data turn non-finite
 only by overflow, and the first record with a non-finite number ends the
 run.  `evolve` is the one stepper.  It allocates its arrays once: the
-step works in place, its nonlinear substep on chunks of 2^15 points.  The
-records' rows, u and every Iu, are reduced in groups of consecutive rows:
-up to six whole records where one fits in 2^15 points (1D and small 2D
-runs), one row from 32^3 up.  Each record time fills its rows into the
-group; a full group is summed and inverse-transformed in place, into rows
-of the record table that `evolve` sizes before the first step, so a
-non-finite record is found once its group is reduced.  That table is the
-package's one discretization of E(u) and E(Iu).
+step works in place, its nonlinear substep on chunks of 2^15 points, and
+the records' grids, u and every Iu, are reduced in groups of
+g = max(1, 2^15 // size) consecutive grids into the named columns of the
+record table, the package's one discretization of E(u) and E(Iu).
 A trajectory keeps one state, the final one.  The working set is the
 coefficients uh, the half-step phase, |xi|^2, one multiplier array per
-spec and one group of g rows (g complex and g + r real arrays, r the
-records per group, or 1), with the step's scratch inside them.  `evolve`
-drops its datum after the first fftn, so a datum no caller holds (the
-CLI's) is freed before these exist, and building one (`rough_datum`)
-holds less than they do.
+spec and one group (g complex and g + ceil(g / rows) real arrays), with
+the step's scratch inside them.  `evolve` drops its datum after the first
+fftn, so a datum no caller holds (the CLI's) is freed before these exist,
+and building one (`rough_datum`) holds less than they do.
 Also here: the step-size law, rough data, and two reductions of a
 trajectory's record table: the L^2 growth audit and the
 almost-conservation sweep.
@@ -50,7 +45,6 @@ from .fitting import ExponentFit, loglog_fit
 
 _PAD = 0.01         # rough_datum's spectral decay past the H^s edge
 _CHUNK_POINTS = 2 ** 15   # evolve's scratch budget: points per chunk, per record group
-_GROUP_RECORDS = 6        # evolve's most records per group
 _AUDIT_RECORDS = 3        # l2_growth_audit's fewest records
 
 __all__ = [
@@ -105,10 +99,15 @@ class EvolveConfig:
         return _step_count(self.dt, self.t_end)[0]
 
 
+# the record table's columns: per record, and per record and row
+_SNAPSHOT = np.dtype([("time", float), ("l3", float)])      # l3 = ||u||_{L^3}
+_ENERGY = np.dtype([(c, float) for c in ("kinetic", "potential", "total", "l2")])
+
+
 @dataclass
 class Trajectory:
-    snapshots: np.ndarray   # (records, 2): time, ||u||_{L^3}
-    energies: np.ndarray    # (records, rows, 4): kinetic, potential, total, l2
+    snapshots: np.ndarray   # (records,) of _SNAPSHOT
+    energies: np.ndarray    # (records, rows) of _ENERGY
     labels: list            # (N, s) per row: (inf, 1.0) for u, then each spec's Iu
     final: Field            # physical state at t_end; None on blow-up
     cfg: EvolveConfig
@@ -178,31 +177,24 @@ def _row_sums(a) -> np.ndarray:
 def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     """Integrate u0 to t_end, reporting E(u) and E(Iu) at the cadence.
 
-    The records' grids, u's coefficients and then each Iu's per record, are
-    reduced in groups of consecutive grids.  Where a whole record fits in
-    _CHUNK_POINTS points (1D and small 2D runs), a group holds up to
-    _GROUP_RECORDS consecutive records, as many as fit; otherwise a record
-    spans groups of as many rows as fit, at least one.  At each record time
-    only its rows are filled, uh and uh m_N, into the group's stack.  Once
-    the stack has no room for another record's rows, or at the last record,
-    one pass reduces the group: |c|^2 goes into one real array per grid, and
-    the sums of it and of the kinetic product, made in place, are scaled
-    (l2 by scale, kinetic by scale^2); one batched inverse FFT of the stack
-    in place follows, ||u||_{L^3} of each record's u row from one extra real
-    array per record, the potentials, with 2 Re u written into the stack's
-    own imaginary parts, and the finiteness check of the records the group
+    Record k fills row k of the trajectory's tables.  Its grids, uh and
+    then uh m_N per spec, are filled one at a time into a stack of
+    max(1, _CHUNK_POINTS // size) consecutive grids, whichever records they
+    belong to.  When the stack is full, or the last grid is filled, one
+    pass reduces it: the l2 and kinetic sums of |c|^2, then scaled (l2 by
+    scale, kinetic by scale^2); one batched inverse FFT in place;
+    ||u||_{L^3} of its u grids; the potentials, with 2 Re u written over
+    the stack's imaginary parts; and the finiteness check of the records it
     finishes, in record order.  So a non-finite record raises at its own
-    time with the records before it, but only once its group is reduced:
-    the steps taken past it until then are wasted work.  The stack and real
-    arrays, allocated once, also hold the step's chunk scratch, in the
-    stack's tail, which no filled row reaches between records.
+    time with the records before it, once its group is reduced.  The stack
+    and its real arrays also hold the step's chunk scratch, in the stack's
+    last grid, which a full stack never leaves filled between records.
     u0 is dropped after the first fftn, so it is freed if the caller holds
     no reference.  The datum may hold modes past the dealiased box
-    (`rough_datum` does in 2D and 3D), so the group of the first record and
-    step 1 transform every line; every later state lies in the box, and its
-    transforms skip the lines that are zero.  Record k fills row k of the
-    trajectory's tables.  `final`, the state at t_end, is one more inverse
-    transform of the coefficients, made after the work arrays are freed.
+    (`rough_datum` does in 2D and 3D), so the groups of the first record and
+    step 1 transform every line; later ones skip the lines that are zero.
+    `final`, the state at t_end, is one more inverse transform of the
+    coefficients, made after the work arrays are freed.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum lives on a different grid")
@@ -224,18 +216,16 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
     labels = [(np.inf, 1.0)] + [(sp.N, sp.s) for sp in specs]
     K = grid.dealias_cutoff
     records = cfg.n_steps // cfg.diagnostics_every + 1
-    traj = Trajectory(np.empty((records, 2)), np.empty((records, rows, 4)), labels,
-                      None, cfg)
+    traj = Trajectory(np.empty(records, _SNAPSHOT), np.empty((records, rows), _ENERGY),
+                      labels, None, cfg)
     # grid f of the run is row f % rows of record f // rows, and row f of table
-    snaps, table = traj.snapshots, traj.energies.reshape(-1, 4)
-    # records per group, 0 where a record spans groups; grids per group
-    per = min(_CHUNK_POINTS // (rows * size), _GROUP_RECORDS, records)
-    group = per * rows if per else max(1, _CHUNK_POINTS // size)
+    snaps, table = traj.snapshots, traj.energies.reshape(-1)
+    group = max(1, _CHUNK_POINTS // size)
     # a group's coefficients, then its physical values, in place, and one
-    # real array per grid plus one per u row; a step chunk of c points uses
+    # real array per grid plus one per u grid; a step chunk of c points uses
     # the last c complex and the first 2c real entries of them
     stack = np.empty((group,) + grid.shape, dtype=complex)
-    real = np.empty((group + max(per, 1),) + grid.shape)
+    real = np.empty((group + -(-group // rows),) + grid.shape)
     chunk = min(_CHUNK_POINTS, size)
     step_work = (stack.reshape(-1)[-chunk:], real.reshape(-1)[:2 * chunk])
     done = 0                           # grids reduced; the stack holds grid done on
@@ -246,40 +236,37 @@ def evolve(u0: Field, cfg: EvolveConfig, specs=()) -> Trajectory:
         ws, absu, e = stack[:end - lo], real[:end - lo], table[lo:end]
         # sums of the raw coefficients, scaled as unitary ones: int |grad u|^2, l2
         c2 = np.square(np.abs(ws, out=absu), out=absu)
-        e[:, 3] = np.sqrt(_row_sums(c2)) * scale
-        e[:, 0] = _row_sums(np.multiply(xi2, c2, out=c2)) * scale ** 2
+        e["l2"] = np.sqrt(_row_sums(c2)) * scale
+        e["kinetic"] = _row_sums(np.multiply(xi2, c2, out=c2)) * scale ** 2
         _ifftn_box(ws, grid.dim, grid.n // 2 if lo < rows else K)
         np.abs(ws, out=absu)
-        us = range(lo + -lo % rows, end, rows)      # each record's u row
+        us = range(lo + -lo % rows, end, rows)      # each record's u grid
         if us:
             cubes = np.power(absu[us.start - lo::rows], 3, out=real[group:group + len(us)])
             for f, cube in zip(us, _row_sums(cubes)):
-                snaps[f // rows, 1] = (cube * w) ** (1.0 / 3)
+                snaps["l3"][f // rows] = (cube * w) ** (1.0 / 3)
         np.square(absu, out=absu)           # 1/2 int (|u|^2 + 2 Re u)^2
         # 2 Re u into the stack's imaginary parts: u is not needed again
         np.add(absu, np.multiply(2, ws.real, out=ws.imag), out=absu)
-        e[:, 1] = 0.5 * _row_sums(np.square(absu, out=absu)) * w
+        e["potential"] = 0.5 * _row_sums(np.square(absu, out=absu)) * w
         k0, k1 = lo // rows, end // rows          # the records this group finishes
         energies = traj.energies[k0:k1]
-        np.add(energies[..., 0], energies[..., 1], out=energies[..., 2])
-        finite = np.isfinite(snaps[k0:k1, 1]) & np.isfinite(energies[..., 2]).all(axis=1)
+        np.add(energies["kinetic"], energies["potential"], out=energies["total"])
+        finite = np.isfinite(snaps["l3"][k0:k1]) & np.isfinite(energies["total"]).all(axis=1)
         if not finite.all():                    # the first in record order
             k = k0 + int(np.argmin(finite))
-            raise BlowUpError(float(snaps[k, 0]), Trajectory(
+            raise BlowUpError(float(snaps["time"][k]), Trajectory(
                 snaps[:k], traj.energies[:k], labels, None, cfg))
 
     def record(k, t):
-        snaps[k, 0] = t
-        for lo in range(0, rows, group):
-            hi = min(lo + group, rows)
-            at = k * rows + lo - done           # the stack row of grid (k, lo)
-            ws = stack[at:at + hi - lo]
-            first = max(lo, 1)      # row 0 is u, row j >= 1 is spec j's I_N u
-            if lo == 0:
-                ws[0] = uh
-            np.multiply(uh, m_N[first - 1:hi - 1], out=ws[first - lo:])
-            if at + hi - lo + rows > group or k == records - 1:    # no room for a record
-                reduce(k * rows + hi)
+        snaps["time"][k] = t
+        for f in range(k * rows, (k + 1) * rows):   # row 0 u, row j >= 1 spec j's I_N u
+            if f % rows:
+                np.multiply(uh, m_N[f % rows - 1], out=stack[f - done])
+            else:
+                stack[f - done] = uh
+            if f + 1 - done == group or f + 1 == records * rows:
+                reduce(f + 1)
 
     record(0, 0.0)
     for i in range(1, cfg.n_steps + 1):
@@ -301,6 +288,11 @@ class GrowthAudit:
     """Worst margins of the differential and Gronwall L^2 bounds.
 
     Margins are (bound - observed); nonnegative means the bound held.
+    The Gronwall bound carries a 10 dt^2 slack, which is its whole margin
+    at t = 0.  So the smallest Gronwall margin is that slack (1e-5 at
+    dt = 1e-3, as `simulate` prints) on every run where ||u||_{L^2} grows
+    no faster than the bound: it says the bound held, not how tight it is.
+    ROADMAP item 18 adds a tightness measure.
     """
 
     differential_margin: float
@@ -312,9 +304,9 @@ def l2_growth_audit(traj: Trajectory) -> GrowthAudit:
     """Check d/dt ||u||^2 <= 2 int (|u|^3 + 2|u|^2) and the closed bound."""
     if len(traj.snapshots) < _AUDIT_RECORDS:
         raise ValueError(f"audit needs at least {_AUDIT_RECORDS} records")
-    ts = traj.snapshots[:, 0]
-    l2 = traj.energies[:, 0, 3]
-    rhs = 2.0 * (traj.snapshots[:, 1] ** 3 + 2.0 * l2 ** 2)
+    ts = traj.snapshots["time"]
+    l2 = traj.energies["l2"][:, 0]
+    rhs = 2.0 * (traj.snapshots["l3"] ** 3 + 2.0 * l2 ** 2)
     scale = float(rhs.max()) if rhs.max() > 0 else 1.0
     tol = 10.0 * traj.cfg.dt * scale
 
@@ -323,7 +315,7 @@ def l2_growth_audit(traj: Trajectory) -> GrowthAudit:
     diff_margins = rhs[1:-1] + tol - d
     worst_diff = float(diff_margins.min())
 
-    e0 = traj.energies[0, 0, 2]
+    e0 = traj.energies["total"][0, 0]
     bound = l2[0] + math.sqrt(2.0 * e0) * ts + 10.0 * traj.cfg.dt ** 2
     gron_margins = bound - l2
     worst_gron = float(gron_margins.min())
@@ -387,7 +379,8 @@ def rough_datum(grid: Grid, s: float, seed: int) -> Field:
 class AlmostConservationRow:
     N: float
     increment_window: float     # |E(I u(window)) - E(I u0)|
-    increment_delta: float      # same at t = min(delta_step, window)
+    increment_delta: float      # same at t = min(delta_step, window); equal to
+                                # increment_window whenever delta >= window
     delta: float
     gradI_norm: float           # ||grad I u0||
 
@@ -403,20 +396,20 @@ def almost_conservation(traj: Trajectory) -> AlmostConservationResult:
     table: over the whole run, the window t_end, and up to the record
     nearest min(delta_step, window); then the fit of the window increments
     against N."""
-    ts = traj.snapshots[:, 0]
+    ts = traj.snapshots["time"]
     window = traj.cfg.t_end
     rows = []
-    columns = traj.energies.transpose(1, 2, 0)[1:].tolist()   # spec, column, record
-    for (N, s), (kinetic, _, total, _) in zip(traj.labels[1:], columns):
+    for (N, s), e in zip(traj.labels[1:], traj.energies[:, 1:].T):    # spec, record
+        kinetic0, total = e["kinetic"][0].item(), e["total"].tolist()
         e0 = total[0]
         inc_window = abs(total[-1] - e0)
-        delta = delta_step(N, s, kinetic[0])
+        delta = delta_step(N, s, kinetic0)
         t_delta = min(delta, window)
         idx = int(np.argmin(np.abs(ts - t_delta)))
         inc_delta = abs(total[idx] - e0)
         rows.append(AlmostConservationRow(
             N=N, increment_window=inc_window, increment_delta=inc_delta,
-            delta=delta, gradI_norm=math.sqrt(kinetic[0])))
+            delta=delta, gradI_norm=math.sqrt(kinetic0)))
     fit = loglog_fit([r.N for r in rows],
                      [max(r.increment_window, 1e-300) for r in rows])
     return AlmostConservationResult(rows=tuple(rows), fit=fit)

@@ -378,7 +378,11 @@ def verify_bounds(cases, N_list, samples_per_N: int, seed: int, s: float = 0.75,
     """Sample every case's region at every N and compare M against the claimed
     bound; the quarter-power bounds are stated at s = 3/4 and hold for any
     s >= 3/4.  N is the outer loop: the cases at one N read one shared first
-    round of the sampler stream, and only that N's draws are held."""
+    round of the sampler stream, and only that N's draws are held.  The
+    slope fit needs two or more N, none repeated, so a shorter or repeating
+    N_list raises ValueError before anything is sampled."""
+    if len(N_list) < 2 or len(set(N_list)) < len(N_list):
+        raise ValueError(f"need at least two distinct x for a fit, got N_list {N_list!r}")
     per_N = [{} for _ in cases]
     best = [(-np.inf, None)] * len(cases)
     for k, N in enumerate(N_list):

@@ -1,6 +1,7 @@
 """Reference formulas the tests compare the package against: the dealiased
 box as a full-grid mask, the quadrature L^p and H^s norms of a Field, and
-the Strang step and the record of `evolve` as fresh-array formulas; the
+the Strang step and the record of `evolve` as fresh-array formulas, the
+record in the package's record dtypes, and a bitwise table comparison; the
 inputs that several test files share; and the patch of numpy's FFT entry
 points that counts transforms or injects faults."""
 
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from gpilab.dynamics import _ENERGY, _SNAPSHOT
 from gpilab.grid import Field, _hs_norm, forward_transform
 
 
@@ -46,21 +48,30 @@ def out_of_place_step(uh, half_phase, dt, mask):
     return uh * half_phase
 
 
-def out_of_place_record(uh, m_N, scale, xi2, w):
-    """||u||_{L^3}, then kinetic, potential, total and l2 of u and of each
-    I_N u (m_N a sequence of multiplier arrays), one inverse transform per
-    row, from raw fftn coefficients uh; and the physical u.  The kinetic
-    and l2 sums run over the raw coefficients and are then scaled to
-    unitary ones, kinetic by scale^2 and l2 by scale, as evolve's are."""
+def out_of_place_record(t, uh, m_N, scale, xi2, w):
+    """The record at time t in the package's two dtypes, one inverse
+    transform per row, from raw fftn coefficients uh: a `_SNAPSHOT` of t and
+    ||u||_{L^3}, and the `_ENERGY` rows (kinetic, potential, total, l2) of u
+    and of each I_N u (m_N a sequence of multiplier arrays); and the
+    physical u.  The kinetic and l2 sums run over the raw coefficients and
+    are then scaled to unitary ones, kinetic by scale^2 and l2 by scale, as
+    evolve's are."""
     u = np.fft.ifftn(uh)
-    vals = [float((np.sum(np.abs(u) ** 3) * w) ** (1.0 / 3))]
-    rows = [(uh, u)] + [(uh * m, np.fft.ifftn(uh * m)) for m in m_N]
-    for coef, v in rows:
+    snap = np.array((t, (np.sum(np.abs(u) ** 3) * w) ** (1.0 / 3)), _SNAPSHOT)
+    energy = []
+    for coef, v in [(uh, u)] + [(uh * m, np.fft.ifftn(uh * m)) for m in m_N]:
         c2 = np.abs(coef) ** 2
         kin = float(np.sum(xi2 * c2)) * scale ** 2
         pot = 0.5 * float(np.sum((np.abs(v) ** 2 + 2 * v.real) ** 2)) * w
-        vals += [kin, pot, kin + pot, math.sqrt(float(np.sum(c2))) * scale]
-    return vals, u
+        energy.append((kin, pot, kin + pot, math.sqrt(float(np.sum(c2))) * scale))
+    return snap, np.array(energy, _ENERGY), u
+
+
+def same_bits(a, b):
+    """Whether a and b hold the same bits, field by field for record tables."""
+    if a.dtype.names or b.dtype.names:
+        return a.dtype == b.dtype and all(same_bits(a[c], b[c]) for c in a.dtype.names)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def smooth_datum(grid, amp=0.2):

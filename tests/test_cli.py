@@ -12,7 +12,7 @@ import pytest
 
 from gpilab.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK,
                         ConfigError, atomic_write, load_config, main)
-from gpilab.dynamics import AlmostConservationRow, Trajectory
+from gpilab.dynamics import _ENERGY, _SNAPSHOT, AlmostConservationRow, Trajectory
 from oracles import fft_nan_from
 
 
@@ -644,8 +644,8 @@ def _report(case):
 
 def _trajectory(u0, cfg, specs):
     labels = [(math.inf, 1.0)] + [(sp.N, sp.s) for sp in specs]
-    energies = np.tile([THIRD, BIG, 2.5, 1.0], (3, len(labels), 1))
-    return Trajectory(snapshots=np.array([(t, 1.0) for t in (0.0, 0.5, 1.0)]),
+    energies = np.full((3, len(labels)), np.array((THIRD, BIG, 2.5, 1.0), _ENERGY))
+    return Trajectory(snapshots=np.array([(t, 1.0) for t in (0.0, 0.5, 1.0)], _SNAPSHOT),
                       energies=energies, labels=labels, final=u0, cfg=cfg)
 
 

@@ -18,7 +18,7 @@ from gpilab.fitting import loglog_fit
 from gpilab.ioperator import MultiplierSpec, multiplier_value
 from gpilab.ledger import step_law_exponent
 from oracles import (box, fft_nan_from, lp_norm, out_of_place_record, out_of_place_step,
-                     patch_fft, smooth_datum, sobolev_norm)
+                     patch_fft, same_bits, smooth_datum, sobolev_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -55,32 +55,36 @@ def test_records_match_field_energies():
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.1, diagnostics_every=5)
     u0 = rough_datum(g, 0.8, seed=2)
     traj = evolve(u0, cfg, specs)
-    assert traj.snapshots[:, 0].tolist() == [0.0, 0.05, 0.1]
+    assert traj.snapshots["time"].tolist() == [0.0, 0.05, 0.1]
     assert traj.labels == [(np.inf, 1.0), (2.0, 0.8), (4.0, 0.6)]
     absxi = g.xi_abs()
     m_N = [multiplier_value(sp, absxi) for sp in specs]
     scale, w = _spectral_scale(g), g.dx ** g.dim
-    for k, t in enumerate(traj.snapshots[:, 0].tolist()):
+    for k, t in enumerate(traj.snapshots["time"].tolist()):
         f = u0 if t == 0 else evolve(u0, dataclasses.replace(cfg, t_end=t)).final
-        want, _ = out_of_place_record(np.fft.fftn(f.values), m_N, scale, absxi ** 2, w)
-        got = np.concatenate([traj.snapshots[k, 1:], traj.energies[k].ravel()])
-        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        snap, energy, _ = out_of_place_record(t, np.fft.fftn(f.values), m_N, scale,
+                                              absxi ** 2, w)
+        for got, want in ((traj.snapshots[k], snap), (traj.energies[k], energy)):
+            for c in want.dtype.names:
+                assert np.all(np.abs(got[c] - want[c]) <= 1e-13 * np.abs(want[c]))
 
 
 def test_record_table_contract(monkeypatch):
-    # one row per record: (time, ||u||_{L^3}) and, per row u, Iu..., the
-    # columns (kinetic, potential, total, l2), total the float sum of the
-    # first two; a blow-up keeps exactly the records finished before it
+    # one snapshot per record, (time, l3 = ||u||_{L^3}), and one energy per
+    # record and row u, Iu..., (kinetic, potential, total, l2), total the
+    # float sum of kinetic and potential; a blow-up keeps exactly the
+    # records finished before it
     g = Grid(dim=1, n=64, length=2 * np.pi)
     specs = (MultiplierSpec(N=2.0, s=0.8), MultiplierSpec(N=4.0, s=0.6))
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.06, diagnostics_every=2)
     traj = evolve(smooth_datum(g), cfg, specs)
-    assert traj.snapshots.shape == (4, 2) and len(traj.snapshots) == 4
-    assert traj.energies.shape == (4, 3, 4)
+    assert traj.snapshots.shape == (4,) and traj.snapshots.dtype.names == ("time", "l3")
+    assert traj.energies.shape == (4, 3)
+    assert traj.energies.dtype.names == ("kinetic", "potential", "total", "l2")
     assert traj.labels == [(np.inf, 1.0), (2.0, 0.8), (4.0, 0.6)]
-    kin, pot, total = (traj.energies[..., j] for j in range(3))
-    assert np.array_equal((kin + pot).view(np.uint64), total.view(np.uint64))
-    assert traj.snapshots[-1, 1] == lp_norm(traj.final, 3)
+    e = traj.energies
+    assert same_bits(e["kinetic"] + e["potential"], e["total"])
+    assert traj.snapshots["l3"][-1] == lp_norm(traj.final, 3)
 
     # NaN from step 3 on: the records at steps 0 and 2 are finished, the
     # one at step 4 is not, though all four share one record group
@@ -90,9 +94,8 @@ def test_record_table_contract(monkeypatch):
     kept = err.value.trajectory
     assert err.value.time == 0.04 and kept.final is None
     assert kept.labels == traj.labels
-    for got, want in ((kept.snapshots, traj.snapshots[:2]),
-                      (kept.energies, traj.energies[:2])):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert same_bits(kept.snapshots, traj.snapshots[:2])
+    assert same_bits(kept.energies, traj.energies[:2])
 
 
 @pytest.mark.memory
@@ -119,7 +122,7 @@ def test_record_memory_does_not_grow_with_record_count():
 
 def test_record_transform_count(monkeypatch):
     # one fftn for the datum, an inverse/forward pair per step, one batched
-    # inverse transform per group of records for u and every spec, and one
+    # inverse transform per group of grids, u's and every spec's, and one
     # more for `final`: each record writes 2 Re u over the imaginary parts of
     # its physical rows, so the final state is transformed again from its
     # coefficients
@@ -138,7 +141,7 @@ def test_record_transform_count(monkeypatch):
     patch_fft(monkeypatch, counting)
     traj = evolve(u0, cfg, specs)
     steps, records = cfg.n_steps, len(traj.energies)
-    groups = -(-records // dynamics._GROUP_RECORDS)
+    groups = -(-records * len(traj.labels) // max(1, dynamics._CHUNK_POINTS // g.n))
     assert records == steps + 1 and groups == 1
     assert len(calls) == 1 + 2 * steps + groups + 1
 
@@ -151,9 +154,9 @@ def test_evolve_matches_out_of_place_formulas_bitwise(grid, Ns):
     # formulas above, element by element and sum by sum; the band-limited
     # transforms and the real-sine substep change no bit.  In 2D and 3D the
     # datum holds modes past the dealiased box, so the full transforms of
-    # the first record and step 1 are exercised too.  The 15 records fill
-    # groups of 6, 6 and 3 records in 1D, 7 groups of 2 and one of 1 in 2D,
-    # and a record spans 2 groups of one row in 3D
+    # the first record and step 1 are exercised too.  The 15 records' grids
+    # fill groups of 32, 32 and 11 grids in 1D (5 rows per record), five of
+    # 8 and one of 5 in 2D (3 rows), and groups of one grid in 3D
     specs = [MultiplierSpec(N=float(N), s=0.9) for N in Ns]
     cfg = EvolveConfig(grid=grid, dt=1e-3, t_end=28e-3, diagnostics_every=2)
     u0 = rough_datum(grid, 0.9, seed=1)
@@ -169,40 +172,44 @@ def test_evolve_matches_out_of_place_formulas_bitwise(grid, Ns):
     m_N = [multiplier_value(sp, absxi) for sp in specs]
     scale, w = _spectral_scale(grid), grid.dx ** grid.dim
     uh = np.fft.fftn(u0.values)
-    want, u = out_of_place_record(uh, m_N, scale, xi2, w)
+    snap, energy, u = out_of_place_record(0.0, uh, m_N, scale, xi2, w)
+    snaps, energies = [snap], [energy]
     for i in range(1, cfg.n_steps + 1):
         uh = out_of_place_step(uh, half_phase, cfg.dt, mask)
         if i % cfg.diagnostics_every == 0:
-            vals, u = out_of_place_record(uh, m_N, scale, xi2, w)
-            want += vals
+            snap, energy, u = out_of_place_record(i * cfg.dt, uh, m_N, scale, xi2, w)
+            snaps.append(snap)
+            energies.append(energy)
 
-    got = np.hstack([traj.snapshots[:, 1:], traj.energies.reshape(15, -1)]).ravel()
-    assert len(got) == len(want) == 15 * (1 + 4 * (1 + len(specs)))
-    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
-    assert np.array_equal(traj.final.values.view(np.uint64), u.view(np.uint64))
+    assert traj.energies.shape == (15, 1 + len(specs))
+    assert same_bits(traj.snapshots, np.stack(snaps))
+    assert same_bits(traj.energies, np.stack(energies))
+    assert same_bits(traj.final.values, u)
 
 
-@pytest.mark.parametrize("grid, constant, value", [
-    pytest.param(Grid(1, 1024, 16 * np.pi), "_CHUNK_POINTS", 100, id="grid0"),
-    pytest.param(Grid(3, 16, 2 * np.pi), "_CHUNK_POINTS", 100, id="grid1"),
-    pytest.param(Grid(1, 1024, 16 * np.pi), "_GROUP_RECORDS", 1, id="one-record-groups")])
-def test_record_groups_and_step_chunks_are_bitwise(monkeypatch, grid, constant, value):
-    # the default run reduces its 15 records in groups of 6, 6 and 3 in 1D,
-    # where it is the run that test_evolve_matches_out_of_place_formulas_bitwise
-    # holds to the record oracle, and one record per group at 16^3.  A
-    # points budget of 100 reduces one row per group and runs the substep
-    # in chunks of 100 points, the last one short; groups of one record are
-    # the other bound.  Every record and the final state equal the
-    # default's bit for bit, and a NaN inside the second 1D group raises at
-    # the same time in both, keeping the same records.  At 16^3 |xi| is at
-    # most 8 sqrt(3) < 14, so there every N is below it and m_N cuts
+@pytest.mark.parametrize("grid, points", [
+    pytest.param(Grid(1, 1024, 16 * np.pi), 100, id="grid0"),
+    pytest.param(Grid(3, 16, 2 * np.pi), 100, id="grid1"),
+    pytest.param(Grid(1, 1024, 16 * np.pi), 3 * 1024, id="straddling-groups")])
+def test_record_groups_and_step_chunks_are_bitwise(monkeypatch, grid, points):
+    # the default run reduces its 15 records' 75 grids in groups of 32, 32
+    # and 11 in 1D, where it is the run that
+    # test_evolve_matches_out_of_place_formulas_bitwise holds to the record
+    # oracle, and of 8 grids, against 5 per record, at 16^3.  A points
+    # budget of 100 reduces one grid per group and runs the substep in
+    # chunks of 100 points, the last one short; one of 3 grids in 1D makes
+    # groups of 3 grids against 5 per record, so most groups straddle two
+    # records.  Every record and the final state equal the default's bit
+    # for bit, and a NaN inside the second default 1D group raises at the
+    # same time in both, keeping the same records.  At 16^3 |xi| is at most
+    # 8 sqrt(3) < 14, so there every N is below it and m_N cuts
     Ns = (4, 8, 16, 32) if grid.dim == 1 else (2, 4, 8, 16)
     specs = [MultiplierSpec(N=float(N), s=0.9) for N in Ns]
     cfg = EvolveConfig(grid=grid, dt=1e-3, t_end=28e-3, diagnostics_every=2)
     u0 = rough_datum(grid, 0.9, seed=1)
     want = evolve(u0, cfg, specs)
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, constant, value)
+        patch.setattr(dynamics, "_CHUNK_POINTS", points)
         calls = {"inverse": 0, "_expm1_i": 0}
 
         def counting(real, key):
@@ -216,15 +223,15 @@ def test_record_groups_and_step_chunks_are_bitwise(monkeypatch, grid, constant, 
             patch_fft(patch, lambda real, inverse: counting(real, "inverse") if inverse
                       else real)
         got = evolve(u0, cfg, specs)
-        size, records = grid.n ** grid.dim, len(got.snapshots)
-        chunks = -(-size // min(dynamics._CHUNK_POINTS, size))
-        groups = 5 * records if constant == "_CHUNK_POINTS" else records
+        size, grids = grid.n ** grid.dim, got.energies.size
+        chunks = -(-size // min(points, size))
+        groups = -(-grids // max(1, points // size))
         assert calls["_expm1_i"] == cfg.n_steps * chunks
         if grid.dim == 1:      # a step's, a record group's and `final`'s
             assert calls["inverse"] == cfg.n_steps + groups + 1
     for a, b in ((got.snapshots, want.snapshots), (got.energies, want.energies),
                  (got.final.values, want.final.values)):
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert same_bits(a, b)
 
     # NaN from step 17 on: the record at step 18, record 9, is the first lost
     step, steps = dynamics._step_raw, []
@@ -240,7 +247,7 @@ def test_record_groups_and_step_chunks_are_bitwise(monkeypatch, grid, constant, 
     for patched in (False, True):
         with monkeypatch.context() as patch:
             if patched:
-                patch.setattr(dynamics, constant, value)
+                patch.setattr(dynamics, "_CHUNK_POINTS", points)
             steps.clear()
             patch.setattr(dynamics, "_step_raw", faulty)
             with pytest.raises(BlowUpError) as err, np.errstate(all="ignore"):
@@ -248,9 +255,8 @@ def test_record_groups_and_step_chunks_are_bitwise(monkeypatch, grid, constant, 
         assert err.value.time == 18 * cfg.dt
         kept.append(err.value.trajectory)
     for traj in kept:
-        for a, b in ((traj.snapshots, want.snapshots[:9]),
-                     (traj.energies, want.energies[:9])):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert same_bits(traj.snapshots, want.snapshots[:9])
+        assert same_bits(traj.energies, want.energies[:9])
 
 
 def test_real_sine_factor_is_complex_expm1_bitwise():
@@ -323,7 +329,7 @@ def test_zero_datum_stays_zero():
     g = Grid(dim=1, n=32, length=2 * np.pi)
     cfg = EvolveConfig(grid=g, dt=0.01, t_end=0.1)
     traj = evolve(Field.zero(g), cfg)
-    assert np.all(traj.energies == 0.0)
+    assert all(np.all(traj.energies[c] == 0.0) for c in traj.energies.dtype.names)
 
 
 def test_blow_up_carries_partial_trajectory(monkeypatch):
@@ -336,8 +342,9 @@ def test_blow_up_carries_partial_trajectory(monkeypatch):
     assert traj is not None and traj.final is None
     # the records before step 3 are kept, the non-finite one at t = 0.3 is not
     assert err.value.time == pytest.approx(0.3)
-    assert traj.snapshots[:, 0] == pytest.approx([0.0, 0.1, 0.2])
-    assert traj.energies.shape == (3, 1, 4) and np.all(np.isfinite(traj.energies))
+    assert traj.snapshots["time"] == pytest.approx([0.0, 0.1, 0.2])
+    assert traj.energies.shape == (3, 1)
+    assert all(np.all(np.isfinite(traj.energies[c])) for c in traj.energies.dtype.names)
 
 
 def test_nonlinear_substep_is_the_exact_flow(monkeypatch):
@@ -399,7 +406,7 @@ def test_energy_drift_shrinks_with_dt():
         cfg = EvolveConfig(grid=g, dt=dt, t_end=0.2,
                            diagnostics_every=int(round(0.2 / dt)))
         traj = evolve(u0, cfg)
-        e = traj.energies[:, 0, 2]
+        e = traj.energies["total"][:, 0]
         drifts.append(abs(e[-1] - e[0]) / e[0])
     assert drifts[1] < drifts[0]
     assert 2.5 < drifts[0] / drifts[1] < 6.0     # second-order splitting
@@ -498,10 +505,11 @@ def test_almost_conservation_rows_are_the_record_table():
     specs = [MultiplierSpec(N=4.0, s=0.8), MultiplierSpec(N=8.0, s=0.9)]
     traj = evolve(u0, EvolveConfig(g, dt=1e-3, t_end=0.05), specs)
     res = almost_conservation(traj)
-    ts = traj.snapshots[:, 0]
+    ts = traj.snapshots["time"]
     assert [r.N for r in res.rows] == [4.0, 8.0]
-    per_spec = traj.energies[:, 1:].transpose(1, 2, 0)     # spec, column, record
-    for row, (N, s), (kinetic, _, total, _) in zip(res.rows, traj.labels[1:], per_spec):
+    per_spec = traj.energies[:, 1:].T                       # spec, record
+    for row, (N, s), e in zip(res.rows, traj.labels[1:], per_spec):
+        kinetic, total = e["kinetic"], e["total"]
         assert row.N == N
         assert row.increment_window == abs(total[-1] - total[0])
         assert row.gradI_norm == math.sqrt(kinetic[0])

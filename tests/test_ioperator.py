@@ -88,8 +88,8 @@ def test_multiplier_matches_where_formula_bitwise(s):
 
 
 def _record0(f, specs=()):
-    # E(u), then E(Iu) per spec, of the field f: record 0 of evolve, rows of
-    # (kinetic, potential, total, l2)
+    # E(u), then E(Iu) per spec, of the field f: record 0 of evolve, one row
+    # of kinetic, potential, total and l2 each
     cfg = EvolveConfig(grid=f.grid, dt=1e-3, t_end=1e-3)
     return evolve(f, cfg, specs).energies[0]
 
@@ -100,7 +100,8 @@ def test_energy_of_plane_wave_matches_analytic():
     a, k = 0.3, 4
     xi = 2 * np.pi * k / g.length
     f = Field(g, a * np.exp(1j * xi * g.x_mesh()[0]))
-    kinetic, potential, total, l2 = _record0(f)[0]
+    kinetic, potential, total, l2 = (_record0(f)[0][c].item()
+                                     for c in ("kinetic", "potential", "total", "l2"))
     V = g.volume
     assert abs(kinetic - xi ** 2 * a ** 2 * V) < 1e-10
     assert abs(potential - (0.5 * a ** 4 * V + a ** 2 * V)) < 1e-10
@@ -110,8 +111,8 @@ def test_energy_of_plane_wave_matches_analytic():
 
 def test_energy_zero_field():
     g = Grid(dim=2, n=16, length=1.0)
-    _, _, total, l2 = _record0(Field.zero(g))[0]
-    assert total == 0.0 and l2 == 0.0
+    e = _record0(Field.zero(g))[0]
+    assert e["total"] == 0.0 and e["l2"] == 0.0
 
 
 def test_modified_energy_reduces_to_energy_below_N():
@@ -121,7 +122,7 @@ def test_modified_energy_reduces_to_energy_below_N():
     coef = np.zeros(g.shape, dtype=complex)
     coef[1:4] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     e = _record0(inverse_transform(g, coef), [MultiplierSpec(N=32.0, s=0.75)])
-    assert abs(e[1, 2] - e[0, 2]) < 1e-12
+    assert abs(e["total"][1] - e["total"][0]) < 1e-12
 
 
 def test_gradient_I_norm_comparator():
@@ -133,7 +134,7 @@ def test_gradient_I_norm_comparator():
     specs = [MultiplierSpec(N=8.0, s=0.75)]
 
     def grad_norms(h):      # ||grad u||, ||grad Iu||
-        return np.sqrt(_record0(h, specs)[:, 0])
+        return np.sqrt(_record0(h, specs)["kinetic"])
 
     # band-limited below N: I is the identity, so ||grad Iu|| = ||grad u||
     grad, grad_I = grad_norms(inverse_transform(g, forward_transform(f)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gpilab import multverify
 from gpilab.multverify import (CATALOG, SINGULAR_EPS, WINDOWS, InfeasibleRegionError,
                                MultiplierExpr, VerifyCase, LWP_CUBIC, LWP_QUADRATIC,
                                COMM_CUBIC, SEXTIC, _CHUNK, _Draws, _cols, _norm3,
@@ -429,6 +430,17 @@ def test_verify_bound_passes_on_reference_cases():
         assert rep.max_ratio > 0
         assert rep.witness is not None and len(rep.witness) >= 2
         assert set(rep.per_N) == {4, 16}
+
+
+@pytest.mark.parametrize("N_list", [(4,), (4, 8, 4)])
+def test_verify_bounds_rejects_an_unfittable_N_list_before_sampling(monkeypatch, N_list):
+    # the slope fit needs two distinct N, and the CLI refuses a repeated one
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled before the N_list check")
+
+    monkeypatch.setattr(multverify, "sample_region", sample)
+    with pytest.raises(ValueError, match="two distinct"):
+        verify_bounds(CATALOG[:2], N_list, 2000, seed=3)
 
 
 def test_verify_bound_flags_impossible_cap():
